@@ -15,37 +15,27 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .core import SpatialDataset, default_contrast, default_lag_set
 from .distributions import RngStream
-from .estimators import EmptyNeighborhoodError, KernelSpec, NoPairsError
-from .grf import (
-    AnisotropyParams,
-    ExponentialCovariance,
-    FactorizationError,
-    GrfSampler,
-    uniform_locations,
-)
+from .grf import AnisotropyParams, ExponentialCovariance, GrfSampler
 from .io import DataFormatError, read_dataset_csv, write_dataset_csv
-from .resampling import Rect, ResamplingError, WindowSpec
-from .spatial_tests import (
-    SingularityError,
-    gsc_gridded_test,
-    gsc_nongridded_test,
-    ms_test,
+from .resampling import Rect
+from .study import (
+    METHOD_TABLE,
+    NUMERICAL_ERRORS,
+    PRESETS,
+    MethodSpec,
+    StudyConfig,
+    StudyError,
+    get_preset,
+    parse_design,
+    run_power_study,
 )
-from .spectral_tests import lz_complete_test, periodogram
-from .study import PRESETS, StudyConfig, StudyError, get_preset, run_power_study
 from . import diagnostics
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-# Sample sizes below which a method's asymptotics are unreliable.
-MIN_N = {"gsc-g": 150, "lz": 150, "gsc-u": 300, "ms": 300}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,57 +49,29 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_design(text: str):
-    # grid:18x12[:spacing]  |  uniform:300:16x10
-    try:
-        parts = text.split(":")
-        if parts[0] == "grid":
-            n1, n2 = parts[1].lower().split("x")
-            spacing = float(parts[2]) if len(parts) > 2 else 1.0
-            return {"kind": "grid", "n_cols": int(n1), "n_rows": int(n2),
-                    "spacing": spacing}
-        if parts[0] == "uniform":
-            n = int(parts[1])
-            w, h = parts[2].lower().split("x")
-            return {"kind": "uniform", "n": n, "width": float(w), "height": float(h)}
-    except (IndexError, ValueError):
-        pass
-    raise CliError(
-        f"cannot parse design {text!r}; use grid:COLSxROWS[:SPACING] or "
-        "uniform:N:WIDTHxHEIGHT", EXIT_USAGE)
-
-
 def _covariance(args) -> ExponentialCovariance:
     if args.phi is not None:
         return ExponentialCovariance(args.sigma2, args.tau2, args.phi)
     return ExponentialCovariance.from_effective_range(args.xi, args.sigma2, args.tau2)
 
 
-def _window(args) -> WindowSpec | None:
+def _window(args) -> tuple[float, float] | None:
     if args.window is None:
         return None
     try:
         w, h = args.window.lower().split("x")
-        return WindowSpec(float(w), float(h), args.step)
+        return float(w), float(h)
     except ValueError:
         raise CliError(f"cannot parse window {args.window!r}; use WIDTHxHEIGHT",
                        EXIT_USAGE) from None
 
 
 def _cmd_simulate(args) -> int:
-    design = _parse_design(args.design)
+    design = parse_design(args.design)
     cov = _covariance(args)
     aniso = None if args.ratio == 1.0 else AnisotropyParams(args.ratio, args.angle)
     rng = RngStream(args.seed)
-    if design["kind"] == "grid":
-        from .core import GridSpec
-
-        grid = GridSpec(design["n_cols"], design["n_rows"], design["spacing"])
-        locations = grid.locations()
-    else:
-        grid = None
-        locations = uniform_locations(design["n"], design["width"], design["height"],
-                                      rng.substream(1))
+    locations, grid, _ = design.sample(rng.substream(1))
     ds = GrfSampler(locations, cov, aniso).draw(rng.substream(2), grid=grid)
     if args.out:
         write_dataset_csv(ds, args.out)
@@ -119,15 +81,6 @@ def _cmd_simulate(args) -> int:
         for (x, y), v in zip(ds.locations, ds.values):
             sys.stdout.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
     return EXIT_OK
-
-
-def _require_grid(ds: SpatialDataset, method: str):
-    if ds.grid is None:
-        raise CliError(
-            f"method {method} requires gridded sampling locations; this dataset "
-            "is not on a grid.  The distribution of sampling locations is the "
-            "first consideration when choosing a test: use gsc-u or ms for "
-            "non-gridded data.", EXIT_DATA)
 
 
 def _parse_domain(text: str) -> Rect:
@@ -143,71 +96,36 @@ def _parse_domain(text: str) -> Rect:
 
 def _cmd_test(args) -> int:
     ds = read_dataset_csv(args.data)
-    if ds.n < MIN_N.get(args.method, 0):
+    method = METHOD_TABLE[args.method]
+    if ds.n < method.min_n:
         print(f"warning: n={ds.n} is below the recommended minimum "
-              f"{MIN_N[args.method]} for {args.method}; interpret with care",
+              f"{method.min_n} for {args.method}; interpret with care",
               file=sys.stderr)
-    lag_set = default_lag_set(args.lag_scale, args.extra_lags)
-    contrast = default_contrast(lag_set)
-    window = _window(args)
+    # The distribution of sampling locations is the first consideration
+    # when choosing a test.
+    suited = " or ".join(name for name, m in METHOD_TABLE.items()
+                         if m.needs_grid == (ds.grid is not None))
+    if method.needs_grid and ds.grid is None:
+        raise CliError(
+            f"method {args.method} requires gridded sampling locations; this dataset "
+            f"is not on a grid: use {suited} for non-gridded data.", EXIT_DATA)
+    if not method.needs_grid and ds.grid is not None:
+        print(f"note: dataset is gridded; {suited} is usually preferable", file=sys.stderr)
+    spec = MethodSpec(
+        args.method, lag_scale=args.lag_scale, extra_lag_pair=args.extra_lags,
+        window=_window(args), offset_step=args.step, kernel=args.kernel,
+        truncation=args.truncation, bandwidth=args.bandwidth,
+        pvalue_mode=args.pvalue_mode, n_boot=args.n_boot, tuning=args.tuning)
     domain = _parse_domain(args.domain) if args.domain else Rect.from_dataset(ds)
-    out: dict
-    if args.method == "gsc-g":
-        _require_grid(ds, "gsc-g")
-        res = gsc_gridded_test(ds, lag_set, contrast, window,
-                               pvalue_mode=args.pvalue_mode or "finite_sample",
-                               domain=domain)
-    elif args.method == "gsc-u":
-        if ds.grid is not None:
-            print("note: dataset is gridded; gsc-g is usually preferable",
-                  file=sys.stderr)
-        res = gsc_nongridded_test(ds, lag_set, contrast,
-                                  KernelSpec(args.kernel, args.truncation),
-                                  args.bandwidth, window,
-                                  pvalue_mode=args.pvalue_mode, domain=domain)
-    elif args.method == "ms":
-        res = ms_test(ds, lag_set, contrast, window, args.n_boot, args.tuning,
-                      RngStream(args.seed), domain=domain)
-    elif args.method == "lz":
-        _require_grid(ds, "lz")
-        sym = lz_complete_test(periodogram(ds), args.alpha)
-        print(f"method: lz (two-stage complete-symmetry test, alpha={args.alpha})")
-        print(f"stage 1 (reflection): statistic={sym.stage1_statistic:.6f} "
-              f"p={sym.stage1_pvalue:.6f}")
-        if sym.stage2_reached:
-            print(f"stage 2 (diagonal):   statistic={sym.stage2_statistic:.6f} "
-                  f"p={sym.stage2_pvalue:.6f}")
-        else:
-            print("stage 2 (diagonal):   not reached")
-        print(f"decision: {'reject' if sym.reject else 'do not reject'} "
-              "complete symmetry")
-        print(f"diagnostics: {sym.diagnostics}")
-        out = {
-            "method": "lz", "alpha": args.alpha,
-            "stage1_statistic": sym.stage1_statistic,
-            "stage1_pvalue": sym.stage1_pvalue,
-            "stage2_statistic": sym.stage2_statistic,
-            "stage2_pvalue": sym.stage2_pvalue,
-            "reject": sym.reject, "diagnostics": sym.diagnostics,
-        }
-        if args.out:
-            Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
-        return EXIT_OK
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown method {args.method}", EXIT_USAGE)
-    print(f"method: {res.method}  (p-value mode: {res.pvalue_mode})")
-    print(f"statistic: {res.statistic:.6f}")
-    print(f"df: {res.df}")
-    print(f"p-value: {res.p_value:.6f}")
+    res = method.run(spec, method.hypothesis(spec), ds, domain, args.alpha,
+                     RngStream(args.seed))
+    payload = res.to_dict() | {"alpha": args.alpha}
+    payload["diagnostics"] = payload.pop("diagnostics")  # the long entry goes last
+    for key, value in payload.items():
+        print(f"{key}: {value:.6f}" if isinstance(value, float) else f"{key}: {value}")
     print(f"decision at alpha={args.alpha}: "
-          f"{'reject' if res.p_value <= args.alpha else 'do not reject'} the null")
-    print(f"diagnostics: {res.diagnostics}")
+          f"{'reject' if res.rejects(args.alpha) else 'do not reject'} the null")
     if args.out:
-        payload = {
-            "method": res.method, "statistic": res.statistic, "df": res.df,
-            "p_value": res.p_value, "pvalue_mode": res.pvalue_mode,
-            "alpha": args.alpha, "diagnostics": res.diagnostics,
-        }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -295,7 +213,7 @@ def build_parser() -> _Parser:
 
     pt = sub.add_parser("test", help="run one isotropy/symmetry test on a CSV")
     pt.add_argument("data", help="input CSV with header x,y,value")
-    pt.add_argument("--method", required=True, choices=["gsc-g", "gsc-u", "ms", "lz"])
+    pt.add_argument("--method", required=True, choices=list(METHOD_TABLE))
     pt.add_argument("--alpha", type=float, default=0.05)
     pt.add_argument("--lag-scale", type=float, default=1.0)
     pt.add_argument("--extra-lags", action="store_true",
@@ -354,8 +272,7 @@ def main(argv=None) -> int:
     except (DataFormatError,) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FactorizationError, SingularityError, ResamplingError,
-            NoPairsError, EmptyNeighborhoodError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (StudyError, ValueError) as exc:

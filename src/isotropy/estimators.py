@@ -74,7 +74,6 @@ class EstimatorConfig:
     kind: EstimatorKind = "classical_semivariogram"
     kernel: KernelSpec = KernelSpec()
     bandwidth: float | None = None
-    min_pairs: int = 1
 
     def __post_init__(self):
         if self.kind not in (
@@ -100,7 +99,6 @@ class GHat:
 
     values: np.ndarray
     lag_set: LagSet
-    estimator_kind: EstimatorKind
     weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -120,16 +118,23 @@ class GHat:
             object.__setattr__(self, "weights", w)
 
 
+def _classical(
+    dataset: SpatialDataset, lag: tuple[float, float], tol: float | None
+) -> tuple[float, int]:
+    """Classical estimate at one lag and the number of pairs behind it."""
+    pairs = enumerate_lag_pairs(dataset, lag, tol)
+    if pairs.shape[0] == 0:
+        raise NoPairsError(f"no location pairs at lag {tuple(lag)}")
+    diffs = dataset.values[pairs[:, 0]] - dataset.values[pairs[:, 1]]
+    return float(np.mean(diffs**2) / 2.0), pairs.shape[0]
+
+
 def classical_semivariogram(
     dataset: SpatialDataset, lag: tuple[float, float], tol: float | None = None
 ) -> float:
     """Moment estimator: half the mean squared difference over the pairs
     separated by exactly (within ``tol``) the given lag."""
-    pairs = enumerate_lag_pairs(dataset, lag, tol)
-    if pairs.shape[0] == 0:
-        raise NoPairsError(f"no location pairs at lag {tuple(lag)}")
-    diffs = dataset.values[pairs[:, 0]] - dataset.values[pairs[:, 1]]
-    return float(np.mean(diffs**2) / 2.0)
+    return _classical(dataset, lag, tol)[0]
 
 
 # Above this size, candidate pairs are prefiltered with a KDTree instead
@@ -248,17 +253,9 @@ def estimate_G(
         values = np.empty(lag_set.k)
         weights = np.empty(lag_set.k)
         for m, lag in enumerate(lag_set):
-            pairs = enumerate_lag_pairs(dataset, lag, tol)
-            if pairs.shape[0] < max(1, config.min_pairs):
-                raise NoPairsError(
-                    f"lag {lag}: {pairs.shape[0]} pairs, "
-                    f"need at least {max(1, config.min_pairs)}"
-                )
-            diffs = dataset.values[pairs[:, 0]] - dataset.values[pairs[:, 1]]
-            values[m] = np.mean(diffs**2) / 2.0
-            weights[m] = pairs.shape[0]
+            values[m], weights[m] = _classical(dataset, lag, tol)
     else:
         values, weights = _kernel_estimates(
             dataset, lag_set.lags, config.kernel, config.bandwidth, config.kind
         )
-    return GHat(values, lag_set, config.kind, weights=weights)
+    return GHat(values, lag_set, weights=weights)

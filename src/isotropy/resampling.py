@@ -94,7 +94,6 @@ class SigmaHat:
     """Estimated variance-covariance of the lag-set estimate vector."""
 
     matrix: np.ndarray
-    n_subblocks_or_B: int
     method: str  # "moving_window" or "gbbb"
 
     def __post_init__(self):
@@ -112,7 +111,6 @@ class SubsampleResult:
     window_ghats: np.ndarray    # (K, k) usable-window estimates
     window_weights: np.ndarray  # (K, k) per-lag effective samples per window
     full_weights: np.ndarray    # (k,) per-lag effective sample of the full data
-    window_sizes: np.ndarray    # (K,) points per usable window
     n_windows: int
     n_discarded: int
 
@@ -228,11 +226,10 @@ def subsample_variance(
     z = np.sqrt(wmat / full_w) * (gmat - gmat.mean(axis=0))
     sigma = (z.T @ z) / gmat.shape[0]
     return SubsampleResult(
-        sigma=SigmaHat(sigma, gmat.shape[0], "moving_window"),
+        sigma=SigmaHat(sigma, "moving_window"),
         window_ghats=gmat,
         window_weights=wmat,
         full_weights=full_w,
-        window_sizes=sizes,
         n_windows=len(origins),
         n_discarded=n_discarded,
     )
@@ -326,7 +323,7 @@ def gbbb_variance(
     centered = gmat - gmat.mean(axis=0)
     sigma = (centered.T @ centered) / (gmat.shape[0] - 1)
     return GbbbResult(
-        sigma=SigmaHat(sigma, gmat.shape[0], "gbbb"),
+        sigma=SigmaHat(sigma, "gbbb"),
         n_success=gmat.shape[0],
         n_failed=n_failed,
         trim_fraction=trim,

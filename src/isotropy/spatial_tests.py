@@ -14,12 +14,13 @@ to the chi-square is slow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .core import (
+    GRID_MATCH_TOL,
     ContrastMatrix,
     LagSet,
     SpatialDataset,
@@ -35,6 +36,7 @@ from .estimators import (
     estimate_G,
 )
 from .resampling import (
+    GbbbResult,
     Rect,
     SubsampleResult,
     WindowSpec,
@@ -66,6 +68,9 @@ class SingularityError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class TestResult:
+    """Outcome of a quadratic-form test.  ``diagnostics`` holds
+    JSON-native values only."""
+
     statistic: float
     df: int
     p_value: float
@@ -80,40 +85,42 @@ class TestResult:
     def rejects(self, alpha: float) -> bool:
         return self.p_value <= alpha
 
+    def to_dict(self) -> dict[str, Any]:
+        """The result as JSON-native values, method first."""
+        return {"method": self.method, **asdict(self)}
+
 
 def _as_array(x, attr):
     return getattr(x, attr) if hasattr(x, attr) else np.asarray(x, dtype=float)
 
 
-def _contrast_covariance(a: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, bool]:
+def _quadratic_forms(a: np.ndarray, sigma: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Quadratic forms y_i' (A S A')^{-1} y_i for rows y_i, and whether
+    A S A' needed the diagonal ridge to be inverted."""
     m = a @ sigma @ a.T
-    ridged = False
-    if np.linalg.cond(m) > RIDGE_CONDITION:
+    ridged = bool(np.linalg.cond(m) > RIDGE_CONDITION)
+    if ridged:
         m = m + (RIDGE_SCALE * np.trace(m) / m.shape[0]) * np.eye(m.shape[0])
-        ridged = True
-    return m, ridged
-
-
-def _solve_quadratic(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Quadratic forms y_i' m^{-1} y_i for rows y_i."""
     try:
         sol = np.linalg.solve(m, y.T)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(
             "contrast covariance is singular even after ridge fallback"
         ) from exc
-    return np.einsum("ij,ji->i", y, sol)
+    return np.einsum("ij,ji->i", y, sol), ridged
+
+
+def _statistic(g: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> tuple[float, bool]:
+    """T = (A g)' (A S A')^{-1} (A g), clamped at zero, and the ridge flag."""
+    t, ridged = _quadratic_forms(a, sigma, (a @ g)[None, :])
+    return max(float(t[0]), 0.0), ridged
 
 
 def quadratic_form(g_hat, contrast, sigma_hat) -> float:
     """T = (A g)' (A S A')^{-1} (A g); S must already be the variance of
     the full-sample estimate."""
-    g = _as_array(g_hat, "values")
     a = _as_array(contrast, "matrix")
-    s = _as_array(sigma_hat, "matrix")
-    m, _ = _contrast_covariance(a, s)
-    t = float(_solve_quadratic(m, (a @ g)[None, :])[0])
-    return max(t, 0.0)
+    return _statistic(_as_array(g_hat, "values"), a, _as_array(sigma_hat, "matrix"))[0]
 
 
 def finite_sample_pvalue(
@@ -146,12 +153,10 @@ def finite_sample_pvalue(
     if gmat.shape[0] < 2:
         raise ValueError("finite-sample adjustment needs at least two subblocks")
     a = _as_array(contrast, "matrix")
-    s = _as_array(sigma_hat, "matrix")
     g0 = _as_array(g_full, "values")
-    m, _ = _contrast_covariance(a, s)
     scale = np.sqrt(np.asarray(window_weights, dtype=float) / np.asarray(full_weights, dtype=float))
     y = (scale * (gmat - g0)) @ a.T
-    t_k = _solve_quadratic(m, y)
+    t_k, _ = _quadratic_forms(a, _as_array(sigma_hat, "matrix"), y)
     return float(np.count_nonzero(t_k >= full_stat) / t_k.shape[0])
 
 
@@ -200,34 +205,35 @@ def _finish(
     method: str,
     ghat: GHat,
     contrast: ContrastMatrix,
-    sub: SubsampleResult,
-    dataset: SpatialDataset,
+    variance: SubsampleResult | GbbbResult,
     pvalue_mode: str,
-    extra: dict[str, Any],
+    head: dict[str, Any],
+    tail: dict[str, Any],
 ) -> TestResult:
-    a = contrast.matrix
-    m, ridged = _contrast_covariance(a, sub.sigma.matrix)
-    t = max(float(_solve_quadratic(m, (a @ ghat.values)[None, :])[0]), 0.0)
+    """Result of a quadratic-form test with diagnostics ``head``, the ridge
+    flag and g_hat, then ``tail``; finite_sample needs a moving-window variance."""
+    t, ridged = _statistic(ghat.values, contrast.matrix, variance.sigma.matrix)
     if pvalue_mode in ("asymptotic", "asymptotic_chi2"):
         pvalue_mode = "asymptotic_chi2"
         p = chi2_sf(t, contrast.r)
     elif pvalue_mode == "finite_sample":
         p = finite_sample_pvalue(
-            t, sub.window_ghats, ghat.values, contrast, sub.sigma,
-            sub.window_weights, sub.full_weights,
+            t, variance.window_ghats, ghat.values, contrast, variance.sigma,
+            variance.window_weights, variance.full_weights,
         )
     else:
         raise ValueError(f"unknown p-value mode {pvalue_mode!r}")
-    diagnostics = {
+    diagnostics = {**head, "ridge_fallback": ridged, "g_hat": ghat.values.tolist(), **tail}
+    return TestResult(t, contrast.r, p, method, pvalue_mode, diagnostics)
+
+
+def _window_counts(dataset: SpatialDataset, sub: SubsampleResult) -> dict[str, int]:
+    return {
         "n": dataset.n,
         "n_windows": sub.n_windows,
         "n_usable_windows": int(sub.window_ghats.shape[0]),
         "n_discarded_windows": sub.n_discarded,
-        "ridge_fallback": ridged,
-        "g_hat": ghat.values.tolist(),
-        **extra,
     }
-    return TestResult(t, contrast.r, p, method, pvalue_mode, diagnostics)
 
 
 def gsc_gridded_test(
@@ -248,15 +254,15 @@ def gsc_gridded_test(
         domain = Rect.from_dataset(dataset)
     if window is None:
         window = default_grid_window(dataset, domain)
-    tol = 1e-9 * dataset.grid.spacing
+    tol = GRID_MATCH_TOL * dataset.grid.spacing
     config = EstimatorConfig(kind="classical_semivariogram")
     ghat = estimate_G(dataset, lag_set, config, tol=tol)
     sub = subsample_variance(
         dataset, lag_set, config, window, domain, tol=tol, full_ghat=ghat
     )
     return _finish(
-        "gsc-g", ghat, contrast, sub, dataset, pvalue_mode,
-        {"window": (window.width, window.height)},
+        "gsc-g", ghat, contrast, sub, pvalue_mode, _window_counts(dataset, sub),
+        {"window": [window.width, window.height]},
     )
 
 
@@ -290,8 +296,8 @@ def gsc_nongridded_test(
     ghat = estimate_G(dataset, lag_set, config)
     sub = subsample_variance(dataset, lag_set, config, window, domain, full_ghat=ghat)
     return _finish(
-        "gsc-u", ghat, contrast, sub, dataset, pvalue_mode,
-        {"window": (window.width, window.height), "bandwidth": bandwidth,
+        "gsc-u", ghat, contrast, sub, pvalue_mode, _window_counts(dataset, sub),
+        {"window": [window.width, window.height], "bandwidth": bandwidth,
          "kernel": kernel.family},
     )
 
@@ -328,20 +334,15 @@ def ms_test(
     )
     ghat = estimate_G(dataset, lag_set, config)
     boot = gbbb_variance(dataset, lag_set, config, block, n_boot, rng, domain)
-    a = contrast.matrix
-    m, ridged = _contrast_covariance(a, boot.sigma.matrix)
-    t = max(float(_solve_quadratic(m, (a @ ghat.values)[None, :])[0]), 0.0)
-    p = chi2_sf(t, contrast.r)
-    return TestResult(
-        t, contrast.r, p, "ms", "asymptotic_chi2",
+    return _finish(
+        "ms", ghat, contrast, boot, "asymptotic_chi2",
         {
             "n": dataset.n,
             "n_boot": boot.n_success,
             "n_failed_resamples": boot.n_failed,
             "trim_fraction": boot.trim_fraction,
-            "block": (block.width, block.height),
+            "block": [block.width, block.height],
             "bandwidth": bandwidth,
-            "ridge_fallback": ridged,
-            "g_hat": ghat.values.tolist(),
         },
+        {},
     )

@@ -10,7 +10,7 @@ each stage's p-value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -94,9 +94,6 @@ class Periodogram:
     values: np.ndarray
     power_all: np.ndarray
 
-    def at(self, k1: int, k2: int) -> float:
-        return float(self.power_all[k1 % self.frequencies.n1, k2 % self.frequencies.n2])
-
 
 def periodogram(dataset: SpatialDataset) -> Periodogram:
     """Moment-based spectral density estimate of a gridded field.
@@ -138,34 +135,37 @@ def lz_reflection_test(pgram: Periodogram) -> tuple[float, float]:
         raise ValueError(
             f"only {k1.shape[0]} frequency pairs; need {MIN_RATIO_PAIRS}"
         )
-    num = pgram.power_all[k1 % freqs.n1, k2 % freqs.n2]
-    den = pgram.power_all[(-k1) % freqs.n1, k2 % freqs.n2]
-    if np.any(den == 0) or np.any(num == 0):
+    return cvm_test(_ordinate_ratios(pgram, (k1, k2), (-k1, k2)), f22_cdf)
+
+
+def _ordinate_ratios(pgram: Periodogram, num, den) -> np.ndarray:
+    """Ratios of the ordinates at signed index arrays ``num = (k1, k2)``
+    over those at ``den``."""
+    n1, n2 = pgram.frequencies.n1, pgram.frequencies.n2
+    top = pgram.power_all[num[0] % n1, num[1] % n2]
+    bottom = pgram.power_all[den[0] % n1, den[1] % n2]
+    if np.any(bottom == 0) or np.any(top == 0):
         raise DegeneratePeriodogramError("zero periodogram ordinate in a ratio")
-    return cvm_test(num / den, f22_cdf)
+    return top / bottom
 
 
-def _diagonal_pairs(freqs: FrequencyGrid) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+def _diagonal_pairs(freqs: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
     # Unordered quarter-plane index pairs {(k1,k2), (k2,k1)} with
-    # k1 != k2, each used once.  On a square grid the index swap is the
-    # exact frequency swap (w1,w2) -> (w2,w1); on a rectangular grid it
-    # is the natural surrogate, and only indices up to the shorter
-    # axis' limit qualify, which thins the set.
+    # k1 < k2, each used once, as the index arrays (k1, k2).  On a
+    # square grid the index swap is the exact frequency swap
+    # (w1,w2) -> (w2,w1); on a rectangular grid it is the natural
+    # surrogate, and only indices up to the shorter axis' limit qualify,
+    # which thins the set.
     m = min(_half_count(freqs.n1), _half_count(freqs.n2))
-    return [((k1, k2), (k2, k1)) for k1 in range(1, m + 1) for k2 in range(k1 + 1, m + 1)]
+    k1, k2 = np.triu_indices(m, k=1)
+    return k1 + 1, k2 + 1
 
 
 def lz_diagonal_ratios(pgram: Periodogram) -> np.ndarray:
     """Ratios I at index (k1,k2) over I at (k2,k1), k1 < k2, over the
     quarter-plane pairs usable for the diagonal-symmetry stage."""
-    ratios = []
-    for (a1, a2), (b1, b2) in _diagonal_pairs(pgram.frequencies):
-        num = pgram.at(a1, a2)
-        den = pgram.at(b1, b2)
-        if den == 0 or num == 0:
-            raise DegeneratePeriodogramError("zero periodogram ordinate in a ratio")
-        ratios.append(num / den)
-    return np.asarray(ratios)
+    k1, k2 = _diagonal_pairs(pgram.frequencies)
+    return _ordinate_ratios(pgram, (k1, k2), (k2, k1))
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,16 @@ class SymmetryTestResult:
     @property
     def stage2_reached(self) -> bool:
         return self.stage2_pvalue is not None
+
+    def rejects(self, alpha: float) -> bool:
+        """The decision; only ``self.alpha``, the stages' level, is answered."""
+        if alpha != self.alpha:
+            raise ValueError(f"result is for alpha={self.alpha}, not {alpha}")
+        return self.reject
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-native values, method first; a stage not reached is None."""
+        return {"method": "lz", **asdict(self)}
 
 
 def lz_complete_test(pgram: Periodogram, alpha: float = 0.05) -> SymmetryTestResult:
@@ -208,4 +218,4 @@ def lz_complete_test(pgram: Periodogram, alpha: float = 0.05) -> SymmetryTestRes
         # nothing testable at stage 2 (can happen on awkward grids)
         return SymmetryTestResult(alpha, s1, p1, None, None, False, diag)
     s2, p2 = cvm_test(ratios, f22_cdf)
-    return SymmetryTestResult(alpha, s1, p1, s2, p2, p2 <= alpha / 2, diag)
+    return SymmetryTestResult(alpha, s1, p1, s2, p2, bool(p2 <= alpha / 2), diag)

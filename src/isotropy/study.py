@@ -12,20 +12,43 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GridSpec, SpatialDataset, default_contrast, default_lag_set
+from .core import ContrastMatrix, GridSpec, LagSet, default_contrast, default_lag_set
 from .distributions import RngStream, mix64
-from .estimators import KernelSpec
-from .grf import AnisotropyParams, ExponentialCovariance, GrfSampler, uniform_locations
-from .resampling import Rect, WindowSpec
-from .spatial_tests import gsc_gridded_test, gsc_nongridded_test, ms_test
-from .spectral_tests import lz_complete_test, periodogram
+from .estimators import EmptyNeighborhoodError, KernelSpec, NoPairsError
+from .grf import (
+    AnisotropyParams,
+    ExponentialCovariance,
+    FactorizationError,
+    GrfSampler,
+    uniform_locations,
+)
+from .resampling import Rect, ResamplingError, WindowSpec
+from .spatial_tests import (
+    SingularityError,
+    TestResult,
+    gsc_gridded_test,
+    gsc_nongridded_test,
+    ms_test,
+)
+from .spectral_tests import (
+    DegeneratePeriodogramError,
+    SymmetryTestResult,
+    lz_complete_test,
+    periodogram,
+)
 
 __all__ = [
+    "GridDesign",
+    "UniformDesign",
+    "parse_design",
+    "design_from_dict",
     "MethodSpec",
     "StudyConfig",
     "CellResult",
@@ -35,8 +58,6 @@ __all__ = [
     "get_preset",
 ]
 
-METHODS = ("gsc-g", "gsc-u", "ms", "lz")
-
 # Stream-id salts separating the independent random purposes of a cell.
 _SALT_LOCATIONS = 101
 _SALT_FIELD = 202
@@ -45,6 +66,80 @@ _SALT_METHOD = 303
 
 class StudyError(RuntimeError):
     """Invalid configuration or too many replicate failures."""
+
+
+@dataclass(frozen=True)
+class GridDesign:
+    """A complete ``n_cols`` x ``n_rows`` grid from the origin; its domain
+    gives every point one grid cell."""
+
+    n_cols: int
+    n_rows: int
+    spacing: float = 1.0
+
+    def __post_init__(self):
+        if self.n_cols < 2 or self.n_rows < 2:
+            raise StudyError("grid design needs at least 2x2 points")
+        if not (self.spacing > 0):
+            raise StudyError("grid design needs a positive spacing")
+
+    def to_dict(self) -> dict:
+        return {"kind": "grid", **asdict(self)}
+
+    def sample(self, rng: RngStream) -> tuple[np.ndarray, GridSpec, Rect]:
+        """(locations, grid, domain); a grid is fixed, so ``rng`` is unused."""
+        grid = GridSpec(self.n_cols, self.n_rows, self.spacing)
+        domain = Rect(0.0, 0.0, self.n_cols * self.spacing, self.n_rows * self.spacing)
+        return grid.locations(), grid, domain
+
+
+@dataclass(frozen=True)
+class UniformDesign:
+    """``n`` locations drawn uniformly on ``[0, width) x [0, height)``."""
+
+    n: int
+    width: float
+    height: float
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise StudyError("uniform design needs n >= 2")
+        if not (self.width > 0 and self.height > 0):
+            raise StudyError("uniform design needs positive domain dimensions")
+
+    def to_dict(self) -> dict:
+        return {"kind": "uniform", **asdict(self)}
+
+    def sample(self, rng: RngStream) -> tuple[np.ndarray, None, Rect]:
+        """(locations drawn from ``rng``, no grid, domain)."""
+        locations = uniform_locations(self.n, self.width, self.height, rng)
+        return locations, None, Rect(0.0, 0.0, self.width, self.height)
+
+
+def parse_design(text: str) -> GridDesign | UniformDesign:
+    """Design from ``grid:COLSxROWS[:SPACING]`` or ``uniform:N:WIDTHxHEIGHT``."""
+    kind, *rest = text.split(":")
+    try:
+        if kind == "grid" and len(rest) in (1, 2):
+            cols, rows = rest[0].lower().split("x")
+            return GridDesign(int(cols), int(rows), float(rest[1]) if len(rest) == 2 else 1.0)
+        if kind == "uniform" and len(rest) == 2:
+            width, height = rest[1].lower().split("x")
+            return UniformDesign(int(rest[0]), float(width), float(height))
+    except ValueError:
+        pass
+    raise StudyError(f"cannot parse design {text!r}; use grid:COLSxROWS[:SPACING] or "
+                     "uniform:N:WIDTHxHEIGHT")
+
+
+def design_from_dict(d: dict) -> GridDesign | UniformDesign:
+    """Design from the ``design`` object of a study config JSON."""
+    kind = d.get("kind")
+    if kind == "grid":
+        return GridDesign(int(d["n_cols"]), int(d["n_rows"]), float(d.get("spacing", 1.0)))
+    if kind == "uniform":
+        return UniformDesign(int(d["n"]), float(d["width"]), float(d["height"]))
+    raise StudyError(f"unknown design kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +165,13 @@ class MethodSpec:
     tuning: float = 1.0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise StudyError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.method not in METHOD_TABLE:
+            raise StudyError(
+                f"unknown method {self.method!r}; expected one of {tuple(METHOD_TABLE)}")
         if not self.label:
             object.__setattr__(self, "label", self.method)
+        if self.window is not None:
+            object.__setattr__(self, "window", tuple(self.window))
 
     def window_spec(self) -> WindowSpec | None:
         if self.window is None:
@@ -81,11 +179,68 @@ class MethodSpec:
         return WindowSpec(self.window[0], self.window[1], self.offset_step)
 
 
+def _lag_hypothesis(spec: MethodSpec) -> tuple[LagSet, ContrastMatrix]:
+    lag_set = default_lag_set(spec.lag_scale, spec.extra_lag_pair)
+    return lag_set, default_contrast(lag_set)
+
+
+# The runners look the tests up by their module-level names on every
+# call, so a wrapper installed on this module sees each call.
+
+def _run_gsc_g(spec, lags, dataset, domain, alpha, rng) -> TestResult:
+    return gsc_gridded_test(dataset, *lags, spec.window_spec(),
+                            pvalue_mode=spec.pvalue_mode or "finite_sample", domain=domain)
+
+
+def _run_gsc_u(spec, lags, dataset, domain, alpha, rng) -> TestResult:
+    return gsc_nongridded_test(
+        dataset, *lags, KernelSpec(spec.kernel, spec.truncation), spec.bandwidth,
+        spec.window_spec(), pvalue_mode=spec.pvalue_mode, domain=domain)
+
+
+def _run_ms(spec, lags, dataset, domain, alpha, rng) -> TestResult:
+    return ms_test(dataset, *lags, spec.window_spec(), spec.n_boot, spec.tuning, rng,
+                   domain=domain)
+
+
+def _run_lz(spec, lags, dataset, domain, alpha, rng) -> SymmetryTestResult:
+    return lz_complete_test(periodogram(dataset), alpha)
+
+
+@dataclass(frozen=True)
+class Method:
+    """How the study harness and the CLI run one test: ``min_n`` is the
+    sample size below which its reference distribution is unreliable, and
+    ``hypothesis`` builds the (lag set, contrast) of a :class:`MethodSpec`
+    (None without lags) for ``run(spec, hypothesis, dataset, domain, alpha, rng)``."""
+
+    needs_grid: bool
+    min_n: int
+    run: Callable[..., TestResult | SymmetryTestResult]
+    hypothesis: Callable[[MethodSpec], tuple[LagSet, ContrastMatrix] | None] = _lag_hypothesis
+
+
+# Every test the package offers; a new test is one more entry.
+METHOD_TABLE = {
+    "gsc-g": Method(True, 150, _run_gsc_g),
+    "gsc-u": Method(False, 300, _run_gsc_u),
+    "ms": Method(False, 300, _run_ms),
+    "lz": Method(True, 150, _run_lz, hypothesis=lambda spec: None),
+}
+
+# Failures of a test on one dataset, as opposed to faults in the code:
+# a study counts them per cell, the CLI exits with code 3.
+NUMERICAL_ERRORS = (
+    FactorizationError, SingularityError, ResamplingError, NoPairsError,
+    EmptyNeighborhoodError, DegeneratePeriodogramError, np.linalg.LinAlgError,
+)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Full specification of a size/power study."""
 
-    design: dict
+    design: GridDesign | UniformDesign
     methods: tuple[MethodSpec, ...]
     effective_ranges: tuple[float, ...] = (3.0, 6.0, 12.0)
     anisotropies: tuple[tuple[float, float], ...] = (
@@ -108,19 +263,8 @@ class StudyConfig:
             raise StudyError("alpha must be in (0, 1)")
         if not self.methods:
             raise StudyError("at least one method is required")
-        kind = self.design.get("kind")
-        if kind == "grid":
-            if int(self.design["n_cols"]) < 2 or int(self.design["n_rows"]) < 2:
-                raise StudyError("grid design needs at least 2x2 points")
-        elif kind == "uniform":
-            if int(self.design["n"]) < 2:
-                raise StudyError("uniform design needs n >= 2")
-            if not (float(self.design["width"]) > 0 and float(self.design["height"]) > 0):
-                raise StudyError("uniform design needs positive domain dimensions")
-        else:
-            raise StudyError(f"unknown design kind {kind!r}")
         for m in self.methods:
-            if m.method in ("gsc-g", "lz") and kind != "grid":
+            if METHOD_TABLE[m.method].needs_grid and not isinstance(self.design, GridDesign):
                 raise StudyError(f"method {m.label} requires a grid design")
 
     def cells(self) -> list[tuple[int, tuple[float, float], float]]:
@@ -134,9 +278,8 @@ class StudyConfig:
 
     def to_json(self) -> str:
         d = {
-            "design": self.design,
-            "methods": [vars(m) | {"window": list(m.window) if m.window else None}
-                        for m in self.methods],
+            "design": self.design.to_dict(),
+            "methods": [vars(m) for m in self.methods],
             "effective_ranges": list(self.effective_ranges),
             "anisotropies": [list(a) for a in self.anisotropies],
             "sigma2": self.sigma2,
@@ -154,15 +297,9 @@ class StudyConfig:
         except json.JSONDecodeError as exc:
             raise StudyError(f"config is not valid JSON: {exc}") from exc
         try:
-            methods = []
-            for m in d["methods"]:
-                m = dict(m)
-                if m.get("window") is not None:
-                    m["window"] = tuple(m["window"])
-                methods.append(MethodSpec(**m))
             return cls(
-                design=d["design"],
-                methods=tuple(methods),
+                design=design_from_dict(d["design"]),
+                methods=tuple(MethodSpec(**m) for m in d["methods"]),
                 effective_ranges=tuple(float(x) for x in d.get("effective_ranges", (3, 6, 12))),
                 anisotropies=tuple((float(a), float(b)) for a, b in d.get(
                     "anisotropies", StudyConfig.__dataclass_fields__["anisotropies"].default)),
@@ -252,67 +389,33 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _cell_locations(config: StudyConfig, cell_idx: int):
-    """Sampling locations of a cell: the full grid for grid designs, one
-    uniform draw per cell otherwise (fields then vary over replicates)."""
-    kind = config.design["kind"]
-    if kind == "grid":
-        grid = GridSpec(int(config.design["n_cols"]), int(config.design["n_rows"]),
-                        float(config.design.get("spacing", 1.0)))
-        domain = Rect(0.0, 0.0, grid.n_cols * grid.spacing, grid.n_rows * grid.spacing)
-        return grid.locations(), grid, domain
-    w = float(config.design["width"])
-    h = float(config.design["height"])
-    rng = RngStream(config.master_seed, mix64(_SALT_LOCATIONS, cell_idx))
-    return uniform_locations(int(config.design["n"]), w, h, rng), None, Rect(0, 0, w, h)
-
-
-def _run_one(method: MethodSpec, ds: SpatialDataset, domain: Rect,
-             alpha: float, rng: RngStream) -> bool:
-    lag_set = default_lag_set(method.lag_scale, method.extra_lag_pair)
-    contrast = default_contrast(lag_set)
-    window = method.window_spec()
-    if method.method == "gsc-g":
-        res = gsc_gridded_test(
-            ds, lag_set, contrast, window,
-            pvalue_mode=method.pvalue_mode or "finite_sample", domain=domain)
-        return res.p_value <= alpha
-    if method.method == "gsc-u":
-        res = gsc_nongridded_test(
-            ds, lag_set, contrast, KernelSpec(method.kernel, method.truncation),
-            method.bandwidth, window, pvalue_mode=method.pvalue_mode, domain=domain)
-        return res.p_value <= alpha
-    if method.method == "ms":
-        res = ms_test(ds, lag_set, contrast, window, method.n_boot,
-                      method.tuning, rng, domain=domain)
-        return res.p_value <= alpha
-    if method.method == "lz":
-        return lz_complete_test(periodogram(ds), alpha).reject
-    raise StudyError(f"unknown method {method.method!r}")
-
-
 def _run_block(config_json: str, cell_idx: int, ratio: float, angle: float,
                xi: float, rep_lo: int, rep_hi: int):
-    """Worker: run all methods on replicates [rep_lo, rep_hi) of one cell."""
+    """Worker: run all methods on replicates [rep_lo, rep_hi) of one cell.
+    A grid design has the same locations in every cell; a uniform design
+    draws them once per cell, and the fields vary over replicates."""
     config = StudyConfig.from_json(config_json)
-    locations, grid, domain = _cell_locations(config, cell_idx)
+    locations, grid, domain = config.design.sample(
+        RngStream(config.master_seed, mix64(_SALT_LOCATIONS, cell_idx)))
     cov = ExponentialCovariance.from_effective_range(xi, config.sigma2, config.tau2)
     aniso = None if ratio == 1.0 else AnisotropyParams(ratio, angle)
     sampler = GrfSampler(locations, cov, aniso)
+    hypotheses = [METHOD_TABLE[m.method].hypothesis(m) for m in config.methods]
     out = []
     for rep in range(rep_lo, rep_hi):
         field_rng = RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep))
         ds = sampler.draw(field_rng, grid=grid)
         fhash = hashlib.sha256(ds.values.tobytes()).digest()
         rep_out = {}
-        for i, m in enumerate(config.methods):
+        for i, (m, hypothesis) in enumerate(zip(config.methods, hypotheses)):
             mrng = RngStream(config.master_seed, mix64(_SALT_METHOD, cell_idx, rep, i))
             t0 = time.perf_counter()
             try:
-                reject = _run_one(m, ds, domain, config.alpha, mrng)
-                rep_out[m.label] = (bool(reject), False, time.perf_counter() - t0)
-            except Exception:
-                rep_out[m.label] = (False, True, time.perf_counter() - t0)
+                res = METHOD_TABLE[m.method].run(m, hypothesis, ds, domain, config.alpha, mrng)
+                reject, failed = res.rejects(config.alpha), False
+            except NUMERICAL_ERRORS:
+                reject, failed = False, True
+            rep_out[m.label] = (reject, failed, time.perf_counter() - t0)
         out.append((rep, fhash, rep_out))
     return cell_idx, rep_lo, out
 
@@ -331,17 +434,9 @@ def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> Stu
             hi = min(lo + _BLOCK, config.replicates)
             tasks.append((config_json, cell_idx, ratio, angle, xi, lo, hi))
     blocks: dict[tuple[int, int], list] = {}
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_block, *t) for t in tasks]
-            for done, fut in enumerate(futures):
-                cell_idx, lo, out = fut.result()
-                blocks[(cell_idx, lo)] = out
-                if progress:
-                    progress(done + 1, len(tasks))
-    else:
-        for done, t in enumerate(tasks):
-            cell_idx, lo, out = _run_block(*t)
+    with ExitStack() as stack:
+        run_all = stack.enter_context(ProcessPoolExecutor(threads)).map if threads > 1 else map
+        for done, (cell_idx, lo, out) in enumerate(run_all(_run_block, *zip(*tasks))):
             blocks[(cell_idx, lo)] = out
             if progress:
                 progress(done + 1, len(tasks))
@@ -380,26 +475,18 @@ def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> Stu
 
 # ---------------------------------------------------------------------------
 # Shipped study presets.  Each mirrors one block of the reference
-# empirical comparison; the *_fast variants trade replicates for time.
+# empirical comparison.
 
 _THETA = 1.1780972450961724  # 3*pi/8
 _SQRT2 = 1.4142135623730951
 
 
-def _grid_design(n_cols, n_rows):
-    return {"kind": "grid", "n_cols": n_cols, "n_rows": n_rows, "spacing": 1.0}
-
-
-def _uniform_design(n, width, height):
-    return {"kind": "uniform", "n": n, "width": width, "height": height}
-
-
-def gvl_a(replicates: int = 500, master_seed: int = 20260810) -> StudyConfig:
-    """Gridded comparison, 18x12 grid: quadratic-form test vs spectral test."""
+def _gridded_comparison(design: GridDesign, window: tuple[float, float],
+                        replicates: int, master_seed: int) -> StudyConfig:
     return StudyConfig(
-        design=_grid_design(18, 12),
+        design=design,
         methods=(
-            MethodSpec("gsc-g", window=(4.0, 3.0), pvalue_mode="finite_sample"),
+            MethodSpec("gsc-g", window=window, pvalue_mode="finite_sample"),
             MethodSpec("lz"),
         ),
         replicates=replicates,
@@ -407,13 +494,24 @@ def gvl_a(replicates: int = 500, master_seed: int = 20260810) -> StudyConfig:
     )
 
 
+def gvl_a(replicates: int = 500, master_seed: int = 20260810) -> StudyConfig:
+    """Gridded comparison, 18x12 grid: quadratic-form test vs spectral test."""
+    return _gridded_comparison(GridDesign(18, 12), (4.0, 3.0), replicates, master_seed)
+
+
 def gvl_b(replicates: int = 500, master_seed: int = 20260810) -> StudyConfig:
     """Gridded comparison on the larger 25x15 grid."""
+    return _gridded_comparison(GridDesign(25, 15), (5.0, 3.0), replicates, master_seed)
+
+
+def _uniform_comparison(design: UniformDesign, replicates: int,
+                        master_seed: int) -> StudyConfig:
     return StudyConfig(
-        design=_grid_design(25, 15),
+        design=design,
         methods=(
-            MethodSpec("gsc-g", window=(5.0, 3.0), pvalue_mode="finite_sample"),
-            MethodSpec("lz"),
+            MethodSpec("gsc-u", window=(4.0, 2.0), bandwidth=0.75,
+                       pvalue_mode="finite_sample"),
+            MethodSpec("ms", window=(4.0, 2.0), n_boot=100, tuning=1.0),
         ),
         replicates=replicates,
         master_seed=master_seed,
@@ -424,35 +522,12 @@ def gvm_a(replicates: int = 200, master_seed: int = 20260810) -> StudyConfig:
     """Uniform-design comparison, n=300 on 16x10: kernel semivariogram test
     (finite-sample p-values, the recommended default below n=500) vs the
     covariogram/bootstrap test."""
-    return StudyConfig(
-        design=_uniform_design(300, 16.0, 10.0),
-        methods=(
-            MethodSpec("gsc-u", window=(4.0, 2.0), bandwidth=0.75,
-                       pvalue_mode="finite_sample"),
-            MethodSpec("ms", window=(4.0, 2.0), n_boot=100, tuning=1.0),
-        ),
-        replicates=replicates,
-        master_seed=master_seed,
-    )
-
-
-def gvm_a_fast(replicates: int = 100, master_seed: int = 20260810) -> StudyConfig:
-    """Reduced-replicate variant of gvm-a (wider Monte Carlo tolerance)."""
-    return gvm_a(replicates, master_seed)
+    return _uniform_comparison(UniformDesign(300, 16.0, 10.0), replicates, master_seed)
 
 
 def gvm_b(replicates: int = 200, master_seed: int = 20260810) -> StudyConfig:
     """Uniform-design comparison, n=450 on 20x10."""
-    return StudyConfig(
-        design=_uniform_design(450, 20.0, 10.0),
-        methods=(
-            MethodSpec("gsc-u", window=(4.0, 2.0), bandwidth=0.75,
-                       pvalue_mode="finite_sample"),
-            MethodSpec("ms", window=(4.0, 2.0), n_boot=100, tuning=1.0),
-        ),
-        replicates=replicates,
-        master_seed=master_seed,
-    )
+    return _uniform_comparison(UniformDesign(450, 20.0, 10.0), replicates, master_seed)
 
 
 def lagset_study(replicates: int = 100, master_seed: int = 20260810) -> StudyConfig:
@@ -466,7 +541,7 @@ def lagset_study(replicates: int = 100, master_seed: int = 20260810) -> StudyCon
         methods.append(MethodSpec("ms", label=f"ms-{label}", lag_scale=scale,
                                   extra_lag_pair=extra, window=(4.0, 2.0), n_boot=75))
     return StudyConfig(
-        design=_uniform_design(400, 16.0, 10.0),
+        design=UniformDesign(400, 16.0, 10.0),
         methods=tuple(methods),
         effective_ranges=(6.0,),
         anisotropies=((1.0, 0.0), (_SQRT2, _THETA), (2.0, _THETA)),
@@ -484,7 +559,7 @@ def blocksize_study(replicates: int = 200, master_seed: int = 20260810) -> Study
                                   bandwidth=0.75, pvalue_mode="asymptotic"))
         methods.append(MethodSpec("ms", label=f"ms-{label}", window=win, n_boot=100))
     return StudyConfig(
-        design=_uniform_design(300, 16.0, 10.0),
+        design=UniformDesign(300, 16.0, 10.0),
         methods=tuple(methods),
         effective_ranges=(6.0,),
         anisotropies=((1.0, 0.0), (_SQRT2, 0.0), (2.0, 0.0)),
@@ -502,7 +577,7 @@ def bandwidth_study(replicates: int = 100, master_seed: int = 20260810,
         for w in (0.65, 0.75, 0.85)
     )
     return StudyConfig(
-        design=_uniform_design(400, 16.0, 10.0),
+        design=UniformDesign(400, 16.0, 10.0),
         methods=methods,
         anisotropies=((1.0, 0.0),),
         replicates=replicates,
@@ -514,7 +589,6 @@ PRESETS = {
     "gvl-a": gvl_a,
     "gvl-b": gvl_b,
     "gvm-a": gvm_a,
-    "gvm-a-fast": gvm_a_fast,
     "gvm-b": gvm_b,
     "lagset": lagset_study,
     "blocksize": blocksize_study,

@@ -3,9 +3,26 @@ import json
 import numpy as np
 import pytest
 
-from isotropy import GridSpec, RngStream, SpatialDataset, uniform_locations
+from isotropy import (
+    GridSpec,
+    KernelSpec,
+    Rect,
+    RngStream,
+    SpatialDataset,
+    SymmetryTestResult,
+    WindowSpec,
+    default_contrast,
+    default_lag_set,
+    gsc_gridded_test,
+    gsc_nongridded_test,
+    lz_complete_test,
+    ms_test,
+    periodogram,
+    uniform_locations,
+)
 from isotropy.cli import main
 from isotropy.io import DataFormatError, detect_grid, read_dataset_csv, write_dataset_csv
+from isotropy.study import METHOD_TABLE, MethodSpec
 
 
 class TestCsvRoundTrip:
@@ -168,3 +185,91 @@ class TestCli:
 
     def test_study_needs_preset_or_config(self):
         assert main(["study"]) == 1
+
+    def test_lz_out_writes_json_boolean(self, tmp_path):
+        data = tmp_path / "f.csv"
+        assert main(["simulate", "--design", "grid:18x12", "--xi", "6",
+                     "--seed", "1", "--out", str(data)]) == 0
+        sym = lz_complete_test(periodogram(read_dataset_csv(data)))
+        # stage 2 decides, and its p-value is not the clamped floor
+        assert sym.stage2_reached and sym.stage2_pvalue > 1e-6
+        out = tmp_path / "lz.json"
+        assert main(["test", str(data), "--method", "lz", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["method", "alpha", "stage1_statistic", "stage1_pvalue",
+                                 "stage2_statistic", "stage2_pvalue", "reject",
+                                 "diagnostics"]
+        assert payload["reject"] is sym.reject
+
+    def test_degenerate_periodogram_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "flat.csv"
+        rows = "\n".join(f"{x},{y},1.0" for y in range(12) for x in range(18))
+        data.write_text("x,y,value\n" + rows + "\n")
+        assert main(["test", str(data), "--method", "lz"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def agreement_csvs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("agreement")
+    paths = {"grid": d / "grid.csv", "uniform": d / "uniform.csv"}
+    assert main(["simulate", "--design", "grid:18x12", "--ratio", "2", "--xi", "6",
+                 "--seed", "11", "--out", str(paths["grid"])]) == 0
+    assert main(["simulate", "--design", "uniform:300:16x10", "--ratio", "2", "--xi", "6",
+                 "--seed", "12", "--out", str(paths["uniform"])]) == 0
+    return paths
+
+
+# method -> (design, CLI flags, the MethodSpec those flags build, the
+# direct library call with the same arguments)
+AGREEMENT_CASES = {
+    "gsc-g": ("grid", [], MethodSpec("gsc-g"),
+              lambda ds, lags, a, dom: gsc_gridded_test(
+                  ds, lags, a, pvalue_mode="finite_sample", domain=dom)),
+    "gsc-u": ("uniform", ["--window", "4x2"], MethodSpec("gsc-u", window=(4.0, 2.0)),
+              lambda ds, lags, a, dom: gsc_nongridded_test(
+                  ds, lags, a, KernelSpec("truncated_gaussian", 1.5), 0.75,
+                  WindowSpec(4.0, 2.0), domain=dom)),
+    "ms": ("uniform", ["--n-boot", "30", "--seed", "4"], MethodSpec("ms", n_boot=30),
+           lambda ds, lags, a, dom: ms_test(ds, lags, a, None, 30, 1.0, RngStream(4),
+                                            domain=dom)),
+    "lz": ("grid", [], MethodSpec("lz"),
+           lambda ds, lags, a, dom: lz_complete_test(periodogram(ds), 0.05)),
+}
+
+
+def _decision(result):
+    """Statistics, p-values, df and decision at 0.05 of a library result."""
+    if isinstance(result, SymmetryTestResult):
+        return {"stage1_statistic": result.stage1_statistic,
+                "stage1_pvalue": result.stage1_pvalue,
+                "stage2_statistic": result.stage2_statistic,
+                "stage2_pvalue": result.stage2_pvalue, "reject": result.reject}
+    return {"statistic": result.statistic, "p_value": result.p_value, "df": result.df,
+            "reject": result.p_value <= 0.05}
+
+
+@pytest.mark.parametrize("method", list(AGREEMENT_CASES))
+def test_cli_study_and_library_agree(method, agreement_csvs, tmp_path):
+    design, flags, spec, library_call = AGREEMENT_CASES[method]
+    data = agreement_csvs[design]
+    out = tmp_path / "res.json"
+    assert main(["test", str(data), "--method", method, "--out", str(out)] + flags) == 0
+    payload = json.loads(out.read_text())
+
+    ds = read_dataset_csv(data)
+    lags = default_lag_set()
+    domain = Rect.from_dataset(ds)
+    direct = library_call(ds, lags, default_contrast(lags), domain)
+    expected = _decision(direct)
+    if method == "lz":
+        got = {k: payload[k] for k in expected}
+    else:
+        got = {"statistic": payload["statistic"], "p_value": payload["p_value"],
+               "df": payload["df"], "reject": payload["p_value"] <= payload["alpha"]}
+    assert got == expected
+    assert json.loads(json.dumps(direct.to_dict())) == direct.to_dict()
+
+    entry = METHOD_TABLE[method]
+    ran = entry.run(spec, entry.hypothesis(spec), ds, domain, 0.05, RngStream(4))
+    assert ran.rejects(0.05) == expected["reject"]

@@ -57,7 +57,7 @@ class TestQuadraticForm:
 
         ghat = estimate_G(grid_2x2, LagSet([(1, 0), (0, 1)]), EstimatorConfig())
         a = ContrastMatrix([[1.0, -1.0]])
-        s = SigmaHat(np.eye(2), 1, "moving_window")
+        s = SigmaHat(np.eye(2), "moving_window")
         assert quadratic_form(ghat, a, s) >= 0
 
     def test_near_singular_matrix_ridged(self):

@@ -186,15 +186,16 @@ class TestReflectionStage:
 class TestDiagonalStage:
     def test_pair_set_on_rectangular_grid(self):
         fr = fourier_frequencies(18, 12)
-        pairs = _diagonal_pairs(fr)
+        k1, k2 = _diagonal_pairs(fr)
         # min(n1*, n2*) = 5 usable indices -> C(5,2) unordered pairs
-        assert len(pairs) == 10
-        for (a1, a2), (b1, b2) in pairs:
-            assert (b1, b2) == (a2, a1) and a1 < a2
+        # {(k1,k2), (k2,k1)}, each given once as k1 < k2
+        assert set(zip(k1.tolist(), k2.tolist())) == {
+            (a, b) for a in range(1, 6) for b in range(a + 1, 6)}
+        assert len(k1) == 10
 
     def test_pair_set_on_square_grid(self):
         fr = fourier_frequencies(12, 12)
-        assert len(_diagonal_pairs(fr)) == 5 * 4 / 2
+        assert len(_diagonal_pairs(fr)[0]) == 5 * 4 / 2
 
     def test_diagonally_symmetric_power_gives_unit_ratios(self):
         power = np.ones((12, 12))

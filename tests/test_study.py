@@ -1,10 +1,15 @@
 import pytest
 
+from isotropy import study
+from isotropy.resampling import ResamplingError
 from isotropy.study import (
     PRESETS,
+    GridDesign,
     MethodSpec,
     StudyConfig,
     StudyError,
+    UniformDesign,
+    design_from_dict,
     get_preset,
     gvl_a,
     gvm_a,
@@ -22,7 +27,7 @@ class TestConfigValidation:
     def test_grid_method_on_uniform_design(self):
         with pytest.raises(StudyError, match="grid"):
             StudyConfig(
-                design={"kind": "uniform", "n": 50, "width": 8.0, "height": 6.0},
+                design=UniformDesign(50, 8.0, 6.0),
                 methods=(MethodSpec("gsc-g"),),
                 replicates=2,
             )
@@ -33,12 +38,11 @@ class TestConfigValidation:
 
     def test_unknown_design(self):
         with pytest.raises(StudyError, match="design"):
-            StudyConfig(design={"kind": "hex"}, methods=(MethodSpec("ms"),),
-                        replicates=2)
+            design_from_dict({"kind": "hex"})
 
     def test_bad_alpha(self):
         with pytest.raises(StudyError, match="alpha"):
-            StudyConfig(design={"kind": "grid", "n_cols": 6, "n_rows": 5},
+            StudyConfig(design=GridDesign(6, 5),
                         methods=(MethodSpec("lz"),), replicates=2, alpha=2.0)
 
     def test_json_round_trip(self):
@@ -109,3 +113,34 @@ class TestRunStudy:
         header = small_report.to_csv().splitlines()[0]
         assert "seconds" not in header
         assert "field_hash" in header
+
+
+class TestFailureHandling:
+    @staticmethod
+    def _config():
+        return StudyConfig(design=GridDesign(18, 12), methods=(MethodSpec("lz"),),
+                           effective_ranges=(6.0,), anisotropies=((1.0, 0.0),),
+                           replicates=20)
+
+    def test_bug_in_a_test_propagates(self, monkeypatch):
+        def broken(pgram, alpha):
+            raise TypeError("bug in the test")
+
+        monkeypatch.setattr(study, "lz_complete_test", broken)
+        with pytest.raises(TypeError, match="bug in the test"):
+            run_power_study(self._config(), threads=1)
+
+    def test_numerical_failure_is_counted(self, monkeypatch):
+        calls = []
+        real = study.lz_complete_test
+
+        def fails_once(pgram, alpha):
+            calls.append(alpha)
+            if len(calls) == 1:
+                raise ResamplingError("no usable windows")
+            return real(pgram, alpha)
+
+        monkeypatch.setattr(study, "lz_complete_test", fails_once)
+        (cell,) = run_power_study(self._config(), threads=1).results
+        assert len(calls) == 20
+        assert cell.n_failed == 1
