@@ -38,7 +38,6 @@ from .resampling import (
     WindowSpec,
     gbbb_resample,
     gbbb_variance,
-    moving_windows,
     subsample_variance,
 )
 from .spatial_tests import (

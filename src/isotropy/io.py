@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from pathlib import Path
 
@@ -71,28 +72,17 @@ def read_dataset_csv(path) -> SpatialDataset:
         raise DataFormatError(
             f"{path}: expected header 'x,y,value', got {','.join(rows[0])!r}"
         )
-    locations, values = [], []
-    seen: dict[tuple[float, float], int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 3:
-            raise DataFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        try:
-            x, y, v = float(row[0]), float(row[1]), float(row[2])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not (np.isfinite(x) and np.isfinite(y) and np.isfinite(v)):
-            raise DataFormatError(f"{path}:{lineno}: non-finite entry")
-        key = (x, y)
-        if key in seen:
-            raise DataFormatError(
-                f"{path}:{lineno}: duplicate location ({x:g}, {y:g}), "
-                f"first seen on line {seen[key]}"
-            )
-        seen[key] = lineno
-        locations.append((x, y))
-        values.append(v)
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2)
+            if "".join(row).strip()]
+    try:
+        # one conversion for every row; a short row makes the array ragged
+        data = np.array([row[:3] for _, row in body], dtype=float).reshape(-1, 3)
+        ok = data.shape[0] == len(body) and _rows_ok(data)
+    except ValueError:
+        ok = False
+    if not ok:
+        _raise_first_bad_row(path, body)
+    locations, values = data[:, :2], data[:, 2]
     if len(values) < 2:
         raise DataFormatError(f"{path}: need at least 2 observations, got {len(values)}")
     if len(values) < 10:
@@ -101,12 +91,42 @@ def read_dataset_csv(path) -> SpatialDataset:
             RuntimeWarning,
             stacklevel=2,
         )
-    locations = np.asarray(locations, dtype=float)
-    values = np.asarray(values, dtype=float)
     try:
         return SpatialDataset(locations, values, grid=detect_grid(locations))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _rows_ok(data: np.ndarray) -> bool:
+    """Every entry finite and no location repeated exactly."""
+    if not np.isfinite(data).all():
+        return False
+    order = np.lexsort((data[:, 1], data[:, 0]))
+    same = np.diff(data[order, :2], axis=0) == 0
+    return not np.any(same[:, 0] & same[:, 1])
+
+
+def _raise_first_bad_row(path, body) -> None:
+    """Raise the error of the first data row that fails a check, in
+    file order; each row is checked for its column count, number format,
+    finiteness and a repeated location, in that order."""
+    seen: dict[tuple[float, float], int] = {}
+    for lineno, row in body:
+        if len(row) < 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            x, y, v = float(row[0]), float(row[1]), float(row[2])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(v)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite entry")
+        if (x, y) in seen:
+            raise DataFormatError(
+                f"{path}:{lineno}: duplicate location ({x:g}, {y:g}), "
+                f"first seen on line {seen[(x, y)]}"
+            )
+        seen[(x, y)] = lineno
+    raise AssertionError("no bad row found after a failed check")
 
 
 def write_dataset_csv(dataset: SpatialDataset, path) -> None:

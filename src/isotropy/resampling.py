@@ -24,7 +24,6 @@ __all__ = [
     "SubsampleResult",
     "GbbbResult",
     "ResamplingError",
-    "moving_windows",
     "subsample_variance",
     "gbbb_resample",
     "gbbb_variance",
@@ -123,7 +122,10 @@ class GbbbResult:
     trim_fraction: float
 
 
-def _window_origins(domain: Rect, window: WindowSpec, step: float) -> np.ndarray:
+def _window_origins(domain: Rect, window: WindowSpec, step: float):
+    """Window origins along x and along y on the offset lattice, with the
+    window fully inside the domain; window (a, b) has origin
+    ``(xs[a], ys[b])`` and index ``a * len(ys) + b``."""
     if window.width > domain.width + _EDGE_TOL or window.height > domain.height + _EDGE_TOL:
         raise ValueError(
             f"window {window.width}x{window.height} exceeds domain "
@@ -131,39 +133,91 @@ def _window_origins(domain: Rect, window: WindowSpec, step: float) -> np.ndarray
         )
     nx = int(np.floor((domain.width - window.width) / step + _EDGE_TOL)) + 1
     ny = int(np.floor((domain.height - window.height) / step + _EDGE_TOL)) + 1
-    xs = domain.x0 + step * np.arange(nx)
-    ys = domain.y0 + step * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    return domain.x0 + step * np.arange(nx), domain.y0 + step * np.arange(ny)
 
 
-def _window_masks(
-    dataset: SpatialDataset, origins: np.ndarray, window: WindowSpec, domain: Rect
-) -> np.ndarray:
-    """(K, n) membership masks.  Windows are half-open; an edge closes when
-    it coincides with the domain edge so boundary points are not lost."""
-    x = dataset.locations[:, 0]
-    y = dataset.locations[:, 1]
-    x0 = origins[:, 0][:, None]
-    y0 = origins[:, 1][:, None]
-    x1 = x0 + window.width
-    y1 = y0 + window.height
-    edge_x = np.abs(x1 - (domain.x0 + domain.width)) <= _EDGE_TOL
-    edge_y = np.abs(y1 - (domain.y0 + domain.height)) <= _EDGE_TOL
-    upper_x = np.where(edge_x, x[None, :] <= x1 + _EDGE_TOL, x[None, :] < x1)
-    upper_y = np.where(edge_y, y[None, :] <= y1 + _EDGE_TOL, y[None, :] < y1)
-    return (x[None, :] >= x0 - _EDGE_TOL) & upper_x & (y[None, :] >= y0 - _EDGE_TOL) & upper_y
+def _axis_ranges(coord: np.ndarray, origins: np.ndarray, length: float, end: float):
+    """First and last origin index whose window holds each coordinate.
+
+    Windows are half-open; an edge closes when it coincides with the
+    domain edge so boundary points are not lost.  The windows holding a
+    coordinate have consecutive origins (at most the last window has a
+    closed edge); a coordinate in no window gets last = first - 1."""
+    upper = origins + length
+    closed = np.abs(upper - end) <= _EDGE_TOL
+    inside = (coord >= origins[:, None] - _EDGE_TOL) & np.where(
+        closed[:, None], coord <= upper[:, None] + _EDGE_TOL, coord < upper[:, None]
+    )
+    first = inside.argmax(axis=0)
+    return first, first + inside.sum(axis=0) - 1
 
 
-def moving_windows(
-    domain: Rect, dataset: SpatialDataset, window: WindowSpec
-) -> list[SpatialDataset]:
-    """Sub-datasets captured by every window position on the offset lattice
-    with the window fully inside the domain.  Empty windows yield no entry."""
-    step = window.resolve_step(dataset)
-    origins = _window_origins(domain, window, step)
-    masks = _window_masks(dataset, origins, window, domain)
-    return [dataset.take(np.nonzero(m)[0]) for m in masks if m.any()]
+@dataclass(frozen=True)
+class _Windows:
+    """Moving windows as per-point ranges of origin indices.
+
+    A point lies in the windows whose origin (a, b) has ``a`` in
+    ``[x_first, x_last]`` and ``b`` in ``[y_first, y_last]``; a pair lies
+    in the intersection of its two points' rectangles.  Summing a column
+    over every window's entries is then a 2-D difference array: +/- the
+    value at the four corners of each entry's rectangle, then a cumulative
+    sum along each axis.  Cost O(entries + windows), with no
+    (windows x entries) matrix.
+    """
+
+    shape: tuple[int, int]
+    x_first: np.ndarray
+    x_last: np.ndarray
+    y_first: np.ndarray
+    y_last: np.ndarray
+
+    @classmethod
+    def build(cls, dataset: SpatialDataset, domain: Rect, window: WindowSpec) -> "_Windows":
+        xs, ys = _window_origins(domain, window, window.resolve_step(dataset))
+        x0, x1 = _axis_ranges(dataset.locations[:, 0], xs, window.width,
+                              domain.x0 + domain.width)
+        y0, y1 = _axis_ranges(dataset.locations[:, 1], ys, window.height,
+                              domain.y0 + domain.height)
+        return cls((xs.size, ys.size), x0, x1, y0, y1)
+
+    @property
+    def n_windows(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def point_sums(self, cols: np.ndarray) -> np.ndarray:
+        """(K, C) sums of each row of ``cols`` (C, n) over each window's points."""
+        return _rect_sums(self.shape, self.x_first, self.x_last,
+                          self.y_first, self.y_last, cols)
+
+    def pair_sums(self, i: np.ndarray, j: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(K, C) sums of each row of ``cols`` (C, P) over each window's
+        pairs ``(i[p], j[p])``."""
+        return _rect_sums(
+            self.shape,
+            np.maximum(self.x_first[i], self.x_first[j]),
+            np.minimum(self.x_last[i], self.x_last[j]),
+            np.maximum(self.y_first[i], self.y_first[j]),
+            np.minimum(self.y_last[i], self.y_last[j]),
+            cols,
+        )
+
+
+def _rect_sums(shape, a0, a1, b0, b1, cols: np.ndarray) -> np.ndarray:
+    """(nx * ny, C) sums of each row of ``cols`` over the entries whose
+    origin rectangle ``[a0, a1] x [b0, b1]`` holds each window."""
+    nx, ny = shape
+    keep = (a0 <= a1) & (b0 <= b1)
+    a0, a1, b0, b1 = a0[keep], a1[keep] + 1, b0[keep], b1[keep] + 1
+    stride = ny + 1
+    corners = np.concatenate([a0 * stride + b0, a1 * stride + b1,
+                              a0 * stride + b1, a1 * stride + b0])
+    sign = np.repeat([1.0, 1.0, -1.0, -1.0], a0.size)
+    out = np.empty((nx * ny, cols.shape[0]))
+    for c, col in enumerate(cols):
+        diff = np.bincount(corners, np.tile(col[keep], 4) * sign,
+                           minlength=(nx + 1) * stride)
+        out[:, c] = diff.reshape(nx + 1, stride).cumsum(0).cumsum(1)[:nx, :ny].ravel()
+    return out
 
 
 def subsample_variance(
@@ -177,51 +231,37 @@ def subsample_variance(
 ) -> SubsampleResult:
     """Moving-window estimate of Var(G_hat) at full-sample scale.
 
-    Every window re-estimates the lag-set vector.  Window deviations from
-    the window mean are standardized by sqrt(window effective sample /
-    full-sample effective sample) before averaging their outer products.
-    The effective sample is the exact per-lag pair count for the
-    classical estimator (whose variance tracks the number of realized
-    lag pairs, strongly reduced by edge effects in small windows) and
-    the number of points for the kernel estimators (whose overlapping
-    smoothed pairs carry about one point's worth of information each).
-    Windows where any lag cannot be estimated are discarded and counted.
+    Every window re-estimates the lag-set vector from the full sample's
+    pair table (the pairs with both points inside the window).  Window
+    deviations from the window mean are standardized by sqrt(window
+    effective sample / full-sample effective sample) before averaging
+    their outer products.  The effective sample is the exact per-lag pair
+    count for the classical estimator (whose variance tracks the number
+    of realized lag pairs, strongly reduced by edge effects in small
+    windows) and the number of points for the kernel estimators (whose
+    overlapping smoothed pairs carry about one point's worth of
+    information each).  Windows with fewer than two points, or where any
+    lag cannot be estimated, are discarded and counted.
     """
     if domain is None:
         domain = Rect.from_dataset(dataset)
-    step = window.resolve_step(dataset)
-    origins = _window_origins(domain, window, step)
-    if full_ghat is None or full_ghat.weights is None:
+    windows = _Windows.build(dataset, domain, window)
+    if full_ghat is None or full_ghat.pairs is None:
         full_ghat = estimate_G(dataset, lag_set, config, tol=tol)
-    masks = _window_masks(dataset, origins, window, domain)
-    ghats, weights, sizes = [], [], []
-    n_discarded = 0
-    for mask in masks:
-        m = int(mask.sum())
-        if m < 2:
-            n_discarded += 1
-            continue
-        sub = dataset.take(np.nonzero(mask)[0])
-        try:
-            g = estimate_G(sub, lag_set, config, tol=tol)
-        except (NoPairsError, EmptyNeighborhoodError):
-            n_discarded += 1
-            continue
-        ghats.append(g.values)
-        weights.append(g.weights)
-        sizes.append(m)
-    if len(ghats) < 2:
+    values, totals, usable = full_ghat.pairs.window_estimates(windows)
+    sizes = np.rint(windows.point_sums(np.ones((1, dataset.n)))[:, 0])
+    keep = usable & (sizes >= 2)
+    if np.count_nonzero(keep) < 2:
         raise ResamplingError(
-            f"only {len(ghats)} usable windows of {len(origins)}; "
+            f"only {np.count_nonzero(keep)} usable windows of {windows.n_windows}; "
             "enlarge the window or the domain"
         )
-    gmat = np.asarray(ghats)
-    sizes = np.asarray(sizes, dtype=float)
+    gmat = values[keep]
     if config.kind == "classical_semivariogram":
-        wmat = np.asarray(weights, dtype=float)
+        wmat = totals[keep]
         full_w = np.asarray(full_ghat.weights, dtype=float)
     else:
-        wmat = np.repeat(sizes[:, None], gmat.shape[1], axis=1)
+        wmat = np.repeat(sizes[keep][:, None], gmat.shape[1], axis=1)
         full_w = np.full(gmat.shape[1], float(dataset.n))
     z = np.sqrt(wmat / full_w) * (gmat - gmat.mean(axis=0))
     sigma = (z.T @ z) / gmat.shape[0]
@@ -230,8 +270,8 @@ def subsample_variance(
         window_ghats=gmat,
         window_weights=wmat,
         full_weights=full_w,
-        n_windows=len(origins),
-        n_discarded=n_discarded,
+        n_windows=windows.n_windows,
+        n_discarded=windows.n_windows - gmat.shape[0],
     )
 
 
@@ -277,18 +317,14 @@ def gbbb_resample(
         v[:] = domain.y0
     x = dataset.locations[:, 0]
     y = dataset.locations[:, 1]
-    locs, vals = [], []
-    for (rx, ry), bx, by in zip(regions, u, v):
-        mask = (x >= bx) & (x < bx + block.width) & (y >= by) & (y < by + block.height)
-        if not mask.any():
-            continue
-        pts = dataset.locations[mask] + (rx - bx, ry - by)
-        locs.append(pts)
-        vals.append(dataset.values[mask])
-    if not locs:
+    bx, by = u[:, None], v[:, None]
+    mask = (x >= bx) & (x < bx + block.width) & (y >= by) & (y < by + block.height)
+    region, point = np.nonzero(mask)
+    if point.size == 0:
         raise ResamplingError("bootstrap resample captured no observations")
+    shift = regions - np.column_stack([u, v])
     return SpatialDataset(
-        np.concatenate(locs), np.concatenate(vals), validate=False
+        dataset.locations[point] + shift[region], dataset.values[point], validate=False
     )
 
 
@@ -313,7 +349,7 @@ def gbbb_variance(
         try:
             ds_b = gbbb_resample(dataset, block, rng.substream(b), domain)
             ghats.append(estimate_G(ds_b, lag_set, config).values)
-        except (NoPairsError, EmptyNeighborhoodError, ResamplingError, ValueError):
+        except (NoPairsError, EmptyNeighborhoodError, ResamplingError):
             n_failed += 1
     if n_failed > 0.2 * n_boot or len(ghats) < 2:
         raise ResamplingError(

@@ -69,6 +69,21 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="bad.csv:3"):
             read_dataset_csv(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        # the first bad row in file order wins, whatever its fault
+        ("0,0,1\n1,0,nan\n0,0,2\n", r"bad.csv:3: non-finite entry"),
+        ("0,0,1\n\n-0.0,0,2\n1,0,inf\n", r"bad.csv:4: duplicate location \(-0, 0\), "
+                                          r"first seen on line 2"),
+        ("0,0,1\n1,0\n1,1,x\n", r"bad.csv:3: expected 3 columns, got 2"),
+        ("0,0,1\n1,1,x\n1,0\n", r"bad.csv:3: could not convert string to float: 'x'"),
+        ("0,0,1\n1,0,2,extra\n , ,\n1,1,3\n2,2,inf\n", r"bad.csv:6: non-finite entry"),
+    ])
+    def test_first_bad_row_in_file_order(self, tmp_path, rows, message):
+        p = tmp_path / "bad.csv"
+        p.write_text("x,y,value\n" + rows)
+        with pytest.raises(DataFormatError, match=message):
+            read_dataset_csv(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("lon,lat,z\n0,0,1\n")

@@ -12,11 +12,13 @@ from isotropy import (
     default_lag_set,
     gbbb_resample,
     gbbb_variance,
-    moving_windows,
     subsample_variance,
     uniform_locations,
 )
-from isotropy.resampling import ResamplingError, _window_origins
+from isotropy import estimators, resampling
+from isotropy.core import GRID_MATCH_TOL
+from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, estimate_G
+from isotropy.resampling import ResamplingError, _window_origins, _Windows
 
 
 def unit_grid_dataset(n1, n2, values=None, seed=0):
@@ -26,28 +28,42 @@ def unit_grid_dataset(n1, n2, values=None, seed=0):
     return SpatialDataset(g.locations(), values, grid=g)
 
 
+def window_points(ds, domain, window):
+    """Point indices of every window, from the per-axis membership ranges;
+    empty windows are left out."""
+    w = _Windows.build(ds, domain, window)
+    out = []
+    for a in range(w.shape[0]):
+        for b in range(w.shape[1]):
+            inside = ((w.x_first <= a) & (a <= w.x_last)
+                      & (w.y_first <= b) & (b <= w.y_last))
+            if inside.any():
+                out.append(np.nonzero(inside)[0])
+    return out
+
+
 class TestMovingWindows:
     def test_18x12_with_3x2(self):
         ds = unit_grid_dataset(18, 12)
-        wins = moving_windows(Rect(0, 0, 18, 12), ds, WindowSpec(3, 2))
+        wins = window_points(ds, Rect(0, 0, 18, 12), WindowSpec(3, 2))
         assert len(wins) == 176
-        assert all(w.n == 6 for w in wins)
+        assert all(w.size == 6 for w in wins)
 
     def test_12x12_with_2x2(self):
         ds = unit_grid_dataset(12, 12)
-        wins = moving_windows(Rect(0, 0, 12, 12), ds, WindowSpec(2, 2))
+        wins = window_points(ds, Rect(0, 0, 12, 12), WindowSpec(2, 2))
         assert len(wins) == 121
 
     def test_window_equals_domain(self):
         ds = unit_grid_dataset(5, 4)
-        wins = moving_windows(Rect(0, 0, 5, 4), ds, WindowSpec(5, 4))
+        wins = window_points(ds, Rect(0, 0, 5, 4), WindowSpec(5, 4))
         assert len(wins) == 1
-        assert wins[0].n == ds.n
+        assert wins[0].size == ds.n
 
     def test_window_larger_than_domain(self):
         ds = unit_grid_dataset(5, 4)
         with pytest.raises(ValueError, match="exceeds"):
-            moving_windows(Rect(0, 0, 5, 4), ds, WindowSpec(6, 2))
+            _Windows.build(ds, Rect(0, 0, 5, 4), WindowSpec(6, 2))
 
     def test_counts_match_closed_form(self):
         # origin counts on unit grids for every window size up to 5x5
@@ -55,22 +71,135 @@ class TestMovingWindows:
             dom = Rect(0, 0, n1, n2)
             for w in range(1, 6):
                 for h in range(1, 6):
-                    got = _window_origins(dom, WindowSpec(w, h), 1.0).shape[0]
-                    assert got == (n1 - w + 1) * (n2 - h + 1)
+                    xs, ys = _window_origins(dom, WindowSpec(w, h), 1.0)
+                    assert xs.size * ys.size == (n1 - w + 1) * (n2 - h + 1)
 
     def test_fractional_step(self):
         dom = Rect(0, 0, 16, 10)
-        got = _window_origins(dom, WindowSpec(4, 2), 0.5).shape[0]
-        assert got == 25 * 17
+        xs, ys = _window_origins(dom, WindowSpec(4, 2), 0.5)
+        assert xs.size * ys.size == 25 * 17
 
     def test_every_point_recoverable(self):
         # boundary points are not lost to the half-open convention
         ds = unit_grid_dataset(6, 5)
-        wins = moving_windows(Rect(0, 0, 6, 5), ds, WindowSpec(3, 2))
+        wins = window_points(ds, Rect(0, 0, 6, 5), WindowSpec(3, 2))
         seen = set()
         for w in wins:
-            seen.update(map(tuple, w.locations))
+            seen.update(map(tuple, ds.locations[w]))
         assert len(seen) == ds.n
+
+
+def oracle_subsample(ds, lag_set, cfg, window, domain=None, tol=None):
+    """Moving-window variance the slow way: every window is a new dataset
+    (half-open windows, an edge closed at the domain edge) estimated from
+    scratch."""
+    if domain is None:
+        domain = Rect.from_dataset(ds)
+    step = window.resolve_step(ds)
+    eps = 1e-9
+    nx = int(np.floor((domain.width - window.width) / step + eps)) + 1
+    ny = int(np.floor((domain.height - window.height) / step + eps)) + 1
+    ghats, weights, sizes, discarded = [], [], [], 0
+    x, y = ds.locations[:, 0], ds.locations[:, 1]
+    for ox in domain.x0 + step * np.arange(nx):
+        for oy in domain.y0 + step * np.arange(ny):
+            x1, y1 = ox + window.width, oy + window.height
+            in_x = (x <= x1 + eps) if abs(x1 - domain.x0 - domain.width) <= eps else (x < x1)
+            in_y = (y <= y1 + eps) if abs(y1 - domain.y0 - domain.height) <= eps else (y < y1)
+            mask = (x >= ox - eps) & in_x & (y >= oy - eps) & in_y
+            if mask.sum() < 2:
+                discarded += 1
+                continue
+            sub = SpatialDataset(ds.locations[mask], ds.values[mask], validate=False)
+            try:
+                g = estimate_G(sub, lag_set, cfg, tol=tol)
+            except (NoPairsError, EmptyNeighborhoodError):
+                discarded += 1
+                continue
+            ghats.append(g.values)
+            weights.append(g.weights)
+            sizes.append(mask.sum())
+    gmat = np.asarray(ghats)
+    if cfg.kind == "classical_semivariogram":
+        wmat = np.asarray(weights)
+        full_w = estimate_G(ds, lag_set, cfg, tol=tol).weights
+    else:
+        wmat = np.repeat(np.asarray(sizes, float)[:, None], lag_set.k, axis=1)
+        full_w = np.full(lag_set.k, float(ds.n))
+    z = np.sqrt(wmat / full_w) * (gmat - gmat.mean(axis=0))
+    return gmat, wmat, (z.T @ z) / gmat.shape[0], nx * ny, discarded
+
+
+def _grid(n1, n2, spacing=1.0, declared=True, seed=0):
+    g = GridSpec(n1, n2, spacing)
+    vals = RngStream(seed).generator().standard_normal(g.size)
+    return SpatialDataset(g.locations(), vals, grid=g if declared else None)
+
+
+def _scattered(n, w, h, seed, offset=0.0):
+    locs = uniform_locations(n, w, h, RngStream(seed))
+    return SpatialDataset(locs, offset + RngStream(seed + 1).generator().standard_normal(n))
+
+
+CLASSICAL = EstimatorConfig()
+ORACLE_CASES = {
+    "18x12-4x3": (lambda: _grid(18, 12), default_lag_set(), CLASSICAL,
+                  WindowSpec(4, 3), None, GRID_MATCH_TOL),
+    "25x15-5x3": (lambda: _grid(25, 15, seed=1), default_lag_set(), CLASSICAL,
+                  WindowSpec(5, 3), None, GRID_MATCH_TOL),
+    # 1-wide windows hold two columns only where the edge closes
+    "narrower-than-lag": (lambda: _grid(10, 8, seed=2), default_lag_set(), CLASSICAL,
+                          WindowSpec(1, 3), Rect(0, 0, 9, 7), GRID_MATCH_TOL),
+    "half-step": (lambda: _grid(12, 10, seed=3), default_lag_set(), CLASSICAL,
+                  WindowSpec(3, 2, offset_step=0.5), None, GRID_MATCH_TOL),
+    "spacing-0.5": (lambda: _grid(16, 12, 0.5, seed=4), default_lag_set(0.5), CLASSICAL,
+                    WindowSpec(2.0, 1.5), None, 0.5 * GRID_MATCH_TOL),
+    "undeclared-lattice": (lambda: _grid(14, 9, declared=False, seed=5), default_lag_set(),
+                           CLASSICAL, WindowSpec(3, 2), None, None),
+    "gsc-u": (lambda: _scattered(300, 16.0, 10.0, 6), default_lag_set(),
+              EstimatorConfig("kernel_semivariogram",
+                              KernelSpec("truncated_gaussian", 1.5), 0.75),
+              WindowSpec(4, 2), Rect(0, 0, 16, 10), None),
+    "epanechnikov-0.25": (lambda: _scattered(120, 12.0, 8.0, 17), default_lag_set(),
+                          EstimatorConfig("kernel_semivariogram",
+                                          KernelSpec("epanechnikov"), 0.25),
+                          WindowSpec(4, 2), None, None),
+    "covariogram": (lambda: _scattered(200, 12.0, 8.0, 8, offset=3.0), default_lag_set(),
+                    EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 0.6),
+                    WindowSpec(4, 2), Rect(0, 0, 12, 8), None),
+    # bandwidth 1.5 gives lag 0 positive weight at every lag of the set
+    "covariogram-lag0": (lambda: _scattered(200, 12.0, 8.0, 9, offset=3.0),
+                         default_lag_set(),
+                         EstimatorConfig("kernel_covariogram",
+                                         KernelSpec("epanechnikov"), 1.5),
+                         WindowSpec(3, 2), Rect(0, 0, 12, 8), None),
+}
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_per_window_estimates(self, case):
+        make, lag_set, cfg, window, domain, tol = ORACLE_CASES[case]
+        ds = make()
+        gmat, wmat, sigma, n_windows, discarded = oracle_subsample(
+            ds, lag_set, cfg, window, domain, tol)
+        res = subsample_variance(ds, lag_set, cfg, window, domain, tol=tol)
+        assert res.n_windows == n_windows
+        assert res.n_discarded == discarded
+        assert np.array_equal(res.window_weights, wmat)
+        np.testing.assert_allclose(res.window_ghats, gmat, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(res.sigma.matrix, sigma, rtol=1e-10,
+                                   atol=1e-10 * np.abs(sigma).max())
+
+    def test_cases_cover_discards_and_self_pairs(self):
+        # the cases exercise what they are named for
+        for case in ("narrower-than-lag", "epanechnikov-0.25"):
+            make, lag_set, cfg, window, domain, tol = ORACLE_CASES[case]
+            res = subsample_variance(make(), lag_set, cfg, window, domain, tol=tol)
+            assert res.n_discarded > 0
+        cfg = ORACLE_CASES["covariogram-lag0"][2]
+        assert np.all(estimate_G(ORACLE_CASES["covariogram-lag0"][0](), default_lag_set(),
+                                 cfg).pairs.self_weights > 0)
 
 
 class TestSubsampleVariance:
@@ -163,6 +292,27 @@ class TestGbbbResample:
                   for b in range(200)]
         assert abs(np.mean(counts) - 300) < 3 * np.sqrt(300)
 
+    def test_matches_region_loop_bitwise(self):
+        # one region at a time, the observations of its drawn block shifted
+        # into place, concatenated in region order
+        locs = uniform_locations(300, 16.0, 10.0, RngStream(12))
+        ds = SpatialDataset(locs, RngStream(13).generator().standard_normal(300))
+        dom, block = Rect(0, 0, 16, 10), WindowSpec(4, 2)
+        regions, _ = resampling._partition_regions(dom, block)
+        for b in range(50):
+            gen = RngStream(14, b).generator()
+            u = dom.x0 + gen.random(len(regions)) * (dom.width - block.width)
+            v = dom.y0 + gen.random(len(regions)) * (dom.height - block.height)
+            want_loc, want_val = [], []
+            for (rx, ry), bx, by in zip(regions, u, v):
+                m = ((ds.locations[:, 0] >= bx) & (ds.locations[:, 0] < bx + block.width)
+                     & (ds.locations[:, 1] >= by) & (ds.locations[:, 1] < by + block.height))
+                want_loc.append(ds.locations[m] + (rx - bx, ry - by))
+                want_val.append(ds.values[m])
+            out = gbbb_resample(ds, block, RngStream(14, b), dom)
+            assert np.array_equal(out.locations, np.concatenate(want_loc))
+            assert np.array_equal(out.values, np.concatenate(want_val))
+
     def test_block_larger_than_domain(self):
         ds = unit_grid_dataset(4, 4)
         with pytest.raises(ValueError, match="exceeds"):
@@ -216,3 +366,63 @@ class TestGbbbVariance:
         with pytest.raises(ResamplingError, match="failed"):
             gbbb_variance(ds, default_lag_set(), cfg, WindowSpec(4, 2),
                           30, RngStream(41), Rect(0, 0, 16, 10))
+
+    def test_unrelated_error_propagates(self, uniform_ds, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(resampling, "estimate_G", broken)
+        with pytest.raises(ValueError, match="bug"):
+            gbbb_variance(uniform_ds, default_lag_set(), self.kernel_cfg(uniform_ds),
+                          WindowSpec(4, 2), 20, RngStream(2), Rect(0, 0, 16, 10))
+
+    def test_numerical_failure_is_counted(self, uniform_ds, monkeypatch):
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NoPairsError("no pairs")
+            return estimate_G(*args, **kwargs)
+
+        monkeypatch.setattr(resampling, "estimate_G", fails_once)
+        res = gbbb_variance(uniform_ds, default_lag_set(), self.kernel_cfg(uniform_ds),
+                            WindowSpec(4, 2), 20, RngStream(2), Rect(0, 0, 16, 10))
+        assert (res.n_success, res.n_failed) == (19, 1)
+
+
+class TestWindowCost:
+    """Moving windows reuse the full sample's pair table: no per-window
+    dataset, pair search or kernel pass."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from isotropy import core
+
+        seen = {"take": 0, "enumerate_lag_pairs": 0, "_candidate_pairs": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(core.SpatialDataset, "take",
+                            counting("take", core.SpatialDataset.take))
+        for name in ("enumerate_lag_pairs", "_candidate_pairs"):
+            monkeypatch.setattr(estimators, name, counting(name, getattr(estimators, name)))
+        return seen
+
+    def test_gridded_test_searches_pairs_once(self, counts):
+        from isotropy import gsc_gridded_test
+
+        gsc_gridded_test(unit_grid_dataset(18, 12, seed=3))
+        assert counts["take"] == 0
+        assert 0 < counts["enumerate_lag_pairs"] <= 8
+
+    def test_nongridded_test_lists_candidates_once(self, counts):
+        from isotropy import gsc_nongridded_test
+
+        gsc_nongridded_test(_scattered(300, 16.0, 10.0, 21), domain=Rect(0, 0, 16, 10))
+        assert counts["take"] == 0
+        assert counts["_candidate_pairs"] == 1
