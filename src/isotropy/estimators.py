@@ -29,6 +29,9 @@ __all__ = [
     "kernel_semivariogram",
     "kernel_covariogram",
     "empirical_bandwidth",
+    "kernel_reach",
+    "lag_entries",
+    "pair_table",
     "estimate_G",
 ]
 
@@ -58,6 +61,11 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not (self.truncation > 0):
             raise ValueError("truncation must be positive")
+
+    @property
+    def support(self) -> float:
+        """Half-width of the support, in bandwidth units."""
+        return 1.0 if self.family == "epanechnikov" else self.truncation
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         """Unnormalized kernel weight; normalization cancels in the
@@ -90,25 +98,28 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class PairTable:
-    """Every location pair behind a lag-set estimate, listed once.
+    """Every (lag, location pair) entry of positive weight behind a
+    lag-set estimate, listed once and sorted by lag.
 
-    Row p is the ordered pair ``(i[p], j[p])`` with response ``resp[p]``
-    (half the squared difference for the semivariograms, the product of
-    centered values for the covariogram) and weight ``weights[m, p]`` at
-    lag m: 1 or 0 (exact lag match) for the classical estimator, the
-    product-kernel weight for the smoothed ones.  The covariogram also
-    keeps the globally demeaned values and each lag's kernel weight at
-    zero displacement, which self-pairs receive.  An estimate over any
-    subset of locations is a ratio of sums over this table, which is how
-    moving windows are estimated without searching pairs again.
+    Entry e is the ordered pair ``(i[e], j[e])`` at lag ``lag[e]`` with
+    weight ``w[e] > 0`` (1 for an exact lag match of the classical
+    estimator, the product-kernel weight for the smoothed ones) and
+    response ``resp[e]``: half the squared difference for the
+    semivariograms, the product of centered values for the covariogram.
+    The covariogram also keeps the globally demeaned values and each
+    lag's kernel weight at zero displacement, which self-pairs receive.
+    An estimate over any subset of locations is a ratio of sums over this
+    table, which is how moving windows and bootstrap blocks are estimated
+    without searching pairs again.
     """
 
     kind: EstimatorKind
-    lags: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    weights: np.ndarray                  # (k, P)
-    resp: np.ndarray                     # (P,)
+    lags: np.ndarray                     # (k, 2)
+    lag: np.ndarray                      # (E,) lag index of each entry
+    i: np.ndarray                        # (E,)
+    j: np.ndarray                        # (E,)
+    w: np.ndarray                        # (E,)
+    resp: np.ndarray                     # (E,)
     centered: np.ndarray | None = None   # (n,), covariogram only
     self_weights: np.ndarray | None = None  # (k,), covariogram only
 
@@ -116,20 +127,20 @@ class PairTable:
         """Full-sample estimates and effective samples (pair counts for
         the classical estimator, total kernel weights otherwise)."""
         k = self.lags.shape[0]
+        bounds = np.searchsorted(self.lag, np.arange(k + 1))
         out = np.empty(k)
         totals = np.empty(k)
         for m in range(k):
             h1, h2 = self.lags[m]
-            w = self.weights[m]
+            at = slice(bounds[m], bounds[m + 1])
             if self.kind == "classical_semivariogram":
-                sel = w > 0
-                if not sel.any():
+                if at.start == at.stop:
                     raise NoPairsError(f"no location pairs at lag {(float(h1), float(h2))}")
-                out[m] = np.mean(self.resp[sel])
-                totals[m] = np.count_nonzero(sel)
+                out[m] = np.mean(self.resp[at])
+                totals[m] = at.stop - at.start
                 continue
-            total = w.sum()
-            contrib = float(np.dot(w, self.resp))
+            total = self.w[at].sum()
+            contrib = float(np.dot(self.w[at], self.resp[at]))
             if self.self_weights is not None and self.self_weights[m] > 0:
                 w0 = self.self_weights[m]
                 total = total + w0 * self.centered.shape[0]
@@ -146,29 +157,29 @@ class PairTable:
     def window_estimates(self, windows):
         """Estimates in each of K windows, from window sums of the table.
 
-        ``windows.pair_sums(i, j, cols)`` sums each row of a ``(C, P)``
-        array over the pairs ``(i[p], j[p])`` inside every window, and
-        ``windows.point_sums(cols)`` each row of a ``(C, n)`` array over
-        the points inside it; both return ``(K, C)``.
-        The covariogram is centered at each window's own mean, expanded
-        into pair and point sums.  Returns the ``(K, k)`` estimates and
-        effective samples (as in :meth:`estimate`) and a ``(K,)`` flag:
-        a window is usable when every lag has a pair of positive weight,
+        ``windows.pair_sums(i, j, cols, group, n_groups)`` sums each row
+        of a ``(C, E)`` array over the entries ``(i[e], j[e])`` inside
+        every window, apart for each group, and returns ``(K, C,
+        n_groups)``; ``windows.point_sums(cols)`` sums each row of a
+        ``(C, n)`` array over the points inside every window and returns
+        ``(K, C)``.  The covariogram is centered at each window's own
+        mean, expanded into pair and point sums.  Returns the ``(K, k)``
+        estimates and effective samples (as in :meth:`estimate`) and a
+        ``(K,)`` flag: a window is usable when every lag has an entry,
         counted in integers, or the covariogram's self-pairs carry weight.
         """
         k = self.lags.shape[0]
-        positive = self.weights > 0
-        cols = [self.weights * self.resp, self.weights, positive]
+        cols = [self.w * self.resp, self.w, np.ones_like(self.w)]
         if self.centered is not None:
-            cols.append(self.weights * (self.centered[self.i] + self.centered[self.j]))
-        sums = windows.pair_sums(self.i, self.j, np.concatenate(cols))
-        contrib, total = sums[:, :k], sums[:, k:2 * k]
-        usable = np.rint(sums[:, 2 * k:3 * k]) > 0
+            cols.append(self.w * (self.centered[self.i] + self.centered[self.j]))
+        sums = windows.pair_sums(self.i, self.j, np.stack(cols), self.lag, k)
+        contrib, total = sums[:, 0], sums[:, 1]
+        usable = np.rint(sums[:, 2]) > 0
         if self.centered is not None:
             u = self.centered
             count, s1, s2 = windows.point_sums(np.stack([np.ones_like(u), u, u * u])).T
             mean = np.divide(s1, count, out=np.zeros_like(s1), where=count > 0)
-            contrib = (contrib - mean[:, None] * sums[:, 3 * k:]
+            contrib = (contrib - mean[:, None] * sums[:, 3]
                        + (mean * mean)[:, None] * total
                        + np.outer(s2 - s1 * mean, self.self_weights))
             total = total + np.outer(count, self.self_weights)
@@ -216,11 +227,10 @@ def _classical_table(
 ) -> PairTable:
     found = [enumerate_lag_pairs(dataset, (float(h1), float(h2)), tol) for h1, h2 in lags]
     pairs = np.concatenate(found)
-    lag_of = np.repeat(np.arange(len(found)), [f.shape[0] for f in found])
+    lag = np.repeat(np.arange(len(found)), [f.shape[0] for f in found])
     i, j = pairs[:, 0], pairs[:, 1]
     return PairTable(
-        "classical_semivariogram", lags, i, j,
-        weights=(lag_of == np.arange(len(found))[:, None]).astype(float),
+        "classical_semivariogram", lags, lag, i, j, w=np.ones(i.size),
         resp=(dataset.values[i] - dataset.values[j]) ** 2 / 2.0,
     )
 
@@ -255,6 +265,29 @@ def _candidate_pairs(dataset: SpatialDataset, reach: float):
     return i, j, dx, dy
 
 
+def kernel_reach(lags: np.ndarray, kernel: KernelSpec, bandwidth: float) -> float:
+    """L-inf distance beyond which no pair has weight at any lag."""
+    return float(np.max(np.abs(lags))) + bandwidth * kernel.support
+
+
+def lag_entries(dx, dy, lags, kernel: KernelSpec, bandwidth: float):
+    """Entries of positive weight among displacements ``(dx[p], dy[p])``:
+    lag index, displacement index and product-kernel weight, sorted by
+    lag.  The kernel is evaluated only inside its support."""
+    ux, uy, lag, at = [], [], [], []
+    for m, (h1, h2) in enumerate(lags):
+        u = (dx - h1) / bandwidth
+        v = (dy - h2) / bandwidth
+        p = np.nonzero((np.abs(u) <= kernel.support) & (np.abs(v) <= kernel.support))[0]
+        ux.append(u[p])
+        uy.append(v[p])
+        at.append(p)
+        lag.append(np.full(p.size, m))
+    w = kernel.weight(np.concatenate(ux)) * kernel.weight(np.concatenate(uy))
+    keep = w > 0
+    return np.concatenate(lag)[keep], np.concatenate(at)[keep], w[keep]
+
+
 def _kernel_table(
     dataset: SpatialDataset,
     lags: np.ndarray,
@@ -262,22 +295,20 @@ def _kernel_table(
     bandwidth: float,
     kind: EstimatorKind,
 ) -> PairTable:
-    """Candidate pairs within reach of every lag, with their kernel
-    weights at each lag."""
+    """Candidate pairs within reach of every lag, kept at each lag where
+    they receive kernel weight."""
     if not (bandwidth > 0):
         raise ValueError("bandwidth must be positive")
-    support = 1.0 if kernel.family == "epanechnikov" else kernel.truncation
-    reach = float(np.max(np.abs(lags))) + bandwidth * support
-    i, j, dx, dy = _candidate_pairs(dataset, reach)
-    weights = (kernel.weight((dx - lags[:, :1]) / bandwidth)
-               * kernel.weight((dy - lags[:, 1:]) / bandwidth))
+    i, j, dx, dy = _candidate_pairs(dataset, kernel_reach(lags, kernel, bandwidth))
+    lag, at, w = lag_entries(dx, dy, lags, kernel, bandwidth)
+    i, j = i[at], j[at]
     if kind == "kernel_semivariogram":
         resp = (dataset.values[i] - dataset.values[j]) ** 2 / 2.0
-        return PairTable(kind, lags, i, j, weights, resp)
+        return PairTable(kind, lags, lag, i, j, w, resp)
     # self-pairs (zero displacement) anchor the variance at lag 0
     centered = dataset.values - dataset.values.mean()
     self_weights = kernel.weight(-lags[:, 0] / bandwidth) * kernel.weight(-lags[:, 1] / bandwidth)
-    return PairTable(kind, lags, i, j, weights, centered[i] * centered[j],
+    return PairTable(kind, lags, lag, i, j, w, centered[i] * centered[j],
                      centered, self_weights)
 
 
@@ -320,6 +351,18 @@ def empirical_bandwidth(dataset: SpatialDataset, tuning: float = 1.0) -> float:
     return float(tuning * np.median(d[:, 1]))
 
 
+def pair_table(
+    dataset: SpatialDataset,
+    lag_set: LagSet,
+    config: EstimatorConfig,
+    tol: float | None = None,
+) -> PairTable:
+    """The pair table of the configured estimator at every lag of the set."""
+    if config.kind == "classical_semivariogram":
+        return _classical_table(dataset, lag_set.lags, tol)
+    return _kernel_table(dataset, lag_set.lags, config.kernel, config.bandwidth, config.kind)
+
+
 def estimate_G(
     dataset: SpatialDataset,
     lag_set: LagSet,
@@ -328,11 +371,6 @@ def estimate_G(
 ) -> GHat:
     """Per-lag estimates at every lag of the set, in order; the result
     keeps the pair table it was computed from."""
-    if config.kind == "classical_semivariogram":
-        table = _classical_table(dataset, lag_set.lags, tol)
-    else:
-        table = _kernel_table(
-            dataset, lag_set.lags, config.kernel, config.bandwidth, config.kind
-        )
+    table = pair_table(dataset, lag_set, config, tol)
     values, weights = table.estimate()
     return GHat(values, lag_set, weights=weights, pairs=table)

@@ -11,10 +11,11 @@ import numpy as np
 from .core import LagSet, SpatialDataset
 from .distributions import RngStream
 from .estimators import (
-    EmptyNeighborhoodError,
     EstimatorConfig,
-    NoPairsError,
     estimate_G,
+    kernel_reach,
+    lag_entries,
+    pair_table,
 )
 
 __all__ = [
@@ -187,36 +188,42 @@ class _Windows:
     def point_sums(self, cols: np.ndarray) -> np.ndarray:
         """(K, C) sums of each row of ``cols`` (C, n) over each window's points."""
         return _rect_sums(self.shape, self.x_first, self.x_last,
-                          self.y_first, self.y_last, cols)
+                          self.y_first, self.y_last, cols)[:, :, 0]
 
-    def pair_sums(self, i: np.ndarray, j: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(K, C) sums of each row of ``cols`` (C, P) over each window's
-        pairs ``(i[p], j[p])``."""
+    def pair_sums(self, i: np.ndarray, j: np.ndarray, cols: np.ndarray,
+                  group: np.ndarray, n_groups: int) -> np.ndarray:
+        """(K, C, n_groups) sums of each row of ``cols`` (C, E) over each
+        window's entries ``(i[e], j[e])``, apart for each ``group[e]``."""
         return _rect_sums(
             self.shape,
             np.maximum(self.x_first[i], self.x_first[j]),
             np.minimum(self.x_last[i], self.x_last[j]),
             np.maximum(self.y_first[i], self.y_first[j]),
             np.minimum(self.y_last[i], self.y_last[j]),
-            cols,
+            cols, group, n_groups,
         )
 
 
-def _rect_sums(shape, a0, a1, b0, b1, cols: np.ndarray) -> np.ndarray:
-    """(nx * ny, C) sums of each row of ``cols`` over the entries whose
-    origin rectangle ``[a0, a1] x [b0, b1]`` holds each window."""
+def _rect_sums(shape, a0, a1, b0, b1, cols: np.ndarray,
+               group: np.ndarray | None = None, n_groups: int = 1) -> np.ndarray:
+    """(nx * ny, C, n_groups) sums of each row of ``cols`` over the
+    entries whose origin rectangle ``[a0, a1] x [b0, b1]`` holds each
+    window, apart for each entry's group (all in group 0 by default)."""
     nx, ny = shape
     keep = (a0 <= a1) & (b0 <= b1)
     a0, a1, b0, b1 = a0[keep], a1[keep] + 1, b0[keep], b1[keep] + 1
     stride = ny + 1
     corners = np.concatenate([a0 * stride + b0, a1 * stride + b1,
-                              a0 * stride + b1, a1 * stride + b0])
+                              a0 * stride + b1, a1 * stride + b0]) * n_groups
+    if group is not None:
+        corners += np.tile(group[keep], 4)
     sign = np.repeat([1.0, 1.0, -1.0, -1.0], a0.size)
-    out = np.empty((nx * ny, cols.shape[0]))
+    out = np.empty((nx * ny, cols.shape[0], n_groups))
     for c, col in enumerate(cols):
         diff = np.bincount(corners, np.tile(col[keep], 4) * sign,
-                           minlength=(nx + 1) * stride)
-        out[:, c] = diff.reshape(nx + 1, stride).cumsum(0).cumsum(1)[:nx, :ny].ravel()
+                           minlength=(nx + 1) * stride * n_groups)
+        out[:, c] = (diff.reshape(nx + 1, stride, n_groups).cumsum(0).cumsum(1)[:nx, :ny]
+                     .reshape(nx * ny, n_groups))
     return out
 
 
@@ -291,6 +298,18 @@ def _partition_regions(domain: Rect, block: WindowSpec):
     return np.column_stack([gx.ravel(), gy.ravel()]), trim
 
 
+def _draw_blocks(domain: Rect, block: WindowSpec, n_regions: int, gen: np.random.Generator):
+    """Origins of one resample's blocks, one per region, uniform over the
+    domain (fixed at the domain origin along an axis the block fills)."""
+    u = domain.x0 + gen.random(n_regions) * (domain.width - block.width)
+    v = domain.y0 + gen.random(n_regions) * (domain.height - block.height)
+    if domain.width == block.width:
+        u[:] = domain.x0
+    if domain.height == block.height:
+        v[:] = domain.y0
+    return u, v
+
+
 def gbbb_resample(
     dataset: SpatialDataset,
     block: WindowSpec,
@@ -308,13 +327,7 @@ def gbbb_resample(
         domain = Rect.from_dataset(dataset)
     regions, _ = _partition_regions(domain, block)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n_regions = regions.shape[0]
-    u = domain.x0 + gen.random(n_regions) * (domain.width - block.width)
-    v = domain.y0 + gen.random(n_regions) * (domain.height - block.height)
-    if domain.width == block.width:
-        u[:] = domain.x0
-    if domain.height == block.height:
-        v[:] = domain.y0
+    u, v = _draw_blocks(domain, block, regions.shape[0], gen)
     x = dataset.locations[:, 0]
     y = dataset.locations[:, 1]
     bx, by = u[:, None], v[:, None]
@@ -328,6 +341,169 @@ def gbbb_resample(
     )
 
 
+def _expand(start: np.ndarray, count: np.ndarray):
+    """For runs ``start[a] .. start[a] + count[a] - 1``: the run of every
+    position and the position itself."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _cell_split(side: float, reach: float):
+    """Cells per region side, at least half of ``reach`` wide unless the
+    region is narrower, and how many cells away a pair within reach can
+    lie."""
+    cells = max(1, int(2.0 * side // reach))
+    return cells, side / cells, int(np.floor(reach * cells / side * (1 + 1e-9))) + 1
+
+
+# Resample points formed per bootstrap pass (the expected count is n per
+# resample): bounds the memory of a pass's memberships and pair lists
+# whatever n_boot is.
+_PASS_POINTS = 8_000
+
+
+class _BlockBootstrap:
+    """Per-lag estimates of block-bootstrap resamples, a pass of
+    resamples at a time, from the full sample's pair table.
+
+    A pair with both points in one drawn block is a translated pair of the
+    original sample, so its weight and response are read from the table
+    for every block that holds both its points.  Only pairs whose points
+    lie in different regions are searched and kernel-weighted: every
+    region is split into cells at least half of ``reach`` wide (or one
+    cell when it is narrower), and a point is paired only with the points
+    of cells in other regions within reach.  Values are centered at the
+    full sample's mean; a covariogram resample's own centering is
+    expanded into its pair and point sums, as for moving windows.
+    """
+
+    def __init__(self, dataset: SpatialDataset, table, config: EstimatorConfig,
+                 block: WindowSpec, domain: Rect, regions: np.ndarray):
+        self.loc = dataset.locations
+        self.block, self.regions, self.table = block, regions, table
+        self.kernel, self.bandwidth = config.kernel, config.bandwidth
+        self.k = table.lags.shape[0]
+        self.values = table.centered if table.centered is not None else dataset.values
+        self.reach = kernel_reach(table.lags, self.kernel, self.bandwidth)
+        n = dataset.n
+        self.x_order = np.argsort(self.loc[:, 0], kind="stable")
+        self.x_sorted = self.loc[self.x_order, 0]
+        # table entries by first point, with the columns they add
+        self.by_i = np.argsort(table.i, kind="stable")
+        self.i_start = np.concatenate([[0], np.cumsum(np.bincount(table.i, minlength=n))])
+        cols = [table.w * table.resp, table.w]
+        if table.centered is not None:
+            cols.append(table.w * (self.values[table.i] + self.values[table.j]))
+        self.entry_cols = np.stack(cols)
+        # cells aligned to regions; for each cell, the cells of other
+        # regions within reach on one side (each cell pair listed once)
+        (self.cx, self.cw, kx), (self.cy, self.ch, ky) = (
+            _cell_split(block.width, self.reach), _cell_split(block.height, self.reach))
+        self.ix = np.rint((regions[:, 0] - domain.x0) / block.width).astype(np.intp)
+        self.iy = np.rint((regions[:, 1] - domain.y0) / block.height).astype(np.intp)
+        nx, ny = (self.ix.max() + 1) * self.cx, (self.iy.max() + 1) * self.cy
+        self.n_cells, self.ny = nx * ny, ny
+        gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        dx, dy = np.meshgrid(np.arange(kx + 1), np.arange(-ky, ky + 1), indexing="ij")
+        half = (dx > 0) | (dy > 0)
+        ox, oy = gx.ravel()[:, None] + dx[half], gy.ravel()[:, None] + dy[half]
+        cross = ((ox < nx) & (oy >= 0) & (oy < ny)
+                 & ((ox // self.cx != gx.ravel()[:, None] // self.cx)
+                    | (oy // self.cy != gy.ravel()[:, None] // self.cy)))
+        self.nb_start = np.concatenate([[0], np.cumsum(cross.sum(axis=1))])
+        self.nb_cell = (ox * ny + oy)[cross]
+
+    def estimates(self, u: np.ndarray, v: np.ndarray):
+        """``(G, k)`` estimates of the resamples whose block origins are the
+        rows of ``u`` and ``v`` (G, regions), and a ``(G,)`` success flag:
+        a resample fails when it captures no point or a lag has no pair of
+        positive weight (decided on integer counts)."""
+        n_res, n_reg = u.shape
+        k = self.k
+        u, v = u.ravel(), v.ravel()
+        row, p = self._members(u, v)
+        g = row // n_reg
+        vals = self.values[p]
+        size = np.bincount(g, minlength=n_res)
+        s1 = np.bincount(g, vals, minlength=n_res)
+        s2 = np.bincount(g, vals * vals, minlength=n_res)
+        block_bins, block_cols = self._block_pairs(u, v, row, p, g)
+        cross_bins, cross_cols = self._cross_pairs(u, v, row, p, g, vals, n_reg)
+        bins = np.concatenate([block_bins, cross_bins])
+        cols = np.concatenate([block_cols, cross_cols], axis=1)
+        sums = [np.bincount(bins, c, minlength=n_res * k).reshape(n_res, k) for c in cols]
+        has_pair = np.bincount(bins, minlength=n_res * k).reshape(n_res, k) > 0
+        contrib, total = sums[0], sums[1]
+        if self.table.centered is not None:
+            w0 = self.table.self_weights
+            mean = np.divide(s1, size, out=np.zeros_like(s1), where=size > 0)
+            contrib = (contrib - mean[:, None] * sums[2] + (mean * mean)[:, None] * total
+                       + np.outer(s2 - s1 * mean, w0))
+            total = total + np.outer(size, w0)
+            has_pair |= w0 > 0
+        ok = (size > 0) & has_pair.all(axis=1)
+        values = np.divide(contrib, total, out=np.zeros_like(contrib), where=ok[:, None])
+        return values, ok
+
+    def _members(self, u, v):
+        """Block (resample * regions + region) and point of every resample
+        point, under the half-open rule of :func:`gbbb_resample`: the
+        x-range from the sorted coordinates, then y."""
+        lo = np.searchsorted(self.x_sorted, u)
+        row, at = _expand(lo, np.searchsorted(self.x_sorted, u + self.block.width) - lo)
+        p = self.x_order[at]
+        y = self.loc[p, 1]
+        keep = (y >= v[row]) & (y < v[row] + self.block.height)
+        return row[keep], p[keep]
+
+    def _block_pairs(self, u, v, row, p, g):
+        """Bins (resample * k + lag) and columns of the table entries
+        whose two points share a drawn block."""
+        owner, at = _expand(self.i_start[p], np.diff(self.i_start)[p])
+        e, blk = self.by_i[at], row[owner]
+        xj, yj = self.loc[self.table.j[e], 0], self.loc[self.table.j[e], 1]
+        inside = ((xj >= u[blk]) & (xj < u[blk] + self.block.width)
+                  & (yj >= v[blk]) & (yj < v[blk] + self.block.height))
+        e = e[inside]
+        return g[owner[inside]] * self.k + self.table.lag[e], self.entry_cols[:, e]
+
+    def _cross_pairs(self, u, v, row, p, g, vals, n_reg):
+        """Bins and columns of the pairs of resample points in different
+        regions, searched between region-aligned cells and weighted in
+        both orientations."""
+        r = row % n_reg
+        x, y = self.loc[p, 0] - u[row], self.loc[p, 1] - v[row]  # offsets in the block
+        cell = ((self.ix[r] * self.cx + np.clip((x // self.cw).astype(np.intp), 0, self.cx - 1))
+                * self.ny + self.iy[r] * self.cy
+                + np.clip((y // self.ch).astype(np.intp), 0, self.cy - 1))
+        key = g * self.n_cells + cell
+        order = np.argsort(key, kind="stable")
+        count = np.bincount(key, minlength=u.size // n_reg * self.n_cells)
+        first = np.cumsum(count) - count
+        a, at = _expand(self.nb_start[cell], np.diff(self.nb_start)[cell])
+        nkey = g[a] * self.n_cells + self.nb_cell[at]
+        run, at = _expand(first[nkey], count[nkey])
+        a, b = a[run], order[at]
+        # resample coordinates, placed as gbbb_resample places them
+        rx = self.loc[p, 0] + (self.regions[r, 0] - u[row])
+        ry = self.loc[p, 1] + (self.regions[r, 1] - v[row])
+        dx = rx[b] - rx[a]
+        near = np.abs(dx) <= self.reach
+        a, b, dx = a[near], b[near], dx[near]
+        dy = ry[b] - ry[a]
+        near = np.abs(dy) <= self.reach
+        a, b, dx, dy = a[near], b[near], dx[near], dy[near]
+        lag, at, w = lag_entries(np.concatenate([dx, -dx]), np.concatenate([dy, -dy]),
+                                 self.table.lags, self.kernel, self.bandwidth)
+        first_pt, second_pt = np.concatenate([a, b])[at], np.concatenate([b, a])[at]
+        vi, vj = vals[first_pt], vals[second_pt]
+        if self.table.centered is not None:
+            cols = [w * (vi * vj), w, w * (vi + vj)]
+        else:
+            cols = [w * ((vi - vj) ** 2 / 2.0), w]
+        return g[first_pt] * self.k + lag, np.stack(cols)
+
+
 def gbbb_variance(
     dataset: SpatialDataset,
     lag_set: LagSet,
@@ -336,26 +512,46 @@ def gbbb_variance(
     n_boot: int,
     rng: RngStream,
     domain: Rect | None = None,
+    full_ghat=None,
 ) -> GbbbResult:
-    """Bootstrap estimate of Var(G_hat) from ``n_boot`` block resamples."""
+    """Bootstrap estimate of Var(G_hat) from ``n_boot`` block resamples.
+
+    Resample b draws its blocks from ``rng.substream(b)`` as
+    :func:`gbbb_resample` does, and its estimate is the kernel estimate
+    on that resample.  The estimates are formed from the full sample's
+    pair table (taken from ``full_ghat`` when given, as
+    :func:`subsample_variance` does), a pass of resamples at a time:
+    pairs inside one drawn block are read from the table, and only pairs
+    whose points lie in different regions are searched.  A resample that
+    captures no observation, or that gives some lag no pair of positive
+    weight, is counted as failed; more than 20% failures raise
+    :class:`ResamplingError`.  Only the kernel estimators are accepted:
+    exact lag matching has no meaning after continuous block shifts.
+    """
     if n_boot < 2:
         raise ValueError("need at least two bootstrap resamples")
+    if config.kind == "classical_semivariogram":
+        raise ValueError("the block bootstrap needs a kernel estimator")
     if domain is None:
         domain = Rect.from_dataset(dataset)
-    _, trim = _partition_regions(domain, block)
+    regions, trim = _partition_regions(domain, block)
+    table = (full_ghat.pairs if full_ghat is not None and full_ghat.pairs is not None
+             else pair_table(dataset, lag_set, config))
+    boot = _BlockBootstrap(dataset, table, config, block, domain, regions)
+    per_pass = max(1, _PASS_POINTS // dataset.n)
     ghats = []
-    n_failed = 0
-    for b in range(n_boot):
-        try:
-            ds_b = gbbb_resample(dataset, block, rng.substream(b), domain)
-            ghats.append(estimate_G(ds_b, lag_set, config).values)
-        except (NoPairsError, EmptyNeighborhoodError, ResamplingError):
-            n_failed += 1
-    if n_failed > 0.2 * n_boot or len(ghats) < 2:
+    for start in range(0, n_boot, per_pass):
+        draws = [_draw_blocks(domain, block, regions.shape[0], rng.substream(b).generator())
+                 for b in range(start, min(start + per_pass, n_boot))]
+        values, ok = boot.estimates(np.array([d[0] for d in draws]),
+                                    np.array([d[1] for d in draws]))
+        ghats.append(values[ok])
+    gmat = np.concatenate(ghats)
+    n_failed = n_boot - gmat.shape[0]
+    if n_failed > 0.2 * n_boot or gmat.shape[0] < 2:
         raise ResamplingError(
             f"{n_failed} of {n_boot} bootstrap resamples failed"
         )
-    gmat = np.asarray(ghats)
     centered = gmat - gmat.mean(axis=0)
     sigma = (centered.T @ centered) / (gmat.shape[0] - 1)
     return GbbbResult(

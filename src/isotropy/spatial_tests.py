@@ -149,7 +149,9 @@ def finite_sample_pvalue(
     The resolution is 1/K; p = 0 means T exceeded every subblock
     statistic.
     """
-    gmat = np.asarray([_as_array(g, "values") for g in window_ghats], dtype=float)
+    gmat = np.asarray(window_ghats, dtype=float)
+    if gmat.ndim != 2:
+        raise ValueError("window estimates must be a (K, k) matrix")
     if gmat.shape[0] < 2:
         raise ValueError("finite-sample adjustment needs at least two subblocks")
     a = _as_array(contrast, "matrix")
@@ -320,7 +322,10 @@ def ms_test(
     The Epanechnikov product kernel is used with the empirical bandwidth
     (``tuning`` times the median nearest-neighbor distance), computed
     once on the original dataset and reused for every bootstrap
-    resample.
+    resample.  Resample b draws its blocks from ``rng.substream(b)``;
+    the bootstrap reads the pair table of the full-sample estimate, so
+    the only pair search over the whole sample is the one behind that
+    estimate (see :func:`gbbb_variance`).
     """
     lag_set, contrast = _resolve_hypothesis(dataset, lag_set, contrast)
     if domain is None:
@@ -333,7 +338,7 @@ def ms_test(
         bandwidth=bandwidth,
     )
     ghat = estimate_G(dataset, lag_set, config)
-    boot = gbbb_variance(dataset, lag_set, config, block, n_boot, rng, domain)
+    boot = gbbb_variance(dataset, lag_set, config, block, n_boot, rng, domain, full_ghat=ghat)
     return _finish(
         "ms", ghat, contrast, boot, "asymptotic_chi2",
         {

@@ -329,6 +329,8 @@ class CellResult:
 
     @property
     def rate(self) -> float:
+        """Rejections over all replicates: a failed replicate counts as a
+        non-rejection, which is conservative for size."""
         return self.n_reject / self.replicates
 
     @property

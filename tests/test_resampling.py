@@ -3,22 +3,27 @@ import pytest
 
 from isotropy import (
     EstimatorConfig,
+    ExponentialCovariance,
     GridSpec,
+    GrfSampler,
     KernelSpec,
     Rect,
     RngStream,
     SpatialDataset,
     WindowSpec,
     default_lag_set,
+    empirical_bandwidth,
     gbbb_resample,
     gbbb_variance,
     subsample_variance,
     uniform_locations,
 )
-from isotropy import estimators, resampling
+from isotropy import estimators, resampling, spatial_tests
 from isotropy.core import GRID_MATCH_TOL
+from isotropy.distributions import mix64
 from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, estimate_G
 from isotropy.resampling import ResamplingError, _window_origins, _Windows
+from isotropy.spatial_tests import default_block
 
 
 def unit_grid_dataset(n1, n2, values=None, seed=0):
@@ -327,8 +332,6 @@ class TestGbbbVariance:
         return SpatialDataset(locs, vals)
 
     def kernel_cfg(self, ds):
-        from isotropy import empirical_bandwidth
-
         return EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"),
                                empirical_bandwidth(ds))
 
@@ -367,28 +370,140 @@ class TestGbbbVariance:
             gbbb_variance(ds, default_lag_set(), cfg, WindowSpec(4, 2),
                           30, RngStream(41), Rect(0, 0, 16, 10))
 
-    def test_unrelated_error_propagates(self, uniform_ds, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("bug")
-
-        monkeypatch.setattr(resampling, "estimate_G", broken)
-        with pytest.raises(ValueError, match="bug"):
-            gbbb_variance(uniform_ds, default_lag_set(), self.kernel_cfg(uniform_ds),
+    def test_classical_estimator_rejected(self, uniform_ds):
+        with pytest.raises(ValueError, match="kernel estimator"):
+            gbbb_variance(uniform_ds, default_lag_set(), EstimatorConfig(),
                           WindowSpec(4, 2), 20, RngStream(2), Rect(0, 0, 16, 10))
 
-    def test_numerical_failure_is_counted(self, uniform_ds, monkeypatch):
-        calls = []
+    def test_unrelated_error_propagates(self, uniform_ds, monkeypatch):
+        # a bug in the kernel pass over cross-region pairs is not a failed resample
+        cfg = self.kernel_cfg(uniform_ds)
+        ghat = estimate_G(uniform_ds, default_lag_set(), cfg)
 
-        def fails_once(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise NoPairsError("no pairs")
-            return estimate_G(*args, **kwargs)
+        def broken(self, u):
+            raise ValueError("bug")
 
-        monkeypatch.setattr(resampling, "estimate_G", fails_once)
-        res = gbbb_variance(uniform_ds, default_lag_set(), self.kernel_cfg(uniform_ds),
-                            WindowSpec(4, 2), 20, RngStream(2), Rect(0, 0, 16, 10))
-        assert (res.n_success, res.n_failed) == (19, 1)
+        monkeypatch.setattr(KernelSpec, "weight", broken)
+        with pytest.raises(ValueError, match="bug"):
+            gbbb_variance(uniform_ds, default_lag_set(), cfg, WindowSpec(4, 2), 20,
+                          RngStream(2), Rect(0, 0, 16, 10), full_ghat=ghat)
+
+    def test_numerical_failure_is_counted(self, monkeypatch):
+        # resample 3 puts every block where there is no data, resample 6
+        # where each block holds one isolated point, so no lag has a pair
+        ds = _with_isolated_point(200, seed=35)
+        _move_blocks(monkeypatch, RngStream(2), {3: (12.0, 7.0), 6: (12.0, 4.0)})
+        cfg = self.kernel_cfg(ds)
+        res = gbbb_variance(ds, default_lag_set(), cfg, WindowSpec(4, 2), 20,
+                            RngStream(2), Rect(0, 0, 16, 10))
+        assert (res.n_success, res.n_failed) == (18, 2)
+
+
+def _with_isolated_point(n, seed):
+    """n points left of x = 12 on a 16x10 domain, and one at (14, 5)."""
+    locs = np.vstack([uniform_locations(n, 12.0, 10.0, RngStream(seed)), [[14.0, 5.0]]])
+    return SpatialDataset(locs, RngStream(seed + 1).generator().standard_normal(n + 1))
+
+
+def _move_blocks(monkeypatch, rng, moves):
+    """Put every block of resample b (substream b of ``rng``) at the origin
+    ``moves[b]``, wherever the blocks are drawn."""
+    real = resampling._draw_blocks
+    by_key = {mix64(rng.stream_id, b): origin for b, origin in moves.items()}
+
+    def draw(domain, block, n_regions, gen):
+        u, v = real(domain, block, n_regions, gen)
+        origin = by_key.get(int(gen.bit_generator.state["state"]["key"][1]))
+        if origin is not None:
+            u[:], v[:] = origin
+        return u, v
+
+    monkeypatch.setattr(resampling, "_draw_blocks", draw)
+
+
+FAILURES = (NoPairsError, EmptyNeighborhoodError, ResamplingError)
+
+
+def oracle_gbbb(ds, lag_set, cfg, block, n_boot, rng, domain):
+    """Block-bootstrap variance the slow way: every resample is a new
+    dataset estimated from scratch.  Returns Sigma, the success count and
+    the failure reasons."""
+    ghats, failures = [], []
+    for b in range(n_boot):
+        try:
+            resample = gbbb_resample(ds, block, rng.substream(b), domain)
+            ghats.append(estimate_G(resample, lag_set, cfg).values)
+        except FAILURES as exc:
+            failures.append(type(exc).__name__)
+    gmat = np.asarray(ghats)
+    centered = gmat - gmat.mean(axis=0)
+    return centered.T @ centered / (gmat.shape[0] - 1), gmat.shape[0], failures
+
+
+def _field(n, w, h, seed, offset=0.0):
+    locs = uniform_locations(n, w, h, RngStream(seed, 1))
+    cov = ExponentialCovariance.from_effective_range(6.0)
+    return SpatialDataset(locs, offset + GrfSampler(locs, cov).draw(RngStream(seed, 2)).values)
+
+
+def _ms_config(ds):
+    return EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"),
+                           empirical_bandwidth(ds))
+
+
+def _bench_block(ds):
+    return default_block(ds, 1.0, Rect(0, 0, 32, 20))
+
+
+# name: (dataset, lag set, estimator, block, domain, forced block origins)
+GBBB_CASES = {
+    "gvm-a": (lambda: _field(300, 16.0, 10.0, 1), default_lag_set(), _ms_config,
+              lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
+    "benchmark-n1000": (lambda: _field(1000, 32.0, 20.0, 2), default_lag_set(), _ms_config,
+                        _bench_block, Rect(0, 0, 32, 20), {}),
+    # reach about 2.8 against a block 2 high: pairs span non-adjacent regions
+    "long-lags": (lambda: _field(400, 16.0, 10.0, 3), default_lag_set(2.5), _ms_config,
+                  lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
+    "block-fills-x": (lambda: _field(300, 16.0, 10.0, 4), default_lag_set(), _ms_config,
+                      lambda ds: WindowSpec(16, 2), Rect(0, 0, 16, 10), {}),
+    "trimmed": (lambda: _field(300, 16.0, 10.0, 5), default_lag_set(), _ms_config,
+                lambda ds: WindowSpec(5, 3), Rect(0, 0, 16, 10), {}),
+    "failures": (lambda: _with_isolated_point(250, seed=6), default_lag_set(), _ms_config,
+                 lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10),
+                 {4: (12.0, 7.0), 9: (12.0, 4.0)}),
+    "offset-3": (lambda: _field(300, 16.0, 10.0, 7, offset=3.0), default_lag_set(),
+                 _ms_config, lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
+    "semivariogram": (lambda: _field(300, 16.0, 10.0, 8), default_lag_set(),
+                      lambda ds: EstimatorConfig("kernel_semivariogram",
+                                                 KernelSpec("truncated_gaussian", 1.5), 0.75),
+                      lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
+}
+
+
+class TestGbbbOracle:
+    @staticmethod
+    def _run(case, monkeypatch):
+        """The oracle's (Sigma, successes, failure reasons) and the result."""
+        make, lag_set, config, block, domain, moves = GBBB_CASES[case]
+        ds = make()
+        cfg, blk = config(ds), block(ds)
+        _move_blocks(monkeypatch, RngStream(61), moves)
+        want = oracle_gbbb(ds, lag_set, cfg, blk, 100, RngStream(61), domain)
+        return want, gbbb_variance(ds, lag_set, cfg, blk, 100, RngStream(61), domain)
+
+    @pytest.mark.parametrize("case", sorted(GBBB_CASES))
+    def test_matches_per_resample_estimates(self, case, monkeypatch):
+        (sigma, n_success, failures), res = self._run(case, monkeypatch)
+        assert (res.n_success, res.n_failed) == (n_success, len(failures))
+        np.testing.assert_allclose(res.sigma.matrix, sigma, rtol=1e-12,
+                                   atol=1e-12 * np.abs(sigma).max())
+
+    def test_cases_cover_what_they_are_named_for(self, monkeypatch):
+        (_, _, failures), _ = self._run("failures", monkeypatch)
+        assert sorted(failures) == ["EmptyNeighborhoodError", "ResamplingError"]
+        assert self._run("trimmed", monkeypatch)[-1].trim_fraction > 0
+        reach = 2.5 + _ms_config(GBBB_CASES["long-lags"][0]()).bandwidth
+        assert reach > WindowSpec(4, 2).height
 
 
 class TestWindowCost:
@@ -399,7 +514,8 @@ class TestWindowCost:
     def counts(self, monkeypatch):
         from isotropy import core
 
-        seen = {"take": 0, "enumerate_lag_pairs": 0, "_candidate_pairs": 0}
+        seen = {"take": 0, "enumerate_lag_pairs": 0, "_candidate_pairs": 0,
+                "estimate_G": 0, "gbbb_resample": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -411,6 +527,11 @@ class TestWindowCost:
                             counting("take", core.SpatialDataset.take))
         for name in ("enumerate_lag_pairs", "_candidate_pairs"):
             monkeypatch.setattr(estimators, name, counting(name, getattr(estimators, name)))
+        estimate = counting("estimate_G", estimators.estimate_G)
+        for module in (spatial_tests, resampling):
+            monkeypatch.setattr(module, "estimate_G", estimate)
+        monkeypatch.setattr(resampling, "gbbb_resample",
+                            counting("gbbb_resample", resampling.gbbb_resample))
         return seen
 
     def test_gridded_test_searches_pairs_once(self, counts):
@@ -426,3 +547,14 @@ class TestWindowCost:
         gsc_nongridded_test(_scattered(300, 16.0, 10.0, 21), domain=Rect(0, 0, 16, 10))
         assert counts["take"] == 0
         assert counts["_candidate_pairs"] == 1
+
+    def test_ms_bootstrap_reads_the_full_sample_table(self, counts):
+        # one pair search and one estimate for the whole test; no resample
+        # is built as a dataset
+        from isotropy import ms_test
+
+        ms_test(_scattered(300, 16.0, 10.0, 22), block=WindowSpec(4, 2),
+                domain=Rect(0, 0, 16, 10))
+        assert counts["_candidate_pairs"] == 1
+        assert counts["estimate_G"] == 1
+        assert counts["gbbb_resample"] == 0

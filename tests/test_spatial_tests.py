@@ -123,6 +123,11 @@ class TestFiniteSamplePvalue:
         with pytest.raises(ValueError):
             finite_sample_pvalue(1.0, ghats[:1], np.zeros(2), a, s, w[:1], fw)
 
+    def test_window_matrix_must_be_2d(self):
+        a, s, ghats, w, fw = self._craft([1.0, 2.0, 6.0])
+        with pytest.raises(ValueError, match=r"\(K, k\) matrix"):
+            finite_sample_pvalue(1.0, ghats[:, 0], np.zeros(2), a, s, w, fw)
+
 
 class TestGscGridded:
     def test_requires_grid(self):

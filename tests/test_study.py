@@ -144,3 +144,5 @@ class TestFailureHandling:
         (cell,) = run_power_study(self._config(), threads=1).results
         assert len(calls) == 20
         assert cell.n_failed == 1
+        # a failed replicate counts as a non-rejection
+        assert cell.rate == cell.n_reject / 20
