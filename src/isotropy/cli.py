@@ -198,6 +198,11 @@ def _add_cov_args(p):
                    help="anisotropy rotation in radians")
 
 
+def _spec_default(name: str):
+    """The default of a :class:`MethodSpec` field, which ``test`` uses as is."""
+    return MethodSpec.__dataclass_fields__[name].default
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="isotropy",
                 description="Nonparametric tests of isotropy and symmetry "
@@ -216,19 +221,19 @@ def build_parser() -> _Parser:
     pt.add_argument("data", help="input CSV with header x,y,value")
     pt.add_argument("--method", required=True, choices=list(METHOD_TABLE))
     pt.add_argument("--alpha", type=float, default=0.05)
-    pt.add_argument("--lag-scale", type=float, default=1.0)
+    pt.add_argument("--lag-scale", type=float, default=_spec_default("lag_scale"))
     pt.add_argument("--extra-lags", action="store_true",
                     help="append the 22.5/112.5-degree lag pair")
     pt.add_argument("--window", default=None, help="WIDTHxHEIGHT window/block")
     pt.add_argument("--step", type=float, default=None, help="window offset step")
-    pt.add_argument("--bandwidth", type=float, default=0.75)
+    pt.add_argument("--bandwidth", type=float, default=_spec_default("bandwidth"))
     pt.add_argument("--kernel", choices=["epanechnikov", "truncated_gaussian"],
-                    default="truncated_gaussian")
-    pt.add_argument("--truncation", type=float, default=1.5)
+                    default=_spec_default("kernel"))
+    pt.add_argument("--truncation", type=float, default=_spec_default("truncation"))
     pt.add_argument("--pvalue-mode", choices=["asymptotic", "finite_sample"],
                     default=None)
-    pt.add_argument("--n-boot", type=int, default=100)
-    pt.add_argument("--tuning", type=float, default=1.0)
+    pt.add_argument("--n-boot", type=int, default=_spec_default("n_boot"))
+    pt.add_argument("--tuning", type=float, default=_spec_default("tuning"))
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--domain", default=None,
                     help="sampling domain X0:Y0:WIDTHxHEIGHT "

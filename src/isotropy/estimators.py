@@ -102,15 +102,14 @@ class PairTable:
     lag-set estimate, listed once and sorted by lag.
 
     Entry e is the ordered pair ``(i[e], j[e])`` at lag ``lag[e]`` with
-    weight ``w[e] > 0`` (1 for an exact lag match of the classical
-    estimator, the product-kernel weight for the smoothed ones) and
-    response ``resp[e]``: half the squared difference for the
-    semivariograms, the product of centered values for the covariogram.
-    The covariogram also keeps the globally demeaned values and each
-    lag's kernel weight at zero displacement, which self-pairs receive.
-    An estimate over any subset of locations is a ratio of sums over this
-    table, which is how moving windows and bootstrap blocks are estimated
-    without searching pairs again.
+    weight ``w[e] > 0``: 1 for an exact lag match of the classical
+    estimator (``kernel`` and ``bandwidth`` None), the product-kernel
+    weight for the smoothed ones.  ``values`` are the per-point values,
+    globally demeaned for the covariogram, which also keeps each lag's
+    kernel weight at zero displacement, received by self-pairs.  An
+    estimate over any subset of points (a moving window, a bootstrap
+    resample) is :meth:`subset_estimates` of its sums of :meth:`columns`
+    and :meth:`point_columns`, with no new pair search.
     """
 
     kind: EstimatorKind
@@ -119,15 +118,62 @@ class PairTable:
     i: np.ndarray                        # (E,)
     j: np.ndarray                        # (E,)
     w: np.ndarray                        # (E,)
-    resp: np.ndarray                     # (E,)
-    centered: np.ndarray | None = None   # (n,), covariogram only
+    values: np.ndarray                   # (n,)
+    kernel: KernelSpec | None = None
+    bandwidth: float | None = None
     self_weights: np.ndarray | None = None  # (k,), covariogram only
+
+    def response(self, vi: np.ndarray, vj: np.ndarray) -> np.ndarray:
+        """Half the squared difference (semivariograms) or the product
+        (covariogram) of the pair's values."""
+        if self.kind == "kernel_covariogram":
+            return vi * vj
+        return (vi - vj) ** 2 / 2.0
+
+    def columns(self, w: np.ndarray, vi: np.ndarray, vj: np.ndarray) -> np.ndarray:
+        """``(C, E)`` entry columns: w * response, w and, for the
+        covariogram's own-mean centering, w * (v_i + v_j)."""
+        cols = [w * self.response(vi, vj), w]
+        if self.kind == "kernel_covariogram":
+            cols.append(w * (vi + vj))
+        return np.stack(cols)
+
+    def point_columns(self) -> np.ndarray:
+        """``(C', n)`` point columns: 1, and v and v * v for the covariogram."""
+        ones = np.ones_like(self.values)
+        if self.kind == "kernel_covariogram":
+            return np.stack([ones, self.values, self.values * self.values])
+        return ones[None, :]
+
+    def subset_estimates(self, sums, has_entry: np.ndarray, point_sums):
+        """``(G, k)`` estimates and effective samples of G subsets, and a
+        ``(G,)`` usable flag, from ``sums[c]`` (G, k), the per-lag sums of
+        column c of :meth:`columns`; ``has_entry`` (G, k), whether a lag
+        has an entry (decided on integer counts); and ``point_sums[c]``
+        (G,), the sums of column c of :meth:`point_columns`.  The
+        covariogram is centered at each subset's own mean, expanded into
+        these sums.  A subset is usable when it holds a point and every
+        lag has an entry or a self-pair weight; others get estimate 0."""
+        contrib, total = sums[0], sums[1]
+        count = point_sums[0]
+        if self.kind == "kernel_covariogram":
+            w0 = self.self_weights
+            s1, s2 = point_sums[1], point_sums[2]
+            mean = np.divide(s1, count, out=np.zeros_like(s1), where=count > 0)
+            contrib = (contrib - mean[:, None] * sums[2] + (mean * mean)[:, None] * total
+                       + np.outer(s2 - s1 * mean, w0))
+            total = total + np.outer(count, w0)
+            has_entry = has_entry | (w0 > 0)
+        ok = (count > 0) & has_entry.all(axis=1)
+        out = np.divide(contrib, total, out=np.zeros_like(contrib), where=ok[:, None])
+        return out, total, ok
 
     def estimate(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-sample estimates and effective samples (pair counts for
         the classical estimator, total kernel weights otherwise)."""
         k = self.lags.shape[0]
         bounds = np.searchsorted(self.lag, np.arange(k + 1))
+        resp = self.response(self.values[self.i], self.values[self.j])
         out = np.empty(k)
         totals = np.empty(k)
         for m in range(k):
@@ -136,15 +182,15 @@ class PairTable:
             if self.kind == "classical_semivariogram":
                 if at.start == at.stop:
                     raise NoPairsError(f"no location pairs at lag {(float(h1), float(h2))}")
-                out[m] = np.mean(self.resp[at])
+                out[m] = np.mean(resp[at])
                 totals[m] = at.stop - at.start
                 continue
             total = self.w[at].sum()
-            contrib = float(np.dot(self.w[at], self.resp[at]))
+            contrib = float(np.dot(self.w[at], resp[at]))
             if self.self_weights is not None and self.self_weights[m] > 0:
                 w0 = self.self_weights[m]
-                total = total + w0 * self.centered.shape[0]
-                contrib += float(w0 * (self.centered * self.centered).sum())
+                total = total + w0 * self.values.shape[0]
+                contrib += float(w0 * (self.values * self.values).sum())
             if total <= 0:
                 raise EmptyNeighborhoodError(
                     f"no pairs receive weight at lag ({h1:g}, {h2:g}); "
@@ -155,38 +201,19 @@ class PairTable:
         return out, totals
 
     def window_estimates(self, windows):
-        """Estimates in each of K windows, from window sums of the table.
-
-        ``windows.pair_sums(i, j, cols, group, n_groups)`` sums each row
-        of a ``(C, E)`` array over the entries ``(i[e], j[e])`` inside
-        every window, apart for each group, and returns ``(K, C,
-        n_groups)``; ``windows.point_sums(cols)`` sums each row of a
-        ``(C, n)`` array over the points inside every window and returns
-        ``(K, C)``.  The covariogram is centered at each window's own
-        mean, expanded into pair and point sums.  Returns the ``(K, k)``
-        estimates and effective samples (as in :meth:`estimate`) and a
-        ``(K,)`` flag: a window is usable when every lag has an entry,
-        counted in integers, or the covariogram's self-pairs carry weight.
-        """
-        k = self.lags.shape[0]
-        cols = [self.w * self.resp, self.w, np.ones_like(self.w)]
-        if self.centered is not None:
-            cols.append(self.w * (self.centered[self.i] + self.centered[self.j]))
-        sums = windows.pair_sums(self.i, self.j, np.stack(cols), self.lag, k)
-        contrib, total = sums[:, 0], sums[:, 1]
-        usable = np.rint(sums[:, 2]) > 0
-        if self.centered is not None:
-            u = self.centered
-            count, s1, s2 = windows.point_sums(np.stack([np.ones_like(u), u, u * u])).T
-            mean = np.divide(s1, count, out=np.zeros_like(s1), where=count > 0)
-            contrib = (contrib - mean[:, None] * sums[:, 3]
-                       + (mean * mean)[:, None] * total
-                       + np.outer(s2 - s1 * mean, self.self_weights))
-            total = total + np.outer(count, self.self_weights)
-            usable |= self.self_weights > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = contrib / total
-        return values, total, usable.all(axis=1)
+        """:meth:`subset_estimates` of K moving windows, and each window's
+        point count.  ``windows.pair_sums(i, j, cols, group, n_groups)``
+        sums each row of ``cols`` (C, E) over every window's entries
+        ``(i[e], j[e])``, apart for each group, into (K, C, n_groups);
+        ``windows.point_sums(cols)`` sums each row of ``cols`` (C, n)
+        over every window's points into (K, C)."""
+        cols = self.columns(self.w, self.values[self.i], self.values[self.j])
+        sums = windows.pair_sums(self.i, self.j, np.vstack([cols, np.ones((1, self.w.size))]),
+                                 self.lag, self.lags.shape[0])
+        point_sums = windows.point_sums(self.point_columns()).T
+        values, total, usable = self.subset_estimates(
+            np.moveaxis(sums[:, :-1], 1, 0), np.rint(sums[:, -1]) > 0, point_sums)
+        return values, total, usable, point_sums[0]
 
 
 @dataclass(frozen=True)
@@ -202,8 +229,8 @@ class GHat:
 
     values: np.ndarray
     lag_set: LagSet
-    weights: np.ndarray | None = None
-    pairs: PairTable | None = field(default=None, repr=False, compare=False)
+    weights: np.ndarray
+    pairs: PairTable = field(repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -214,12 +241,11 @@ class GHat:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float).copy()
-            if w.shape != v.shape or np.any(w <= 0):
-                raise ValueError("weights must be positive, one per lag")
-            w.setflags(write=False)
-            object.__setattr__(self, "weights", w)
+        w = np.asarray(self.weights, dtype=float).copy()
+        if w.shape != v.shape or np.any(w <= 0):
+            raise ValueError("weights must be positive, one per lag")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
 
 def _classical_table(
@@ -228,11 +254,8 @@ def _classical_table(
     found = [enumerate_lag_pairs(dataset, (float(h1), float(h2)), tol) for h1, h2 in lags]
     pairs = np.concatenate(found)
     lag = np.repeat(np.arange(len(found)), [f.shape[0] for f in found])
-    i, j = pairs[:, 0], pairs[:, 1]
-    return PairTable(
-        "classical_semivariogram", lags, lag, i, j, w=np.ones(i.size),
-        resp=(dataset.values[i] - dataset.values[j]) ** 2 / 2.0,
-    )
+    return PairTable("classical_semivariogram", lags, lag, pairs[:, 0], pairs[:, 1],
+                     np.ones(pairs.shape[0]), dataset.values)
 
 
 def classical_semivariogram(
@@ -301,15 +324,12 @@ def _kernel_table(
         raise ValueError("bandwidth must be positive")
     i, j, dx, dy = _candidate_pairs(dataset, kernel_reach(lags, kernel, bandwidth))
     lag, at, w = lag_entries(dx, dy, lags, kernel, bandwidth)
-    i, j = i[at], j[at]
     if kind == "kernel_semivariogram":
-        resp = (dataset.values[i] - dataset.values[j]) ** 2 / 2.0
-        return PairTable(kind, lags, lag, i, j, w, resp)
+        return PairTable(kind, lags, lag, i[at], j[at], w, dataset.values, kernel, bandwidth)
     # self-pairs (zero displacement) anchor the variance at lag 0
-    centered = dataset.values - dataset.values.mean()
     self_weights = kernel.weight(-lags[:, 0] / bandwidth) * kernel.weight(-lags[:, 1] / bandwidth)
-    return PairTable(kind, lags, lag, i, j, w, centered[i] * centered[j],
-                     centered, self_weights)
+    return PairTable(kind, lags, lag, i[at], j[at], w, dataset.values - dataset.values.mean(),
+                     kernel, bandwidth, self_weights)
 
 
 def kernel_semivariogram(

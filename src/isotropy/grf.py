@@ -159,9 +159,9 @@ def _cholesky_with_jitter(sigma: np.ndarray, sill: float) -> np.ndarray:
         try:
             return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
         except np.linalg.LinAlgError:
-            jitter *= 10
+            tried, jitter = jitter, jitter * 10
     raise FactorizationError(
-        f"covariance factorization failed after jitter escalation to {jitter:g}"
+        f"covariance factorization failed after jitter escalation to {tried:g}"
     )
 
 

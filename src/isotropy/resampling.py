@@ -8,15 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LagSet, SpatialDataset
+from .core import SpatialDataset
 from .distributions import RngStream
-from .estimators import (
-    EstimatorConfig,
-    estimate_G,
-    kernel_reach,
-    lag_entries,
-    pair_table,
-)
+from .estimators import PairTable, kernel_reach, lag_entries
 
 __all__ = [
     "Rect",
@@ -229,34 +223,31 @@ def _rect_sums(shape, a0, a1, b0, b1, cols: np.ndarray,
 
 def subsample_variance(
     dataset: SpatialDataset,
-    lag_set: LagSet,
-    config: EstimatorConfig,
+    table: PairTable,
     window: WindowSpec,
     domain: Rect | None = None,
-    tol: float | None = None,
-    full_ghat=None,
 ) -> SubsampleResult:
     """Moving-window estimate of Var(G_hat) at full-sample scale.
 
-    Every window re-estimates the lag-set vector from the full sample's
-    pair table (the pairs with both points inside the window).  Window
-    deviations from the window mean are standardized by sqrt(window
-    effective sample / full-sample effective sample) before averaging
-    their outer products.  The effective sample is the exact per-lag pair
-    count for the classical estimator (whose variance tracks the number
-    of realized lag pairs, strongly reduced by edge effects in small
-    windows) and the number of points for the kernel estimators (whose
-    overlapping smoothed pairs carry about one point's worth of
+    ``table`` is the pair table of the full-sample estimate
+    (``GHat.pairs``).  Every window re-estimates the lag-set vector from
+    it, over the pairs with both points inside the window, with
+    :meth:`PairTable.subset_estimates`; no pair is searched again.
+    Window deviations from the window mean are standardized by
+    sqrt(window effective sample / full-sample effective sample) before
+    averaging their outer products.  The effective sample is the exact
+    per-lag pair count for the classical estimator (whose variance tracks
+    the number of realized lag pairs, strongly reduced by edge effects in
+    small windows) and the number of points for the kernel estimators
+    (whose overlapping smoothed pairs carry about one point's worth of
     information each).  Windows with fewer than two points, or where any
     lag cannot be estimated, are discarded and counted.
     """
     if domain is None:
         domain = Rect.from_dataset(dataset)
     windows = _Windows.build(dataset, domain, window)
-    if full_ghat is None or full_ghat.pairs is None:
-        full_ghat = estimate_G(dataset, lag_set, config, tol=tol)
-    values, totals, usable = full_ghat.pairs.window_estimates(windows)
-    sizes = np.rint(windows.point_sums(np.ones((1, dataset.n)))[:, 0])
+    values, totals, usable, counts = table.window_estimates(windows)
+    sizes = np.rint(counts)
     keep = usable & (sizes >= 2)
     if np.count_nonzero(keep) < 2:
         raise ResamplingError(
@@ -264,9 +255,9 @@ def subsample_variance(
             "enlarge the window or the domain"
         )
     gmat = values[keep]
-    if config.kind == "classical_semivariogram":
+    if table.kind == "classical_semivariogram":
         wmat = totals[keep]
-        full_w = np.asarray(full_ghat.weights, dtype=float)
+        full_w = np.bincount(table.lag, minlength=gmat.shape[1]).astype(float)
     else:
         wmat = np.repeat(sizes[keep][:, None], gmat.shape[1], axis=1)
         full_w = np.full(gmat.shape[1], float(dataset.n))
@@ -373,28 +364,24 @@ class _BlockBootstrap:
     region is split into cells at least half of ``reach`` wide (or one
     cell when it is narrower), and a point is paired only with the points
     of cells in other regions within reach.  Values are centered at the
-    full sample's mean; a covariogram resample's own centering is
-    expanded into its pair and point sums, as for moving windows.
+    full sample's mean; each resample is finished by
+    :meth:`PairTable.subset_estimates`, as moving windows are.
     """
 
-    def __init__(self, dataset: SpatialDataset, table, config: EstimatorConfig,
+    def __init__(self, dataset: SpatialDataset, table: PairTable,
                  block: WindowSpec, domain: Rect, regions: np.ndarray):
         self.loc = dataset.locations
         self.block, self.regions, self.table = block, regions, table
-        self.kernel, self.bandwidth = config.kernel, config.bandwidth
         self.k = table.lags.shape[0]
-        self.values = table.centered if table.centered is not None else dataset.values
-        self.reach = kernel_reach(table.lags, self.kernel, self.bandwidth)
-        n = dataset.n
+        self.reach = kernel_reach(table.lags, table.kernel, table.bandwidth)
         self.x_order = np.argsort(self.loc[:, 0], kind="stable")
         self.x_sorted = self.loc[self.x_order, 0]
+        self.point_cols = table.point_columns()
         # table entries by first point, with the columns they add
         self.by_i = np.argsort(table.i, kind="stable")
-        self.i_start = np.concatenate([[0], np.cumsum(np.bincount(table.i, minlength=n))])
-        cols = [table.w * table.resp, table.w]
-        if table.centered is not None:
-            cols.append(table.w * (self.values[table.i] + self.values[table.j]))
-        self.entry_cols = np.stack(cols)
+        self.i_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(table.i, minlength=dataset.n))])
+        self.entry_cols = table.columns(table.w, table.values[table.i], table.values[table.j])
         # cells aligned to regions; for each cell, the cells of other
         # regions within reach on one side (each cell pair listed once)
         (self.cx, self.cw, kx), (self.cy, self.ch, ky) = (
@@ -423,26 +410,14 @@ class _BlockBootstrap:
         u, v = u.ravel(), v.ravel()
         row, p = self._members(u, v)
         g = row // n_reg
-        vals = self.values[p]
-        size = np.bincount(g, minlength=n_res)
-        s1 = np.bincount(g, vals, minlength=n_res)
-        s2 = np.bincount(g, vals * vals, minlength=n_res)
+        point_sums = [np.bincount(g, c[p], minlength=n_res) for c in self.point_cols]
         block_bins, block_cols = self._block_pairs(u, v, row, p, g)
-        cross_bins, cross_cols = self._cross_pairs(u, v, row, p, g, vals, n_reg)
+        cross_bins, cross_cols = self._cross_pairs(u, v, row, p, g, n_reg)
         bins = np.concatenate([block_bins, cross_bins])
         cols = np.concatenate([block_cols, cross_cols], axis=1)
         sums = [np.bincount(bins, c, minlength=n_res * k).reshape(n_res, k) for c in cols]
         has_pair = np.bincount(bins, minlength=n_res * k).reshape(n_res, k) > 0
-        contrib, total = sums[0], sums[1]
-        if self.table.centered is not None:
-            w0 = self.table.self_weights
-            mean = np.divide(s1, size, out=np.zeros_like(s1), where=size > 0)
-            contrib = (contrib - mean[:, None] * sums[2] + (mean * mean)[:, None] * total
-                       + np.outer(s2 - s1 * mean, w0))
-            total = total + np.outer(size, w0)
-            has_pair |= w0 > 0
-        ok = (size > 0) & has_pair.all(axis=1)
-        values = np.divide(contrib, total, out=np.zeros_like(contrib), where=ok[:, None])
+        values, _, ok = self.table.subset_estimates(sums, has_pair, point_sums)
         return values, ok
 
     def _members(self, u, v):
@@ -467,7 +442,7 @@ class _BlockBootstrap:
         e = e[inside]
         return g[owner[inside]] * self.k + self.table.lag[e], self.entry_cols[:, e]
 
-    def _cross_pairs(self, u, v, row, p, g, vals, n_reg):
+    def _cross_pairs(self, u, v, row, p, g, n_reg):
         """Bins and columns of the pairs of resample points in different
         regions, searched between region-aligned cells and weighted in
         both orientations."""
@@ -493,36 +468,32 @@ class _BlockBootstrap:
         dy = ry[b] - ry[a]
         near = np.abs(dy) <= self.reach
         a, b, dx, dy = a[near], b[near], dx[near], dy[near]
+        t = self.table
         lag, at, w = lag_entries(np.concatenate([dx, -dx]), np.concatenate([dy, -dy]),
-                                 self.table.lags, self.kernel, self.bandwidth)
+                                 t.lags, t.kernel, t.bandwidth)
         first_pt, second_pt = np.concatenate([a, b])[at], np.concatenate([b, a])[at]
-        vi, vj = vals[first_pt], vals[second_pt]
-        if self.table.centered is not None:
-            cols = [w * (vi * vj), w, w * (vi + vj)]
-        else:
-            cols = [w * ((vi - vj) ** 2 / 2.0), w]
-        return g[first_pt] * self.k + lag, np.stack(cols)
+        return (g[first_pt] * self.k + lag,
+                t.columns(w, t.values[p[first_pt]], t.values[p[second_pt]]))
 
 
 def gbbb_variance(
     dataset: SpatialDataset,
-    lag_set: LagSet,
-    config: EstimatorConfig,
+    table: PairTable,
     block: WindowSpec,
     n_boot: int,
     rng: RngStream,
     domain: Rect | None = None,
-    full_ghat=None,
 ) -> GbbbResult:
     """Bootstrap estimate of Var(G_hat) from ``n_boot`` block resamples.
 
     Resample b draws its blocks from ``rng.substream(b)`` as
     :func:`gbbb_resample` does, and its estimate is the kernel estimate
-    on that resample.  The estimates are formed from the full sample's
-    pair table (taken from ``full_ghat`` when given, as
-    :func:`subsample_variance` does), a pass of resamples at a time:
-    pairs inside one drawn block are read from the table, and only pairs
-    whose points lie in different regions are searched.  A resample that
+    on that resample.  The estimates are formed from ``table``, the pair
+    table of the full-sample estimate (``GHat.pairs``), a pass of
+    resamples at a time: pairs inside one drawn block are read from the
+    table, only pairs whose points lie in different regions are searched,
+    and each resample is finished by :meth:`PairTable.subset_estimates`,
+    as a moving window of :func:`subsample_variance` is.  A resample that
     captures no observation, or that gives some lag no pair of positive
     weight, is counted as failed; more than 20% failures raise
     :class:`ResamplingError`.  Only the kernel estimators are accepted:
@@ -530,14 +501,12 @@ def gbbb_variance(
     """
     if n_boot < 2:
         raise ValueError("need at least two bootstrap resamples")
-    if config.kind == "classical_semivariogram":
+    if table.kernel is None:
         raise ValueError("the block bootstrap needs a kernel estimator")
     if domain is None:
         domain = Rect.from_dataset(dataset)
     regions, trim = _partition_regions(domain, block)
-    table = (full_ghat.pairs if full_ghat is not None and full_ghat.pairs is not None
-             else pair_table(dataset, lag_set, config))
-    boot = _BlockBootstrap(dataset, table, config, block, domain, regions)
+    boot = _BlockBootstrap(dataset, table, block, domain, regions)
     per_pass = max(1, _PASS_POINTS // dataset.n)
     ghats = []
     for start in range(0, n_boot, per_pass):

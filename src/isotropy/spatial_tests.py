@@ -256,12 +256,9 @@ def gsc_gridded_test(
         domain = Rect.from_dataset(dataset)
     if window is None:
         window = default_grid_window(dataset, domain)
-    tol = GRID_MATCH_TOL * dataset.grid.spacing
-    config = EstimatorConfig(kind="classical_semivariogram")
-    ghat = estimate_G(dataset, lag_set, config, tol=tol)
-    sub = subsample_variance(
-        dataset, lag_set, config, window, domain, tol=tol, full_ghat=ghat
-    )
+    ghat = estimate_G(dataset, lag_set, EstimatorConfig(),
+                      tol=GRID_MATCH_TOL * dataset.grid.spacing)
+    sub = subsample_variance(dataset, ghat.pairs, window, domain)
     return _finish(
         "gsc-g", ghat, contrast, sub, pvalue_mode, _window_counts(dataset, sub),
         {"window": [window.width, window.height]},
@@ -296,7 +293,7 @@ def gsc_nongridded_test(
         kind="kernel_semivariogram", kernel=kernel, bandwidth=bandwidth
     )
     ghat = estimate_G(dataset, lag_set, config)
-    sub = subsample_variance(dataset, lag_set, config, window, domain, full_ghat=ghat)
+    sub = subsample_variance(dataset, ghat.pairs, window, domain)
     return _finish(
         "gsc-u", ghat, contrast, sub, pvalue_mode, _window_counts(dataset, sub),
         {"window": [window.width, window.height], "bandwidth": bandwidth,
@@ -338,7 +335,7 @@ def ms_test(
         bandwidth=bandwidth,
     )
     ghat = estimate_G(dataset, lag_set, config)
-    boot = gbbb_variance(dataset, lag_set, config, block, n_boot, rng, domain, full_ghat=ghat)
+    boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, rng, domain)
     return _finish(
         "ms", ghat, contrast, boot, "asymptotic_chi2",
         {

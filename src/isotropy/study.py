@@ -296,18 +296,21 @@ class StudyConfig:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise StudyError(f"config is not valid JSON: {exc}") from exc
+
+        def get(key):  # the value, or the field's default when absent
+            return d.get(key, cls.__dataclass_fields__[key].default)
+
         try:
             return cls(
                 design=design_from_dict(d["design"]),
                 methods=tuple(MethodSpec(**m) for m in d["methods"]),
-                effective_ranges=tuple(float(x) for x in d.get("effective_ranges", (3, 6, 12))),
-                anisotropies=tuple((float(a), float(b)) for a, b in d.get(
-                    "anisotropies", StudyConfig.__dataclass_fields__["anisotropies"].default)),
-                sigma2=float(d.get("sigma2", 1.0)),
-                tau2=float(d.get("tau2", 0.0)),
+                effective_ranges=tuple(float(x) for x in get("effective_ranges")),
+                anisotropies=tuple((float(a), float(b)) for a, b in get("anisotropies")),
+                sigma2=float(get("sigma2")),
+                tau2=float(get("tau2")),
                 replicates=int(d["replicates"]),
-                alpha=float(d.get("alpha", 0.05)),
-                master_seed=int(d.get("master_seed", 20260810)),
+                alpha=float(get("alpha")),
+                master_seed=int(get("master_seed")),
             )
         except KeyError as exc:
             raise StudyError(f"config missing required key {exc}") from exc
@@ -570,12 +573,11 @@ def blocksize_study(replicates: int = 200, master_seed: int = 20260810) -> Study
     )
 
 
-def bandwidth_study(replicates: int = 100, master_seed: int = 20260810,
-                    pvalue_mode: str = "asymptotic") -> StudyConfig:
+def bandwidth_study(replicates: int = 100, master_seed: int = 20260810) -> StudyConfig:
     """Bandwidth sensitivity of the kernel semivariogram test (isotropic)."""
     methods = tuple(
         MethodSpec("gsc-u", label=f"gsc-u-w{w}", window=(4.0, 2.0), bandwidth=w,
-                   pvalue_mode=pvalue_mode)
+                   pvalue_mode="asymptotic")
         for w in (0.65, 0.75, 0.85)
     )
     return StudyConfig(

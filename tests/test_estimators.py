@@ -16,7 +16,7 @@ from isotropy import (
     kernel_semivariogram,
     uniform_locations,
 )
-from isotropy.estimators import EmptyNeighborhoodError, NoPairsError
+from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, pair_table
 
 
 def brute_kernel(ds, lag, kernel, bw, kind):
@@ -198,3 +198,43 @@ class TestEstimateG:
     def test_kernel_needs_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
             EstimatorConfig("kernel_semivariogram", bandwidth=None)
+
+
+SUBSET_CASES = {
+    "classical": EstimatorConfig(),
+    "kernel-semivariogram": EstimatorConfig(
+        "kernel_semivariogram", KernelSpec("truncated_gaussian", 1.5), 0.75),
+    "kernel-covariogram": EstimatorConfig(
+        "kernel_covariogram", KernelSpec("epanechnikov"), 0.6),
+    # bandwidth 1.5 gives the self-pairs positive weight at every lag
+    "covariogram-self-pairs": EstimatorConfig(
+        "kernel_covariogram", KernelSpec("epanechnikov"), 1.5),
+}
+
+
+class TestSubsetEstimates:
+    """The finishing step that moving windows and bootstrap resamples
+    share, applied to the whole sample as one subset, gives the
+    full-sample estimate."""
+
+    @pytest.mark.parametrize("case", sorted(SUBSET_CASES))
+    def test_whole_sample_is_one_subset(self, case, random_field_18x12):
+        cfg = SUBSET_CASES[case]
+        if cfg.kind == "classical_semivariogram":
+            ds = random_field_18x12
+        else:
+            locs = uniform_locations(200, 12.0, 8.0, RngStream(89, 0))
+            ds = SpatialDataset(locs, 3.0 + RngStream(89, 1).generator().standard_normal(200))
+        table = pair_table(ds, default_lag_set(), cfg)
+        if case == "covariogram-self-pairs":
+            assert np.all(table.self_weights > 0)
+        k = table.lags.shape[0]
+        cols = table.columns(table.w, table.values[table.i], table.values[table.j])
+        sums = np.stack([np.bincount(table.lag, c, minlength=k) for c in cols])[:, None, :]
+        has_entry = (np.bincount(table.lag, minlength=k) > 0)[None, :]
+        point_sums = table.point_columns().sum(axis=1)[:, None]
+        values, totals, ok = table.subset_estimates(sums, has_entry, point_sums)
+        want, want_totals = table.estimate()
+        assert ok.tolist() == [True]
+        np.testing.assert_allclose(values[0], want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(totals[0], want_totals, rtol=1e-12, atol=0)

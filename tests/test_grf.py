@@ -13,6 +13,7 @@ from isotropy import (
     simulate_grf,
     uniform_locations,
 )
+from isotropy.grf import FactorizationError, _cholesky_with_jitter
 
 
 class TestEffectiveRange:
@@ -121,6 +122,11 @@ class TestSimulation:
         sigma = covariance_matrix(pts, cov)
         resid = np.max(np.abs(sampler._factor @ sampler._factor.T - sigma))
         assert resid <= 1e-8
+
+    def test_factorization_failure_reports_last_jitter(self):
+        # indefinite: no diagonal jitter up to 1e-8 x sill makes it factor
+        with pytest.raises(FactorizationError, match="1e-08"):
+            _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 
     def test_pair_correlation_matches_model(self):
         # 2000 independent draws of a two-point field at distance 1

@@ -21,7 +21,7 @@ from isotropy import (
 from isotropy import estimators, resampling, spatial_tests
 from isotropy.core import GRID_MATCH_TOL
 from isotropy.distributions import mix64
-from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, estimate_G
+from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, estimate_G, pair_table
 from isotropy.resampling import ResamplingError, _window_origins, _Windows
 from isotropy.spatial_tests import default_block
 
@@ -188,7 +188,7 @@ class TestWindowOracle:
         ds = make()
         gmat, wmat, sigma, n_windows, discarded = oracle_subsample(
             ds, lag_set, cfg, window, domain, tol)
-        res = subsample_variance(ds, lag_set, cfg, window, domain, tol=tol)
+        res = subsample_variance(ds, pair_table(ds, lag_set, cfg, tol), window, domain)
         assert res.n_windows == n_windows
         assert res.n_discarded == discarded
         assert np.array_equal(res.window_weights, wmat)
@@ -200,11 +200,16 @@ class TestWindowOracle:
         # the cases exercise what they are named for
         for case in ("narrower-than-lag", "epanechnikov-0.25"):
             make, lag_set, cfg, window, domain, tol = ORACLE_CASES[case]
-            res = subsample_variance(make(), lag_set, cfg, window, domain, tol=tol)
+            ds = make()
+            res = subsample_variance(ds, pair_table(ds, lag_set, cfg, tol), window, domain)
             assert res.n_discarded > 0
         cfg = ORACLE_CASES["covariogram-lag0"][2]
         assert np.all(estimate_G(ORACLE_CASES["covariogram-lag0"][0](), default_lag_set(),
                                  cfg).pairs.self_weights > 0)
+
+
+def _classical(ds):
+    return pair_table(ds, default_lag_set(), EstimatorConfig())
 
 
 class TestSubsampleVariance:
@@ -214,30 +219,28 @@ class TestSubsampleVariance:
         locs = g.locations()
         values = np.where(locs[:, 1] % 2 == 0, 1.5, -0.5)
         ds = SpatialDataset(locs, values, grid=g)
-        res = subsample_variance(ds, default_lag_set(), EstimatorConfig(),
-                                 WindowSpec(3, 2))
+        res = subsample_variance(ds, _classical(ds), WindowSpec(3, 2))
         assert np.allclose(res.sigma.matrix, 0.0, atol=1e-24)
 
     def test_value_scaling_quartic(self):
         ds = unit_grid_dataset(14, 10, seed=3)
-        cfg = EstimatorConfig()
         win = WindowSpec(3, 2)
-        a = subsample_variance(ds, default_lag_set(), cfg, win)
+        a = subsample_variance(ds, _classical(ds), win)
         scaled = SpatialDataset(ds.locations, 2.0 * ds.values, grid=ds.grid)
-        b = subsample_variance(scaled, default_lag_set(), cfg, win)
+        b = subsample_variance(scaled, _classical(scaled), win)
         assert np.allclose(b.sigma.matrix, 16.0 * a.sigma.matrix, rtol=1e-12)
 
     def test_row_order_invariance(self):
         ds = unit_grid_dataset(10, 8, seed=5)
         perm = RngStream(6).generator().permutation(ds.n)
         shuffled = SpatialDataset(ds.locations[perm], ds.values[perm], grid=ds.grid)
-        a = subsample_variance(ds, default_lag_set(), EstimatorConfig(), WindowSpec(3, 2))
-        b = subsample_variance(shuffled, default_lag_set(), EstimatorConfig(), WindowSpec(3, 2))
+        a = subsample_variance(ds, _classical(ds), WindowSpec(3, 2))
+        b = subsample_variance(shuffled, _classical(shuffled), WindowSpec(3, 2))
         assert np.allclose(a.sigma.matrix, b.sigma.matrix, atol=1e-12)
 
     def test_psd_and_diagnostics(self):
         ds = unit_grid_dataset(18, 12, seed=9)
-        res = subsample_variance(ds, default_lag_set(), EstimatorConfig(), WindowSpec(3, 2))
+        res = subsample_variance(ds, _classical(ds), WindowSpec(3, 2))
         assert res.n_windows == 176
         assert res.window_ghats.shape == (176, 4)
         assert res.n_discarded == 0
@@ -251,15 +254,14 @@ class TestSubsampleVariance:
         locs = uniform_locations(120, 12.0, 8.0, RngStream(17))
         ds = SpatialDataset(locs, RngStream(18).generator().standard_normal(120))
         cfg = EstimatorConfig("kernel_semivariogram", KernelSpec("epanechnikov"), 0.25)
-        res = subsample_variance(ds, default_lag_set(), cfg, WindowSpec(4, 2))
+        res = subsample_variance(ds, pair_table(ds, default_lag_set(), cfg), WindowSpec(4, 2))
         assert res.n_discarded > 0
         assert res.window_ghats.shape[0] + res.n_discarded == res.n_windows
 
     def test_too_few_usable_windows(self):
         ds = unit_grid_dataset(3, 3, seed=2)
         with pytest.raises(ResamplingError, match="usable windows"):
-            subsample_variance(ds, default_lag_set(), EstimatorConfig(),
-                               WindowSpec(1, 1))
+            subsample_variance(ds, _classical(ds), WindowSpec(1, 1))
 
 
 class TestGbbbResample:
@@ -331,17 +333,14 @@ class TestGbbbVariance:
         vals = RngStream(31).generator().standard_normal(250)
         return SpatialDataset(locs, vals)
 
-    def kernel_cfg(self, ds):
-        return EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"),
-                               empirical_bandwidth(ds))
+    def kernel_table(self, ds):
+        return pair_table(ds, default_lag_set(), _ms_config(ds))
 
     def test_deterministic_and_psd(self, uniform_ds):
-        cfg = self.kernel_cfg(uniform_ds)
+        table = self.kernel_table(uniform_ds)
         dom = Rect(0, 0, 16, 10)
-        a = gbbb_variance(uniform_ds, default_lag_set(), cfg, WindowSpec(4, 2),
-                          50, RngStream(77), dom)
-        b = gbbb_variance(uniform_ds, default_lag_set(), cfg, WindowSpec(4, 2),
-                          50, RngStream(77), dom)
+        a = gbbb_variance(uniform_ds, table, WindowSpec(4, 2), 50, RngStream(77), dom)
+        b = gbbb_variance(uniform_ds, table, WindowSpec(4, 2), 50, RngStream(77), dom)
         assert np.array_equal(a.sigma.matrix, b.sigma.matrix)
         assert np.linalg.eigvalsh(a.sigma.matrix).min() >= -1e-10
         assert a.sigma.method == "gbbb"
@@ -352,13 +351,13 @@ class TestGbbbVariance:
         locs = uniform_locations(200, 16.0, 10.0, RngStream(33))
         ds = SpatialDataset(locs, np.full(200, 4.0))
         cfg = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 0.4)
-        res = gbbb_variance(ds, default_lag_set(), cfg, WindowSpec(4, 2),
+        res = gbbb_variance(ds, pair_table(ds, default_lag_set(), cfg), WindowSpec(4, 2),
                             30, RngStream(34), Rect(0, 0, 16, 10))
         assert np.allclose(res.sigma.matrix, 0.0, atol=1e-20)
 
     def test_needs_two_resamples(self, uniform_ds):
         with pytest.raises(ValueError):
-            gbbb_variance(uniform_ds, default_lag_set(), self.kernel_cfg(uniform_ds),
+            gbbb_variance(uniform_ds, self.kernel_table(uniform_ds),
                           WindowSpec(4, 2), 1, RngStream(1), Rect(0, 0, 16, 10))
 
     def test_failure_fraction_guard(self):
@@ -367,34 +366,32 @@ class TestGbbbVariance:
         ds = SpatialDataset(locs, np.arange(25.0))
         cfg = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 0.05)
         with pytest.raises(ResamplingError, match="failed"):
-            gbbb_variance(ds, default_lag_set(), cfg, WindowSpec(4, 2),
+            gbbb_variance(ds, pair_table(ds, default_lag_set(), cfg), WindowSpec(4, 2),
                           30, RngStream(41), Rect(0, 0, 16, 10))
 
     def test_classical_estimator_rejected(self, uniform_ds):
         with pytest.raises(ValueError, match="kernel estimator"):
-            gbbb_variance(uniform_ds, default_lag_set(), EstimatorConfig(),
+            gbbb_variance(uniform_ds, _classical(uniform_ds),
                           WindowSpec(4, 2), 20, RngStream(2), Rect(0, 0, 16, 10))
 
     def test_unrelated_error_propagates(self, uniform_ds, monkeypatch):
         # a bug in the kernel pass over cross-region pairs is not a failed resample
-        cfg = self.kernel_cfg(uniform_ds)
-        ghat = estimate_G(uniform_ds, default_lag_set(), cfg)
+        table = self.kernel_table(uniform_ds)
 
         def broken(self, u):
             raise ValueError("bug")
 
         monkeypatch.setattr(KernelSpec, "weight", broken)
         with pytest.raises(ValueError, match="bug"):
-            gbbb_variance(uniform_ds, default_lag_set(), cfg, WindowSpec(4, 2), 20,
-                          RngStream(2), Rect(0, 0, 16, 10), full_ghat=ghat)
+            gbbb_variance(uniform_ds, table, WindowSpec(4, 2), 20,
+                          RngStream(2), Rect(0, 0, 16, 10))
 
     def test_numerical_failure_is_counted(self, monkeypatch):
         # resample 3 puts every block where there is no data, resample 6
         # where each block holds one isolated point, so no lag has a pair
         ds = _with_isolated_point(200, seed=35)
         _move_blocks(monkeypatch, RngStream(2), {3: (12.0, 7.0), 6: (12.0, 4.0)})
-        cfg = self.kernel_cfg(ds)
-        res = gbbb_variance(ds, default_lag_set(), cfg, WindowSpec(4, 2), 20,
+        res = gbbb_variance(ds, self.kernel_table(ds), WindowSpec(4, 2), 20,
                             RngStream(2), Rect(0, 0, 16, 10))
         assert (res.n_success, res.n_failed) == (18, 2)
 
@@ -489,7 +486,8 @@ class TestGbbbOracle:
         cfg, blk = config(ds), block(ds)
         _move_blocks(monkeypatch, RngStream(61), moves)
         want = oracle_gbbb(ds, lag_set, cfg, blk, 100, RngStream(61), domain)
-        return want, gbbb_variance(ds, lag_set, cfg, blk, 100, RngStream(61), domain)
+        return want, gbbb_variance(ds, pair_table(ds, lag_set, cfg), blk, 100,
+                                   RngStream(61), domain)
 
     @pytest.mark.parametrize("case", sorted(GBBB_CASES))
     def test_matches_per_resample_estimates(self, case, monkeypatch):
@@ -527,9 +525,8 @@ class TestWindowCost:
                             counting("take", core.SpatialDataset.take))
         for name in ("enumerate_lag_pairs", "_candidate_pairs"):
             monkeypatch.setattr(estimators, name, counting(name, getattr(estimators, name)))
-        estimate = counting("estimate_G", estimators.estimate_G)
-        for module in (spatial_tests, resampling):
-            monkeypatch.setattr(module, "estimate_G", estimate)
+        monkeypatch.setattr(spatial_tests, "estimate_G",
+                            counting("estimate_G", estimators.estimate_G))
         monkeypatch.setattr(resampling, "gbbb_resample",
                             counting("gbbb_resample", resampling.gbbb_resample))
         return seen
