@@ -118,7 +118,7 @@ def _cmd_test(args) -> int:
         truncation=args.truncation, bandwidth=args.bandwidth,
         pvalue_mode=args.pvalue_mode, n_boot=args.n_boot, tuning=args.tuning)
     domain = _parse_domain(args.domain) if args.domain else Rect.from_dataset(ds)
-    res = method.run(spec, method.hypothesis(spec), ds, domain, args.alpha,
+    res = method.run(spec, method.hypothesis(spec, ds.grid), ds, domain, args.alpha,
                      RngStream(args.seed))
     payload = res.to_dict() | {"alpha": args.alpha}
     payload["diagnostics"] = payload.pop("diagnostics")  # the long entry goes last
@@ -221,7 +221,8 @@ def build_parser() -> _Parser:
     pt.add_argument("data", help="input CSV with header x,y,value")
     pt.add_argument("--method", required=True, choices=list(METHOD_TABLE))
     pt.add_argument("--alpha", type=float, default=0.05)
-    pt.add_argument("--lag-scale", type=float, default=_spec_default("lag_scale"))
+    pt.add_argument("--lag-scale", type=float, default=_spec_default("lag_scale"),
+                    help="multiplier of the default lags, in grid spacings")
     pt.add_argument("--extra-lags", action="store_true",
                     help="append the 22.5/112.5-degree lag pair")
     pt.add_argument("--window", default=None, help="WIDTHxHEIGHT window/block")

@@ -26,10 +26,6 @@ __all__ = [
     "enumerate_lag_pairs",
 ]
 
-# Matching tolerance for lag-pair lookup on gridded data, in units of the
-# grid spacing.  Non-gridded data never uses exact matching.
-GRID_MATCH_TOL = 1e-9
-
 # Two sampling locations closer than this are considered duplicates.
 DUPLICATE_TOL = 1e-9
 
@@ -229,20 +225,34 @@ class ContrastMatrix:
 _EXTRA_PAIR = ((1.132, 0.469), (-0.469, 1.132))
 
 
-def default_lag_set(scale: float = 1.0, extra_pair: bool = False) -> LagSet:
-    """The standard four-lag set for unit-spaced designs, optionally scaled.
+def lag_unit(grid: GridSpec | None) -> float:
+    """Length unit of the default lags and of exact lag matching: the grid
+    spacing, or 1 without a declared grid."""
+    return 1.0 if grid is None else grid.spacing
+
+
+def lag_match_tol(grid: GridSpec | None) -> float:
+    """Euclidean distance within which a pair's displacement matches a lag
+    exactly: 1e-9 lag units."""
+    return 1e-9 * lag_unit(grid)
+
+
+def default_lag_set(scale: float = 1.0, extra_pair: bool = False,
+                    grid: GridSpec | None = None) -> LagSet:
+    """The standard four-lag set, in units of the grid spacing.
 
     Returns the lags ``(1,0), (0,1), (1,1), (-1,1)`` multiplied by
-    ``scale``.  With ``extra_pair=True`` a fifth and sixth lag at
-    roughly 22.5/112.5 degrees are appended (only meaningful at
-    ``scale=1``; they are scaled along with the rest).
+    ``scale`` and by :func:`lag_unit` of ``grid``.  With
+    ``extra_pair=True`` a fifth and sixth lag at roughly 22.5/112.5
+    degrees are appended (only meaningful at ``scale=1``; they are scaled
+    along with the rest).
     """
     if not (scale > 0):
         raise ValueError("scale must be positive")
     base = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 1.0)]
     if extra_pair:
         base.extend(_EXTRA_PAIR)
-    return LagSet(np.asarray(base) * scale)
+    return LagSet(np.asarray(base) * (scale * lag_unit(grid)))
 
 
 def default_contrast(lag_set: LagSet) -> ContrastMatrix:
@@ -267,14 +277,13 @@ def enumerate_lag_pairs(
     dataset: SpatialDataset, lag: tuple[float, float], tol: float | None = None
 ) -> np.ndarray:
     """All ordered index pairs ``(i, j)`` with ``loc[j] - loc[i]`` within
-    ``tol`` of ``lag`` (Euclidean).
+    ``tol`` of ``lag`` (Euclidean; default :func:`lag_match_tol`).
 
     Each direction is counted once: the reversed pair is found under the
     negated lag.  Returns an ``(m, 2)`` integer array (possibly empty).
     """
     if tol is None:
-        spacing = dataset.grid.spacing if dataset.grid is not None else 1.0
-        tol = GRID_MATCH_TOL * spacing
+        tol = lag_match_tol(dataset.grid)
     loc = dataset.locations
     target = loc + np.asarray(lag, dtype=float)
     tree = cKDTree(loc)

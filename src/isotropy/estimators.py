@@ -4,8 +4,10 @@ Gridded data uses the classical moment estimator on exactly-matched lag
 pairs.  Non-gridded data smooths over observed pair displacements with a
 Nadaraya-Watson product kernel, one factor per axis, so that the
 estimate at lag ``h`` averages squared differences (or centered
-products) of pairs whose displacement is close to ``h``.  Pairs enter in
-both orientations, which makes estimates at ``h`` and ``-h`` agree.
+products) of pairs whose displacement is close to ``h``.  Both find their
+pairs with one KD-tree search within reach of every lag, then keep each
+pair at the lags it matches.  Pairs enter in both orientations, which
+makes estimates at ``h`` and ``-h`` agree.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Literal
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import LagSet, SpatialDataset, enumerate_lag_pairs
+from .core import LagSet, SpatialDataset, lag_match_tol
 
 __all__ = [
     "KernelSpec",
@@ -248,88 +250,78 @@ class GHat:
         object.__setattr__(self, "weights", w)
 
 
-def _classical_table(
-    dataset: SpatialDataset, lags: np.ndarray, tol: float | None
-) -> PairTable:
-    found = [enumerate_lag_pairs(dataset, (float(h1), float(h2)), tol) for h1, h2 in lags]
-    pairs = np.concatenate(found)
-    lag = np.repeat(np.arange(len(found)), [f.shape[0] for f in found])
-    return PairTable("classical_semivariogram", lags, lag, pairs[:, 0], pairs[:, 1],
-                     np.ones(pairs.shape[0]), dataset.values)
-
-
-def classical_semivariogram(
-    dataset: SpatialDataset, lag: tuple[float, float], tol: float | None = None
-) -> float:
-    """Moment estimator: half the mean squared difference over the pairs
-    separated by exactly (within ``tol``) the given lag."""
-    table = _classical_table(dataset, np.atleast_2d(np.asarray(lag, dtype=float)), tol)
-    return float(table.estimate()[0][0])
-
-
-# Above this size, candidate pairs are prefiltered with a KDTree instead
-# of materializing the full n^2 displacement table.
-_DENSE_PAIR_LIMIT = 80
-
-
 def _candidate_pairs(dataset: SpatialDataset, reach: float):
     """Ordered pairs (i != j) within L-inf distance ``reach``, as
     displacement and value-index arrays."""
     loc = dataset.locations
-    n = dataset.n
-    if n <= _DENSE_PAIR_LIMIT:
-        i, j = np.nonzero(~np.eye(n, dtype=bool))
-    else:
-        upper = cKDTree(loc).query_pairs(reach, p=np.inf, output_type="ndarray")
-        i = np.concatenate([upper[:, 0], upper[:, 1]])
-        j = np.concatenate([upper[:, 1], upper[:, 0]])
+    upper = cKDTree(loc).query_pairs(reach, p=np.inf, output_type="ndarray")
+    i = np.concatenate([upper[:, 0], upper[:, 1]])
+    j = np.concatenate([upper[:, 1], upper[:, 0]])
     dx = loc[j, 0] - loc[i, 0]
     dy = loc[j, 1] - loc[i, 1]
     return i, j, dx, dy
 
 
-def kernel_reach(lags: np.ndarray, kernel: KernelSpec, bandwidth: float) -> float:
-    """L-inf distance beyond which no pair has weight at any lag."""
-    return float(np.max(np.abs(lags))) + bandwidth * kernel.support
+def kernel_reach(lags: np.ndarray, kernel: KernelSpec | None, width: float) -> float:
+    """L-inf distance beyond which no pair has weight at any lag, for the
+    entry rule of :func:`lag_entries`."""
+    return float(np.max(np.abs(lags))) + width * (1.0 if kernel is None else kernel.support)
 
 
-def lag_entries(dx, dy, lags, kernel: KernelSpec, bandwidth: float):
+def lag_entries(dx, dy, lags, kernel: KernelSpec | None, width: float):
     """Entries of positive weight among displacements ``(dx[p], dy[p])``:
-    lag index, displacement index and product-kernel weight, sorted by
-    lag.  The kernel is evaluated only inside its support."""
+    lag index, displacement index and weight, sorted by lag.  Without a
+    kernel, a displacement within Euclidean distance ``width`` of a lag
+    matches it exactly, with weight 1; with one, the weight is the product
+    kernel at bandwidth ``width``, evaluated only inside its support."""
     ux, uy, lag, at = [], [], [], []
     for m, (h1, h2) in enumerate(lags):
-        u = (dx - h1) / bandwidth
-        v = (dy - h2) / bandwidth
-        p = np.nonzero((np.abs(u) <= kernel.support) & (np.abs(v) <= kernel.support))[0]
-        ux.append(u[p])
-        uy.append(v[p])
+        if kernel is None:
+            p = np.nonzero(np.hypot(dx - h1, dy - h2) <= width)[0]
+        else:
+            u = (dx - h1) / width
+            v = (dy - h2) / width
+            p = np.nonzero((np.abs(u) <= kernel.support) & (np.abs(v) <= kernel.support))[0]
+            ux.append(u[p])
+            uy.append(v[p])
         at.append(p)
         lag.append(np.full(p.size, m))
+    lag, at = np.concatenate(lag), np.concatenate(at)
+    if kernel is None:
+        return lag, at, np.ones(at.size)
     w = kernel.weight(np.concatenate(ux)) * kernel.weight(np.concatenate(uy))
     keep = w > 0
-    return np.concatenate(lag)[keep], np.concatenate(at)[keep], w[keep]
+    return lag[keep], at[keep], w[keep]
 
 
-def _kernel_table(
-    dataset: SpatialDataset,
-    lags: np.ndarray,
-    kernel: KernelSpec,
-    bandwidth: float,
-    kind: EstimatorKind,
-) -> PairTable:
-    """Candidate pairs within reach of every lag, kept at each lag where
-    they receive kernel weight."""
-    if not (bandwidth > 0):
-        raise ValueError("bandwidth must be positive")
-    i, j, dx, dy = _candidate_pairs(dataset, kernel_reach(lags, kernel, bandwidth))
-    lag, at, w = lag_entries(dx, dy, lags, kernel, bandwidth)
-    if kind == "kernel_semivariogram":
-        return PairTable(kind, lags, lag, i[at], j[at], w, dataset.values, kernel, bandwidth)
+def _table(dataset: SpatialDataset, lags, config: EstimatorConfig) -> PairTable:
+    """Candidate pairs within reach of every lag (one lag, or rows of
+    lags), kept at each lag they match: exactly (within
+    :func:`lag_match_tol`) for the classical estimator, with kernel weight
+    for the smoothed ones."""
+    lags = np.atleast_2d(np.asarray(lags, dtype=float))
+    if config.kind == "classical_semivariogram":
+        kernel, width = None, lag_match_tol(dataset.grid)
+    else:
+        kernel, width = config.kernel, config.bandwidth
+    i, j, dx, dy = _candidate_pairs(dataset, kernel_reach(lags, kernel, width))
+    lag, at, w = lag_entries(dx, dy, lags, kernel, width)
+    if kernel is None:  # entries by lag, then first point
+        order = np.lexsort((i[at], lag))
+        return PairTable(config.kind, lags, lag[order], i[at[order]], j[at[order]],
+                         w[order], dataset.values)
+    if config.kind == "kernel_semivariogram":
+        return PairTable(config.kind, lags, lag, i[at], j[at], w, dataset.values, kernel, width)
     # self-pairs (zero displacement) anchor the variance at lag 0
-    self_weights = kernel.weight(-lags[:, 0] / bandwidth) * kernel.weight(-lags[:, 1] / bandwidth)
-    return PairTable(kind, lags, lag, i[at], j[at], w, dataset.values - dataset.values.mean(),
-                     kernel, bandwidth, self_weights)
+    self_weights = kernel.weight(-lags[:, 0] / width) * kernel.weight(-lags[:, 1] / width)
+    return PairTable(config.kind, lags, lag, i[at], j[at], w,
+                     dataset.values - dataset.values.mean(), kernel, width, self_weights)
+
+
+def classical_semivariogram(dataset: SpatialDataset, lag: tuple[float, float]) -> float:
+    """Moment estimator: half the mean squared difference over the pairs
+    separated by exactly (within :func:`lag_match_tol`) the given lag."""
+    return float(_table(dataset, lag, EstimatorConfig()).estimate()[0][0])
 
 
 def kernel_semivariogram(
@@ -339,11 +331,8 @@ def kernel_semivariogram(
     bandwidth: float = 1.0,
 ) -> float:
     """Nadaraya-Watson smoothed semivariogram at one lag."""
-    table = _kernel_table(
-        dataset, np.atleast_2d(np.asarray(lag, dtype=float)), kernel, bandwidth,
-        "kernel_semivariogram",
-    )
-    return float(table.estimate()[0][0])
+    config = EstimatorConfig("kernel_semivariogram", kernel, bandwidth)
+    return float(_table(dataset, lag, config).estimate()[0][0])
 
 
 def kernel_covariogram(
@@ -353,11 +342,8 @@ def kernel_covariogram(
     bandwidth: float = 1.0,
 ) -> float:
     """Nadaraya-Watson smoothed covariogram at one lag (globally demeaned)."""
-    table = _kernel_table(
-        dataset, np.atleast_2d(np.asarray(lag, dtype=float)), kernel, bandwidth,
-        "kernel_covariogram",
-    )
-    return float(table.estimate()[0][0])
+    config = EstimatorConfig("kernel_covariogram", kernel, bandwidth)
+    return float(_table(dataset, lag, config).estimate()[0][0])
 
 
 def empirical_bandwidth(dataset: SpatialDataset, tuning: float = 1.0) -> float:
@@ -371,26 +357,14 @@ def empirical_bandwidth(dataset: SpatialDataset, tuning: float = 1.0) -> float:
     return float(tuning * np.median(d[:, 1]))
 
 
-def pair_table(
-    dataset: SpatialDataset,
-    lag_set: LagSet,
-    config: EstimatorConfig,
-    tol: float | None = None,
-) -> PairTable:
+def pair_table(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig) -> PairTable:
     """The pair table of the configured estimator at every lag of the set."""
-    if config.kind == "classical_semivariogram":
-        return _classical_table(dataset, lag_set.lags, tol)
-    return _kernel_table(dataset, lag_set.lags, config.kernel, config.bandwidth, config.kind)
+    return _table(dataset, lag_set.lags, config)
 
 
-def estimate_G(
-    dataset: SpatialDataset,
-    lag_set: LagSet,
-    config: EstimatorConfig,
-    tol: float | None = None,
-) -> GHat:
+def estimate_G(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig) -> GHat:
     """Per-lag estimates at every lag of the set, in order; the result
     keeps the pair table it was computed from."""
-    table = pair_table(dataset, lag_set, config, tol)
+    table = pair_table(dataset, lag_set, config)
     values, weights = table.estimate()
     return GHat(values, lag_set, weights=weights, pairs=table)

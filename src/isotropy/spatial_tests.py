@@ -20,7 +20,6 @@ from typing import Any
 import numpy as np
 
 from .core import (
-    GRID_MATCH_TOL,
     ContrastMatrix,
     LagSet,
     SpatialDataset,
@@ -192,8 +191,7 @@ def default_block(
 
 def _resolve_hypothesis(dataset, lag_set, contrast):
     if lag_set is None:
-        scale = dataset.grid.spacing if dataset.grid is not None else 1.0
-        lag_set = default_lag_set(scale)
+        lag_set = default_lag_set(grid=dataset.grid)
     if contrast is None:
         contrast = default_contrast(lag_set)
     if contrast.k != lag_set.k:
@@ -256,8 +254,7 @@ def gsc_gridded_test(
         domain = Rect.from_dataset(dataset)
     if window is None:
         window = default_grid_window(dataset, domain)
-    ghat = estimate_G(dataset, lag_set, EstimatorConfig(),
-                      tol=GRID_MATCH_TOL * dataset.grid.spacing)
+    ghat = estimate_G(dataset, lag_set, EstimatorConfig())
     sub = subsample_variance(dataset, ghat.pairs, window, domain)
     return _finish(
         "gsc-g", ghat, contrast, sub, pvalue_mode, _window_counts(dataset, sub),

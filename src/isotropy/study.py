@@ -134,6 +134,8 @@ def parse_design(text: str) -> GridDesign | UniformDesign:
 
 def design_from_dict(d: dict) -> GridDesign | UniformDesign:
     """Design from the ``design`` object of a study config JSON."""
+    if not isinstance(d, dict):
+        raise StudyError(f"design must be a JSON object, not {d!r}")
     kind = d.get("kind")
     if kind == "grid":
         return GridDesign(int(d["n_cols"]), int(d["n_rows"]), float(d.get("spacing", 1.0)))
@@ -146,9 +148,10 @@ def design_from_dict(d: dict) -> GridDesign | UniformDesign:
 class MethodSpec:
     """One test method with its tuning parameters.
 
+    ``lag_scale`` multiplies the default lags, in grid spacings.
     ``window`` is (width, height) in domain units for the moving window
     (gsc-g, gsc-u) or bootstrap block (ms); None picks the built-in
-    default for the design.
+    default for the design and takes no ``offset_step``.
     """
 
     method: str
@@ -172,6 +175,10 @@ class MethodSpec:
             object.__setattr__(self, "label", self.method)
         if self.window is not None:
             object.__setattr__(self, "window", tuple(self.window))
+        elif self.offset_step is not None:
+            raise StudyError("an offset step needs a window")
+        if self.pvalue_mode is not None and not METHOD_TABLE[self.method].has_pvalue_mode:
+            raise StudyError(f"method {self.method} has no p-value mode to choose")
 
     def window_spec(self) -> WindowSpec | None:
         if self.window is None:
@@ -179,8 +186,8 @@ class MethodSpec:
         return WindowSpec(self.window[0], self.window[1], self.offset_step)
 
 
-def _lag_hypothesis(spec: MethodSpec) -> tuple[LagSet, ContrastMatrix]:
-    lag_set = default_lag_set(spec.lag_scale, spec.extra_lag_pair)
+def _lag_hypothesis(spec: MethodSpec, grid: GridSpec | None) -> tuple[LagSet, ContrastMatrix]:
+    lag_set = default_lag_set(spec.lag_scale, spec.extra_lag_pair, grid)
     return lag_set, default_contrast(lag_set)
 
 
@@ -210,22 +217,26 @@ def _run_lz(spec, lags, dataset, domain, alpha, rng) -> SymmetryTestResult:
 @dataclass(frozen=True)
 class Method:
     """How the study harness and the CLI run one test: ``min_n`` is the
-    sample size below which its reference distribution is unreliable, and
+    sample size below which its reference distribution is unreliable,
+    ``has_pvalue_mode`` whether :attr:`MethodSpec.pvalue_mode` applies, and
     ``hypothesis`` builds the (lag set, contrast) of a :class:`MethodSpec`
-    (None without lags) for ``run(spec, hypothesis, dataset, domain, alpha, rng)``."""
+    on a dataset's grid (None without lags) for
+    ``run(spec, hypothesis, dataset, domain, alpha, rng)``."""
 
     needs_grid: bool
     min_n: int
+    has_pvalue_mode: bool
     run: Callable[..., TestResult | SymmetryTestResult]
-    hypothesis: Callable[[MethodSpec], tuple[LagSet, ContrastMatrix] | None] = _lag_hypothesis
+    hypothesis: Callable[[MethodSpec, GridSpec | None],
+                         tuple[LagSet, ContrastMatrix] | None] = _lag_hypothesis
 
 
 # Every test the package offers; a new test is one more entry.
 METHOD_TABLE = {
-    "gsc-g": Method(True, 150, _run_gsc_g),
-    "gsc-u": Method(False, 300, _run_gsc_u),
-    "ms": Method(False, 300, _run_ms),
-    "lz": Method(True, 150, _run_lz, hypothesis=lambda spec: None),
+    "gsc-g": Method(True, 150, True, _run_gsc_g),
+    "gsc-u": Method(False, 300, True, _run_gsc_u),
+    "ms": Method(False, 300, False, _run_ms),
+    "lz": Method(True, 150, False, _run_lz, hypothesis=lambda spec, grid: None),
 }
 
 # Failures of a test on one dataset, as opposed to faults in the code:
@@ -405,7 +416,7 @@ def _run_block(config_json: str, cell_idx: int, ratio: float, angle: float,
     cov = ExponentialCovariance.from_effective_range(xi, config.sigma2, config.tau2)
     aniso = None if ratio == 1.0 else AnisotropyParams(ratio, angle)
     sampler = GrfSampler(locations, cov, aniso)
-    hypotheses = [METHOD_TABLE[m.method].hypothesis(m) for m in config.methods]
+    hypotheses = [METHOD_TABLE[m.method].hypothesis(m, grid) for m in config.methods]
     out = []
     for rep in range(rep_lo, rep_hi):
         field_rng = RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isotropy import (
     EstimatorConfig,
@@ -11,6 +13,7 @@ from isotropy import (
     classical_semivariogram,
     default_lag_set,
     empirical_bandwidth,
+    enumerate_lag_pairs,
     estimate_G,
     kernel_covariogram,
     kernel_semivariogram,
@@ -72,6 +75,36 @@ class TestClassical:
     def test_no_pairs_error_names_lag(self, grid_2x2):
         with pytest.raises(NoPairsError, match="7"):
             classical_semivariogram(grid_2x2, (7, 0))
+
+
+class TestSharedPairSearch:
+    """The classical table comes from the same reach search as the kernel
+    tables; its entries are the per-lag exact matches, in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n1=st.integers(2, 11), n2=st.integers(2, 11),
+        spacing=st.sampled_from([0.5, 1.0, 2.0, 0.3]),
+        origin=st.sampled_from([(0.0, 0.0), (-3.5, 101.25)]),
+        declared=st.booleans(),
+        # lags in half spacings: odd halves match no pair, and |lag| up to
+        # 12 spacings reaches beyond every grid drawn
+        halves=st.lists(
+            st.tuples(st.integers(-24, 24), st.integers(-24, 24)).filter(lambda t: t != (0, 0)),
+            min_size=2, max_size=4, unique=True),
+    )
+    def test_classical_entries_match_per_lag_reference(
+            self, n1, n2, spacing, origin, declared, halves):
+        g = GridSpec(n1, n2, spacing)
+        ds = SpatialDataset(g.locations(*origin), np.arange(g.size, dtype=float),
+                            grid=g if declared else None)
+        lag_set = LagSet(np.asarray(halves, dtype=float) * (spacing / 2))
+        table = pair_table(ds, lag_set, EstimatorConfig())
+        found = [enumerate_lag_pairs(ds, lag) for lag in lag_set]
+        assert table.lag.tolist() == [m for m, f in enumerate(found) for _ in f]
+        assert table.i.tolist() == [int(i) for f in found for i in f[:, 0]]
+        assert table.j.tolist() == [int(j) for f in found for j in f[:, 1]]
+        assert table.w.tolist() == [1.0] * len(table.lag)
 
 
 class TestKernelEstimators:

@@ -198,6 +198,12 @@ class TestCli:
         cfg.write_text('{"design": {"kind": "grid", "n_cols": 6, "n_rows": 5}}')
         assert main(["study", "--config", str(cfg)]) == 1
 
+    def test_study_config_design_not_an_object_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"design": 1, "methods": [{"method": "lz"}], "replicates": 2}')
+        assert main(["study", "--config", str(cfg)]) == 1
+        assert "design must be a JSON object" in capsys.readouterr().err
+
     def test_study_needs_preset_or_config(self):
         assert main(["study"]) == 1
 
@@ -286,5 +292,26 @@ def test_cli_study_and_library_agree(method, agreement_csvs, tmp_path):
     assert json.loads(json.dumps(direct.to_dict())) == direct.to_dict()
 
     entry = METHOD_TABLE[method]
-    ran = entry.run(spec, entry.hypothesis(spec), ds, domain, 0.05, RngStream(4))
+    ran = entry.run(spec, entry.hypothesis(spec, ds.grid), ds, domain, 0.05, RngStream(4))
     assert ran.rejects(0.05) == expected["reject"]
+
+
+@pytest.mark.parametrize("method, design, flags", [
+    ("gsc-g", "grid", ["--step", "1.0"]),
+    ("ms", "uniform", ["--pvalue-mode", "finite_sample"]),
+    ("lz", "grid", ["--pvalue-mode", "asymptotic"]),
+])
+def test_cli_rejects_ignored_options(method, design, flags, agreement_csvs, capsys):
+    assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spacing", ["2", "0.5"])
+def test_cli_default_lags_in_grid_spacings(spacing, tmp_path):
+    data = tmp_path / "g.csv"
+    assert main(["simulate", "--design", f"grid:18x12:{spacing}", "--xi", "6",
+                 "--seed", "7", "--out", str(data)]) == 0
+    out = tmp_path / "res.json"
+    assert main(["test", str(data), "--method", "gsc-g", "--out", str(out)]) == 0
+    direct = gsc_gridded_test(read_dataset_csv(data))
+    assert json.loads(out.read_text())["statistic"] == direct.statistic

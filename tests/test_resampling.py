@@ -19,7 +19,6 @@ from isotropy import (
     uniform_locations,
 )
 from isotropy import estimators, resampling, spatial_tests
-from isotropy.core import GRID_MATCH_TOL
 from isotropy.distributions import mix64
 from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, estimate_G, pair_table
 from isotropy.resampling import ResamplingError, _window_origins, _Windows
@@ -94,7 +93,7 @@ class TestMovingWindows:
         assert len(seen) == ds.n
 
 
-def oracle_subsample(ds, lag_set, cfg, window, domain=None, tol=None):
+def oracle_subsample(ds, lag_set, cfg, window, domain=None):
     """Moving-window variance the slow way: every window is a new dataset
     (half-open windows, an edge closed at the domain edge) estimated from
     scratch."""
@@ -117,7 +116,7 @@ def oracle_subsample(ds, lag_set, cfg, window, domain=None, tol=None):
                 continue
             sub = SpatialDataset(ds.locations[mask], ds.values[mask], validate=False)
             try:
-                g = estimate_G(sub, lag_set, cfg, tol=tol)
+                g = estimate_G(sub, lag_set, cfg)
             except (NoPairsError, EmptyNeighborhoodError):
                 discarded += 1
                 continue
@@ -127,7 +126,7 @@ def oracle_subsample(ds, lag_set, cfg, window, domain=None, tol=None):
     gmat = np.asarray(ghats)
     if cfg.kind == "classical_semivariogram":
         wmat = np.asarray(weights)
-        full_w = estimate_G(ds, lag_set, cfg, tol=tol).weights
+        full_w = estimate_G(ds, lag_set, cfg).weights
     else:
         wmat = np.repeat(np.asarray(sizes, float)[:, None], lag_set.k, axis=1)
         full_w = np.full(lag_set.k, float(ds.n))
@@ -149,46 +148,46 @@ def _scattered(n, w, h, seed, offset=0.0):
 CLASSICAL = EstimatorConfig()
 ORACLE_CASES = {
     "18x12-4x3": (lambda: _grid(18, 12), default_lag_set(), CLASSICAL,
-                  WindowSpec(4, 3), None, GRID_MATCH_TOL),
+                  WindowSpec(4, 3), None),
     "25x15-5x3": (lambda: _grid(25, 15, seed=1), default_lag_set(), CLASSICAL,
-                  WindowSpec(5, 3), None, GRID_MATCH_TOL),
+                  WindowSpec(5, 3), None),
     # 1-wide windows hold two columns only where the edge closes
     "narrower-than-lag": (lambda: _grid(10, 8, seed=2), default_lag_set(), CLASSICAL,
-                          WindowSpec(1, 3), Rect(0, 0, 9, 7), GRID_MATCH_TOL),
+                          WindowSpec(1, 3), Rect(0, 0, 9, 7)),
     "half-step": (lambda: _grid(12, 10, seed=3), default_lag_set(), CLASSICAL,
-                  WindowSpec(3, 2, offset_step=0.5), None, GRID_MATCH_TOL),
+                  WindowSpec(3, 2, offset_step=0.5), None),
     "spacing-0.5": (lambda: _grid(16, 12, 0.5, seed=4), default_lag_set(0.5), CLASSICAL,
-                    WindowSpec(2.0, 1.5), None, 0.5 * GRID_MATCH_TOL),
+                    WindowSpec(2.0, 1.5), None),
     "undeclared-lattice": (lambda: _grid(14, 9, declared=False, seed=5), default_lag_set(),
-                           CLASSICAL, WindowSpec(3, 2), None, None),
+                           CLASSICAL, WindowSpec(3, 2), None),
     "gsc-u": (lambda: _scattered(300, 16.0, 10.0, 6), default_lag_set(),
               EstimatorConfig("kernel_semivariogram",
                               KernelSpec("truncated_gaussian", 1.5), 0.75),
-              WindowSpec(4, 2), Rect(0, 0, 16, 10), None),
+              WindowSpec(4, 2), Rect(0, 0, 16, 10)),
     "epanechnikov-0.25": (lambda: _scattered(120, 12.0, 8.0, 17), default_lag_set(),
                           EstimatorConfig("kernel_semivariogram",
                                           KernelSpec("epanechnikov"), 0.25),
-                          WindowSpec(4, 2), None, None),
+                          WindowSpec(4, 2), None),
     "covariogram": (lambda: _scattered(200, 12.0, 8.0, 8, offset=3.0), default_lag_set(),
                     EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 0.6),
-                    WindowSpec(4, 2), Rect(0, 0, 12, 8), None),
+                    WindowSpec(4, 2), Rect(0, 0, 12, 8)),
     # bandwidth 1.5 gives lag 0 positive weight at every lag of the set
     "covariogram-lag0": (lambda: _scattered(200, 12.0, 8.0, 9, offset=3.0),
                          default_lag_set(),
                          EstimatorConfig("kernel_covariogram",
                                          KernelSpec("epanechnikov"), 1.5),
-                         WindowSpec(3, 2), Rect(0, 0, 12, 8), None),
+                         WindowSpec(3, 2), Rect(0, 0, 12, 8)),
 }
 
 
 class TestWindowOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_per_window_estimates(self, case):
-        make, lag_set, cfg, window, domain, tol = ORACLE_CASES[case]
+        make, lag_set, cfg, window, domain = ORACLE_CASES[case]
         ds = make()
         gmat, wmat, sigma, n_windows, discarded = oracle_subsample(
-            ds, lag_set, cfg, window, domain, tol)
-        res = subsample_variance(ds, pair_table(ds, lag_set, cfg, tol), window, domain)
+            ds, lag_set, cfg, window, domain)
+        res = subsample_variance(ds, pair_table(ds, lag_set, cfg), window, domain)
         assert res.n_windows == n_windows
         assert res.n_discarded == discarded
         assert np.array_equal(res.window_weights, wmat)
@@ -199,9 +198,9 @@ class TestWindowOracle:
     def test_cases_cover_discards_and_self_pairs(self):
         # the cases exercise what they are named for
         for case in ("narrower-than-lag", "epanechnikov-0.25"):
-            make, lag_set, cfg, window, domain, tol = ORACLE_CASES[case]
+            make, lag_set, cfg, window, domain = ORACLE_CASES[case]
             ds = make()
-            res = subsample_variance(ds, pair_table(ds, lag_set, cfg, tol), window, domain)
+            res = subsample_variance(ds, pair_table(ds, lag_set, cfg), window, domain)
             assert res.n_discarded > 0
         cfg = ORACLE_CASES["covariogram-lag0"][2]
         assert np.all(estimate_G(ORACLE_CASES["covariogram-lag0"][0](), default_lag_set(),
@@ -523,8 +522,10 @@ class TestWindowCost:
 
         monkeypatch.setattr(core.SpatialDataset, "take",
                             counting("take", core.SpatialDataset.take))
-        for name in ("enumerate_lag_pairs", "_candidate_pairs"):
-            monkeypatch.setattr(estimators, name, counting(name, getattr(estimators, name)))
+        monkeypatch.setattr(core, "enumerate_lag_pairs",
+                            counting("enumerate_lag_pairs", core.enumerate_lag_pairs))
+        monkeypatch.setattr(estimators, "_candidate_pairs",
+                            counting("_candidate_pairs", estimators._candidate_pairs))
         monkeypatch.setattr(spatial_tests, "estimate_G",
                             counting("estimate_G", estimators.estimate_G))
         monkeypatch.setattr(resampling, "gbbb_resample",
@@ -536,7 +537,8 @@ class TestWindowCost:
 
         gsc_gridded_test(unit_grid_dataset(18, 12, seed=3))
         assert counts["take"] == 0
-        assert 0 < counts["enumerate_lag_pairs"] <= 8
+        assert counts["_candidate_pairs"] == 1
+        assert counts["enumerate_lag_pairs"] == 0
 
     def test_nongridded_test_lists_candidates_once(self, counts):
         from isotropy import gsc_nongridded_test

@@ -40,6 +40,15 @@ class TestConfigValidation:
         with pytest.raises(StudyError, match="design"):
             design_from_dict({"kind": "hex"})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "gsc-g", "offset_step": 1.0}, "offset step needs a window"),
+        ({"method": "ms", "pvalue_mode": "finite_sample"}, "no p-value mode"),
+        ({"method": "lz", "pvalue_mode": "asymptotic"}, "no p-value mode"),
+    ])
+    def test_ignored_options_rejected(self, kwargs, message):
+        with pytest.raises(StudyError, match=message):
+            MethodSpec(**kwargs)
+
     def test_bad_alpha(self):
         with pytest.raises(StudyError, match="alpha"):
             StudyConfig(design=GridDesign(6, 5),
