@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -78,12 +78,18 @@ class SpatialDataset:
     grid : GridSpec, optional
         Declared grid structure.  When present, every location must lie
         on the grid and the grid must be completely observed.
+
+    Work that depends only on the locations and grid (the location
+    checks, the KD-tree, pair geometries, window layouts) is kept in a
+    memo that every dataset made by :meth:`with_values` shares, so it is
+    done once per location set and lives as long as those datasets.
     """
 
     locations: np.ndarray
     values: np.ndarray
     grid: GridSpec | None = None
     validate: InitVar[bool] = True
+    _memo: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self, validate: bool = True):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
@@ -96,20 +102,54 @@ class SpatialDataset:
             )
         if loc.shape[0] < 1:
             raise ValueError("dataset must contain at least one observation")
+        object.__setattr__(self, "locations", np.ascontiguousarray(loc))
+        if self._memo is None:  # a new location set
+            object.__setattr__(self, "_memo", {})
+            self._check_locations(validate)
+        if validate and not np.all(np.isfinite(val)):
+            raise ValueError("values must be finite")
+        object.__setattr__(self, "locations", _readonly(self.locations))
+        object.__setattr__(self, "values", _readonly(val))
+
+    def with_values(self, values) -> "SpatialDataset":
+        """A dataset of ``values`` on these locations and grid, sharing
+        their memo; only the values' shape and finiteness are checked."""
+        return replace(self, values=values)
+
+    def memo(self, key, build):
+        """``build()`` computed once per location set and kept under
+        ``key``.  ``build`` must depend on the locations and grid alone,
+        and ``key`` must name its arguments; the result is shared by every
+        dataset on these locations, so arrays in it must be read-only."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
+
+    def tree(self) -> cKDTree:
+        """KD-tree of the locations (memoized)."""
+        return self.memo(("tree",), lambda: cKDTree(self.locations))
+
+    def nearest_distances(self) -> np.ndarray:
+        """Each location's distance to its nearest other location
+        (memoized, read-only)."""
+        def build():
+            d, _ = self.tree().query(self.locations, k=2)
+            return _readonly(d[:, 1])
+        return self.memo(("nearest",), build)
+
+    def _check_locations(self, validate: bool):
+        """Checks of a new location set: finite and without near-duplicates
+        (when ``validate``), and on the declared grid."""
         if validate:
-            if not np.all(np.isfinite(loc)):
+            if not np.all(np.isfinite(self.locations)):
                 raise ValueError("locations must be finite")
-            if not np.all(np.isfinite(val)):
-                raise ValueError("values must be finite")
-            if loc.shape[0] > 1:
-                d, _ = cKDTree(loc).query(loc, k=2)
-                nearest = d[:, 1].min()
+            if self.n > 1:
+                nearest = self.nearest_distances().min()
                 if nearest < DUPLICATE_TOL:
                     raise ValueError(
                         f"duplicate sampling locations (minimum separation {nearest:g})"
                     )
-        object.__setattr__(self, "locations", _readonly(loc))
-        object.__setattr__(self, "values", _readonly(val))
         if self.grid is not None:
             self._check_grid()
 
@@ -135,7 +175,7 @@ class SpatialDataset:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.locations.shape[0]
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the sampling locations."""
@@ -151,10 +191,17 @@ class SpatialDataset:
         if self.grid is None:
             raise ValueError("dataset has no grid structure")
         g = self.grid
-        x0 = self.locations[:, 0].min()
-        y0 = self.locations[:, 1].min()
-        cols = np.rint((self.locations[:, 0] - x0) / g.spacing).astype(int)
-        rows = np.rint((self.locations[:, 1] - y0) / g.spacing).astype(int)
+
+        def build():
+            x0 = self.locations[:, 0].min()
+            y0 = self.locations[:, 1].min()
+            cols = np.rint((self.locations[:, 0] - x0) / g.spacing).astype(int)
+            rows = np.rint((self.locations[:, 1] - y0) / g.spacing).astype(int)
+            cols.setflags(write=False)
+            rows.setflags(write=False)
+            return cols, rows
+
+        cols, rows = self.memo(("cells",), build)
         out = np.empty((g.n_cols, g.n_rows), dtype=float)
         out[cols, rows] = self.values
         return out
@@ -181,10 +228,12 @@ class LagSet:
             raise ValueError("a lag set needs at least two lags")
         if np.any(np.all(np.abs(lags) < 1e-12, axis=1)):
             raise ValueError("the zero lag is not allowed in a lag set")
-        for i in range(lags.shape[0]):
-            for j in range(i + 1, lags.shape[0]):
-                if np.allclose(lags[i], lags[j], atol=1e-12):
-                    raise ValueError(f"duplicate lag {tuple(lags[i])}")
+        # lags i < j are duplicates when np.allclose(lags[i], lags[j], atol=1e-12)
+        close = np.all(np.abs(lags[:, None] - lags[None, :])
+                       <= 1e-12 + 1e-5 * np.abs(lags[None, :]), axis=2)
+        dup = np.argwhere(np.triu(close, 1))
+        if dup.size:
+            raise ValueError(f"duplicate lag {tuple(lags[dup[0, 0]])}")
         object.__setattr__(self, "lags", _readonly(lags))
 
     @property

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import LagSet, SpatialDataset, lag_match_tol
 
@@ -254,7 +253,7 @@ def _candidate_pairs(dataset: SpatialDataset, reach: float):
     """Ordered pairs (i != j) within L-inf distance ``reach``, as
     displacement and value-index arrays."""
     loc = dataset.locations
-    upper = cKDTree(loc).query_pairs(reach, p=np.inf, output_type="ndarray")
+    upper = dataset.tree().query_pairs(reach, p=np.inf, output_type="ndarray")
     i = np.concatenate([upper[:, 0], upper[:, 1]])
     j = np.concatenate([upper[:, 1], upper[:, 0]])
     dx = loc[j, 0] - loc[i, 0]
@@ -294,28 +293,42 @@ def lag_entries(dx, dy, lags, kernel: KernelSpec | None, width: float):
     return lag[keep], at[keep], w[keep]
 
 
+def _geometry(dataset: SpatialDataset, lags: np.ndarray, kernel: KernelSpec | None,
+              width: float):
+    """Read-only entry arrays ``(lag, i, j, w)`` of a pair table: candidate
+    pairs within reach of every lag, kept at each lag they match."""
+    i, j, dx, dy = _candidate_pairs(dataset, kernel_reach(lags, kernel, width))
+    lag, at, w = lag_entries(dx, dy, lags, kernel, width)
+    if kernel is None:  # entries by lag, then first point
+        order = np.lexsort((i[at], lag))
+        lag, at, w = lag[order], at[order], w[order]
+    entries = (lag, i[at], j[at], w)
+    for a in entries:
+        a.setflags(write=False)
+    return entries
+
+
 def _table(dataset: SpatialDataset, lags, config: EstimatorConfig) -> PairTable:
     """Candidate pairs within reach of every lag (one lag, or rows of
     lags), kept at each lag they match: exactly (within
     :func:`lag_match_tol`) for the classical estimator, with kernel weight
-    for the smoothed ones."""
+    for the smoothed ones.  The entries depend on the locations alone, so
+    they are found once per location set; the current values are filled in."""
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     if config.kind == "classical_semivariogram":
         kernel, width = None, lag_match_tol(dataset.grid)
     else:
         kernel, width = config.kernel, config.bandwidth
-    i, j, dx, dy = _candidate_pairs(dataset, kernel_reach(lags, kernel, width))
-    lag, at, w = lag_entries(dx, dy, lags, kernel, width)
-    if kernel is None:  # entries by lag, then first point
-        order = np.lexsort((i[at], lag))
-        return PairTable(config.kind, lags, lag[order], i[at[order]], j[at[order]],
-                         w[order], dataset.values)
+    key = ("pairs", tuple(map(tuple, lags.tolist())), kernel, width)
+    entries = dataset.memo(key, lambda: _geometry(dataset, lags, kernel, width))
+    if kernel is None:
+        return PairTable(config.kind, lags, *entries, dataset.values)
     if config.kind == "kernel_semivariogram":
-        return PairTable(config.kind, lags, lag, i[at], j[at], w, dataset.values, kernel, width)
+        return PairTable(config.kind, lags, *entries, dataset.values, kernel, width)
     # self-pairs (zero displacement) anchor the variance at lag 0
     self_weights = kernel.weight(-lags[:, 0] / width) * kernel.weight(-lags[:, 1] / width)
-    return PairTable(config.kind, lags, lag, i[at], j[at], w,
-                     dataset.values - dataset.values.mean(), kernel, width, self_weights)
+    return PairTable(config.kind, lags, *entries, dataset.values - dataset.values.mean(),
+                     kernel, width, self_weights)
 
 
 def classical_semivariogram(dataset: SpatialDataset, lag: tuple[float, float]) -> float:
@@ -351,10 +364,14 @@ def empirical_bandwidth(dataset: SpatialDataset, tuning: float = 1.0) -> float:
     nearest-neighbor distance among sampling locations."""
     if dataset.n < 2:
         raise ValueError("bandwidth needs at least two locations")
+    check_tuning(tuning)
+    return float(tuning * np.median(dataset.nearest_distances()))
+
+
+def check_tuning(tuning: float) -> None:
+    """Reject a bandwidth tuning factor that is not positive."""
     if not (tuning > 0):
         raise ValueError("tuning must be positive")
-    d, _ = cKDTree(dataset.locations).query(dataset.locations, k=2)
-    return float(tuning * np.median(d[:, 1]))
 
 
 def pair_table(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig) -> PairTable:

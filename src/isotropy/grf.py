@@ -169,7 +169,9 @@ class GrfSampler:
     """Reusable sampler: factors the covariance once, then draws fields.
 
     Useful for Monte Carlo studies where many replicates share one set of
-    sampling locations.
+    sampling locations: the locations are checked once per grid, and the
+    datasets drawn on one grid share their location memo (see
+    :meth:`SpatialDataset.with_values`).
     """
 
     def __init__(
@@ -186,6 +188,7 @@ class GrfSampler:
             coords = anisotropic_transform(coords, aniso)
         sigma = covariance_matrix(coords, cov)
         self._factor = _cholesky_with_jitter(sigma, cov.sill)
+        self._drawn: dict[GridSpec | None, SpatialDataset] = {}
 
     def draw_values(self, rng: RngStream | np.random.Generator) -> np.ndarray:
         gen = rng.generator() if isinstance(rng, RngStream) else rng
@@ -193,7 +196,11 @@ class GrfSampler:
         return self._factor @ z
 
     def draw(self, rng: RngStream, grid: GridSpec | None = None) -> SpatialDataset:
-        return SpatialDataset(self.locations, self.draw_values(rng), grid=grid)
+        values = self.draw_values(rng)
+        first = self._drawn.get(grid)
+        if first is not None:
+            return first.with_values(values)
+        return self._drawn.setdefault(grid, SpatialDataset(self.locations, values, grid=grid))
 
 
 def simulate_grf(

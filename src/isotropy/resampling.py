@@ -173,6 +173,8 @@ class _Windows:
                               domain.x0 + domain.width)
         y0, y1 = _axis_ranges(dataset.locations[:, 1], ys, window.height,
                               domain.y0 + domain.height)
+        for a in (x0, x1, y0, y1):
+            a.setflags(write=False)
         return cls((xs.size, ys.size), x0, x1, y0, y1)
 
     @property
@@ -241,11 +243,13 @@ def subsample_variance(
     small windows) and the number of points for the kernel estimators
     (whose overlapping smoothed pairs carry about one point's worth of
     information each).  Windows with fewer than two points, or where any
-    lag cannot be estimated, are discarded and counted.
+    lag cannot be estimated, are discarded and counted.  The window layout
+    depends on the locations alone and is built once per location set.
     """
     if domain is None:
         domain = Rect.from_dataset(dataset)
-    windows = _Windows.build(dataset, domain, window)
+    windows = dataset.memo(("windows", domain, window),
+                           lambda: _Windows.build(dataset, domain, window))
     values, totals, usable, counts = table.window_estimates(windows)
     sizes = np.rint(counts)
     keep = usable & (sizes >= 2)
@@ -339,12 +343,24 @@ def _expand(start: np.ndarray, count: np.ndarray):
     return owner, np.arange(owner.size) + np.repeat(start - np.cumsum(count) + count, count)
 
 
-def _cell_split(side: float, reach: float):
-    """Cells per region side, at least half of ``reach`` wide unless the
-    region is narrower, and how many cells away a pair within reach can
-    lie."""
-    cells = max(1, int(2.0 * side // reach))
+def _cell_split(side: float, reach: float, width: float):
+    """Cells per region side, at least ``width`` wide unless the region is
+    narrower, and how many cells away a pair within ``reach`` can lie."""
+    cells = max(1, int(side // width))
     return cells, side / cells, int(np.floor(reach * cells / side * (1 + 1e-9))) + 1
+
+
+def _offsets_in_support(ox, oy, cw: float, ch: float, table: PairTable) -> np.ndarray:
+    """Whether cells ``cw`` x ``ch`` whose origins lie ``(ox, oy)`` apart
+    can hold a pair whose displacement, in either orientation, is inside
+    the kernel support of some lag.  The displacements between the two
+    cells fill the box ``(ox +- cw) x (oy +- ch)``; a 1e-9 relative margin
+    keeps pairs on the edge of the support."""
+    s = table.bandwidth * table.kernel.support
+    lags = np.concatenate([table.lags, -table.lags])
+    near = ((np.abs(ox[..., None] - lags[:, 0]) <= (cw + s) * (1 + 1e-9))
+            & (np.abs(oy[..., None] - lags[:, 1]) <= (ch + s) * (1 + 1e-9)))
+    return near.any(axis=-1)
 
 
 # Resample points formed per bootstrap pass (the expected count is n per
@@ -361,10 +377,12 @@ class _BlockBootstrap:
     original sample, so its weight and response are read from the table
     for every block that holds both its points.  Only pairs whose points
     lie in different regions are searched and kernel-weighted: every
-    region is split into cells at least half of ``reach`` wide (or one
-    cell when it is narrower), and a point is paired only with the points
-    of cells in other regions within reach.  Values are centered at the
-    full sample's mean; each resample is finished by
+    region is split into cells at least a third of ``reach`` or 1.5 kernel
+    half-widths wide, whichever is less (or one cell when the region is
+    narrower), and a point is paired only with the points of cells in
+    other regions whose displacements can reach the kernel support of some
+    lag.  Values are centered at the full sample's mean; each resample is
+    finished by
     :meth:`PairTable.subset_estimates`, as moving windows are.
     """
 
@@ -382,17 +400,23 @@ class _BlockBootstrap:
         self.i_start = np.concatenate(
             [[0], np.cumsum(np.bincount(table.i, minlength=dataset.n))])
         self.entry_cols = table.columns(table.w, table.values[table.i], table.values[table.j])
-        # cells aligned to regions; for each cell, the cells of other
-        # regions within reach on one side (each cell pair listed once)
+        # cells aligned to regions, narrow enough that few cell pairs only
+        # graze a lag's support (a third of the reach, or 1.5 kernel
+        # half-widths for long lags); for each cell, the cells of other
+        # regions that can reach a lag's support, on one side (each cell
+        # pair listed once)
+        width = min(self.reach / 3, 1.5 * table.bandwidth * table.kernel.support)
         (self.cx, self.cw, kx), (self.cy, self.ch, ky) = (
-            _cell_split(block.width, self.reach), _cell_split(block.height, self.reach))
+            _cell_split(block.width, self.reach, width),
+            _cell_split(block.height, self.reach, width))
         self.ix = np.rint((regions[:, 0] - domain.x0) / block.width).astype(np.intp)
         self.iy = np.rint((regions[:, 1] - domain.y0) / block.height).astype(np.intp)
         nx, ny = (self.ix.max() + 1) * self.cx, (self.iy.max() + 1) * self.cy
         self.n_cells, self.ny = nx * ny, ny
         gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         dx, dy = np.meshgrid(np.arange(kx + 1), np.arange(-ky, ky + 1), indexing="ij")
-        half = (dx > 0) | (dy > 0)
+        half = ((dx > 0) | (dy > 0)) & _offsets_in_support(dx * self.cw, dy * self.ch,
+                                                           self.cw, self.ch, table)
         ox, oy = gx.ravel()[:, None] + dx[half], gy.ravel()[:, None] + dy[half]
         cross = ((ox < nx) & (oy >= 0) & (oy < ny)
                  & ((ox // self.cx != gx.ravel()[:, None] // self.cx)
@@ -499,8 +523,7 @@ def gbbb_variance(
     :class:`ResamplingError`.  Only the kernel estimators are accepted:
     exact lag matching has no meaning after continuous block shifts.
     """
-    if n_boot < 2:
-        raise ValueError("need at least two bootstrap resamples")
+    check_n_boot(n_boot)
     if table.kernel is None:
         raise ValueError("the block bootstrap needs a kernel estimator")
     if domain is None:
@@ -529,3 +552,9 @@ def gbbb_variance(
         n_failed=n_failed,
         trim_fraction=trim,
     )
+
+
+def check_n_boot(n_boot: int) -> None:
+    """Reject a bootstrap with fewer than two resamples."""
+    if n_boot < 2:
+        raise ValueError("need at least two bootstrap resamples")

@@ -55,6 +55,11 @@ __all__ = [
     "default_block",
 ]
 
+# P-value modes of the moving-window tests; the first two name the
+# asymptotic chi-square.
+_ASYMPTOTIC = ("asymptotic", "asymptotic_chi2")
+PVALUE_MODES = (*_ASYMPTOTIC, "finite_sample")
+
 # Condition-number threshold beyond which the contrast covariance gets a
 # small diagonal ridge before inversion.
 RIDGE_CONDITION = 1e12
@@ -213,7 +218,7 @@ def _finish(
     """Result of a quadratic-form test with diagnostics ``head``, the ridge
     flag and g_hat, then ``tail``; finite_sample needs a moving-window variance."""
     t, ridged = _statistic(ghat.values, contrast.matrix, variance.sigma.matrix)
-    if pvalue_mode in ("asymptotic", "asymptotic_chi2"):
+    if pvalue_mode in _ASYMPTOTIC:
         pvalue_mode = "asymptotic_chi2"
         p = chi2_sf(t, contrast.r)
     elif pvalue_mode == "finite_sample":

@@ -21,7 +21,13 @@ import numpy as np
 
 from .core import ContrastMatrix, GridSpec, LagSet, default_contrast, default_lag_set
 from .distributions import RngStream, mix64
-from .estimators import EmptyNeighborhoodError, KernelSpec, NoPairsError
+from .estimators import (
+    EmptyNeighborhoodError,
+    EstimatorConfig,
+    KernelSpec,
+    NoPairsError,
+    check_tuning,
+)
 from .grf import (
     AnisotropyParams,
     ExponentialCovariance,
@@ -29,8 +35,9 @@ from .grf import (
     GrfSampler,
     uniform_locations,
 )
-from .resampling import Rect, ResamplingError, WindowSpec
+from .resampling import Rect, ResamplingError, WindowSpec, check_n_boot
 from .spatial_tests import (
+    PVALUE_MODES,
     SingularityError,
     TestResult,
     gsc_gridded_test,
@@ -179,6 +186,18 @@ class MethodSpec:
             raise StudyError("an offset step needs a window")
         if self.pvalue_mode is not None and not METHOD_TABLE[self.method].has_pvalue_mode:
             raise StudyError(f"method {self.method} has no p-value mode to choose")
+        if self.pvalue_mode not in (None, *PVALUE_MODES):
+            raise StudyError(f"unknown p-value mode {self.pvalue_mode!r}; "
+                             f"expected one of {PVALUE_MODES}")
+        try:  # the checks of what a runner builds, before any field is drawn
+            default_lag_set(self.lag_scale, self.extra_lag_pair)
+            self.window_spec()
+            KernelSpec(self.kernel, self.truncation)
+            EstimatorConfig("kernel_semivariogram", bandwidth=self.bandwidth)
+            check_n_boot(self.n_boot)
+            check_tuning(self.tuning)
+        except ValueError as exc:
+            raise StudyError(f"method {self.label}: {exc}") from None
 
     def window_spec(self) -> WindowSpec | None:
         if self.window is None:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,3 +183,101 @@ class TestSpatialDataset:
             LagSet([(0, 0), (1, 0)])
         with pytest.raises(ValueError):
             LagSet([(1, 0), (1, 0)])
+
+
+def _memo_arrays(value):
+    """Every array held by a memo entry: the entry itself, the items of a
+    tuple, the array fields of a dataclass, a KD-tree's data."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in _memo_arrays(v)]
+    if hasattr(value, "__dataclass_fields__"):
+        return [a for name in value.__dataclass_fields__
+                for a in _memo_arrays(getattr(value, name))]
+    if hasattr(value, "query_pairs"):  # cKDTree
+        return [value.data]
+    return []
+
+
+class TestLocationMemo:
+    """Location-only work is kept once per location set and shared only
+    by datasets made with ``with_values``."""
+
+    @staticmethod
+    def _scattered(seed=0, n=300):
+        gen = np.random.default_rng(seed)
+        return SpatialDataset(gen.random((n, 2)) * (16.0, 10.0), gen.standard_normal(n))
+
+    @staticmethod
+    def _run_everything(grid_ds, points_ds):
+        from isotropy import (gsc_gridded_test, gsc_nongridded_test, ms_test,
+                              periodogram)
+        from isotropy.resampling import Rect, WindowSpec
+
+        gsc_gridded_test(grid_ds)
+        periodogram(grid_ds)
+        domain = Rect(0, 0, 16, 10)
+        gsc_nongridded_test(points_ds, domain=domain)
+        ms_test(points_ds, block=WindowSpec(4, 2), n_boot=20, domain=domain)
+
+    def test_with_values_shares_the_memo(self, random_field_18x12):
+        ds = random_field_18x12
+        other = ds.with_values(ds.values[::-1])
+        assert other._memo is ds._memo
+        assert other.locations is ds.locations and other.grid == ds.grid
+        np.testing.assert_array_equal(other.values, ds.values[::-1])
+
+    def test_memo_not_in_repr_or_comparison(self):
+        ds = SpatialDataset([(0, 0), (1, 0)], [1.0, 2.0])
+        ds.tree()
+        (memo,) = [f for f in dataclasses.fields(SpatialDataset) if f.name == "_memo"]
+        assert not memo.compare and not memo.repr
+        assert "memo" not in repr(ds) and "KDTree" not in repr(ds)
+
+    def test_different_locations_share_nothing(self, random_field_18x12):
+        grid_ds = random_field_18x12
+        points_ds = self._scattered()
+        self._run_everything(grid_ds, points_ds)
+        fresh = [SpatialDataset(grid_ds.locations.copy(), grid_ds.values, grid=grid_ds.grid),
+                 self._scattered(seed=1), points_ds.take(np.arange(250))]
+        memos = [grid_ds._memo, points_ds._memo] + [d._memo for d in fresh]
+        assert len({id(m) for m in memos}) == len(memos)
+        # a new dataset, even on equal coordinates, holds only its own
+        # location checks; a subset is not checked
+        assert [set(d._memo) for d in fresh] == [{("tree",), ("nearest",)}] * 2 + [set()]
+        for m in memos[:2]:
+            held = {id(a) for v in m.values() for a in _memo_arrays(v)}
+            for d in fresh:
+                assert not held & {id(a) for v in d._memo.values() for a in _memo_arrays(v)}
+
+    def test_cached_arrays_refuse_writes(self, random_field_18x12):
+        points_ds = self._scattered()
+        self._run_everything(random_field_18x12, points_ds)
+        for ds in (random_field_18x12, points_ds):
+            kinds = {key[0] for key in ds._memo}
+            assert {"tree", "nearest", "pairs", "windows"} <= kinds
+            arrays = [a for v in ds._memo.values() for a in _memo_arrays(v)]
+            assert len(arrays) > 10
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.flat[0] = 0
+        assert ("cells",) in random_field_18x12._memo
+
+    @pytest.mark.parametrize("values, message", [
+        (np.ones(215), "216 locations but 215 values"),
+        (np.ones(217), "216 locations but 217 values"),
+        (np.r_[np.ones(215), np.nan], "values must be finite"),
+        (np.r_[np.ones(215), np.inf], "values must be finite"),
+    ])
+    def test_with_values_checks_the_values(self, random_field_18x12, values, message):
+        with pytest.raises(ValueError, match=message):
+            random_field_18x12.with_values(values)
+
+    def test_with_values_skips_the_location_checks(self, random_field_18x12, monkeypatch):
+        def fail(self, validate):
+            raise AssertionError("locations checked again")
+
+        monkeypatch.setattr(SpatialDataset, "_check_locations", fail)
+        random_field_18x12.with_values(np.zeros(216))

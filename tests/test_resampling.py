@@ -7,6 +7,7 @@ from isotropy import (
     GridSpec,
     GrfSampler,
     KernelSpec,
+    LagSet,
     Rect,
     RngStream,
     SpatialDataset,
@@ -451,6 +452,8 @@ def _bench_block(ds):
     return default_block(ds, 1.0, Rect(0, 0, 32, 20))
 
 
+AXIS_LAGS = LagSet([(2.5, 0.0), (0.0, 2.5)])
+
 # name: (dataset, lag set, estimator, block, domain, forced block origins)
 GBBB_CASES = {
     "gvm-a": (lambda: _field(300, 16.0, 10.0, 1), default_lag_set(), _ms_config,
@@ -473,6 +476,15 @@ GBBB_CASES = {
                       lambda ds: EstimatorConfig("kernel_semivariogram",
                                                  KernelSpec("truncated_gaussian", 1.5), 0.75),
                       lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
+    # only axis lags: the cell offsets near the diagonals and near zero
+    # displacement reach no lag's support and are skipped
+    "axis-lags-epanechnikov": (lambda: _field(400, 16.0, 10.0, 9), AXIS_LAGS, _ms_config,
+                               lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
+    "axis-lags-gaussian": (lambda: _field(400, 16.0, 10.0, 10), AXIS_LAGS,
+                           lambda ds: EstimatorConfig("kernel_semivariogram",
+                                                      KernelSpec("truncated_gaussian", 1.5),
+                                                      0.75),
+                           lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
 }
 
 

@@ -49,6 +49,22 @@ class TestConfigValidation:
         with pytest.raises(StudyError, match=message):
             MethodSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "gsc-g", "pvalue_mode": "foo"}, "unknown p-value mode"),
+        ({"method": "ms", "n_boot": 1}, "two bootstrap resamples"),
+        ({"method": "gsc-u", "bandwidth": 0}, "positive bandwidth"),
+        ({"method": "ms", "tuning": -1}, "tuning must be positive"),
+        ({"method": "gsc-u", "kernel": "box"}, "unknown kernel family"),
+        ({"method": "gsc-u", "truncation": 0}, "truncation must be positive"),
+        ({"method": "gsc-g", "window": (0, 3)}, "window dimensions must be positive"),
+        ({"method": "gsc-u", "lag_scale": 0}, "scale must be positive"),
+        ({"method": "gsc-g", "window": (4, 3), "offset_step": -1}, "offset step must be positive"),
+    ])
+    def test_bad_values_rejected_at_construction(self, kwargs, message):
+        # each of these used to fail only inside the first replicate
+        with pytest.raises(StudyError, match=message):
+            MethodSpec(**kwargs)
+
     def test_bad_alpha(self):
         with pytest.raises(StudyError, match="alpha"):
             StudyConfig(design=GridDesign(6, 5),
@@ -155,3 +171,63 @@ class TestFailureHandling:
         assert cell.n_failed == 1
         # a failed replicate counts as a non-rejection
         assert cell.rate == cell.n_reject / 20
+
+
+class TestLocationWorkOnce:
+    """A study block draws every replicate on one location set, and the
+    work that depends only on the locations is done once per block."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from isotropy import core, estimators, resampling
+
+        seen = {"_candidate_pairs": 0, "_Windows.build": 0, "_check_locations": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(estimators, "_candidate_pairs",
+                            counting("_candidate_pairs", estimators._candidate_pairs))
+        monkeypatch.setattr(resampling._Windows, "build", staticmethod(
+            counting("_Windows.build", resampling._Windows.build)))
+        monkeypatch.setattr(core.SpatialDataset, "_check_locations",
+                            counting("_check_locations", core.SpatialDataset._check_locations))
+        return seen
+
+    @pytest.mark.parametrize("preset, pair_geometries", [("gvl-a", 1), ("gvm-a", 2)])
+    def test_one_block_does_location_work_once(self, counts, preset, pair_geometries):
+        # gvl-a: one classical geometry on 18x12 (lz needs none); gvm-a:
+        # the gsc-u kernel and the ms kernel at its empirical bandwidth
+        config = get_preset(preset, replicates=20)
+        _, out = study._run_block(config.to_json(), 4, 2.0, 0.0, 6.0, 0, 20)[1:]
+        assert len(out) == 20
+        assert counts == {"_candidate_pairs": pair_geometries, "_Windows.build": 1,
+                          "_check_locations": 1}
+
+    @pytest.mark.parametrize("design, methods", [
+        (GridDesign(18, 12), (MethodSpec("gsc-g", window=(4.0, 3.0)),
+                              MethodSpec("gsc-g", pvalue_mode="asymptotic", lag_scale=2),
+                              MethodSpec("lz"))),
+        (UniformDesign(300, 16.0, 10.0), (MethodSpec("gsc-u", window=(4.0, 2.0)),
+                                          MethodSpec("ms", window=(4.0, 2.0), n_boot=30))),
+    ])
+    def test_shared_memo_gives_the_fresh_dataset_result(self, design, methods):
+        from isotropy import (AnisotropyParams, ExponentialCovariance, GrfSampler,
+                              RngStream, SpatialDataset)
+
+        locations, grid, domain = design.sample(RngStream(5))
+        sampler = GrfSampler(locations, ExponentialCovariance.from_effective_range(6.0),
+                             AnisotropyParams(2.0, 0.4))
+        drawn = [sampler.draw(RngStream(6, rep), grid=grid) for rep in range(4)]
+        assert all(ds._memo is drawn[0]._memo for ds in drawn)
+        for ds in drawn:
+            fresh = SpatialDataset(ds.locations.copy(), ds.values.copy(), grid=grid)
+            for m in methods:
+                method = study.METHOD_TABLE[m.method]
+                lags = method.hypothesis(m, grid)
+                got, want = (method.run(m, lags, d, domain, 0.05, RngStream(7)).to_dict()
+                             for d in (ds, fresh))
+                assert got == want
