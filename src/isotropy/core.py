@@ -24,6 +24,7 @@ __all__ = [
     "default_lag_set",
     "default_contrast",
     "enumerate_lag_pairs",
+    "grid_cells",
 ]
 
 # Two sampling locations closer than this are considered duplicates.
@@ -63,6 +64,32 @@ class GridSpec:
         pts[:, 0] += x0
         pts[:, 1] += y0
         return pts
+
+
+def grid_cells(locations: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row of each location on ``grid``, counted from the
+    smallest x and y.
+
+    This is the rule for lying on a grid: every location is within 1e-6
+    grid spacings of a lattice point in each coordinate, and the
+    locations fill the ``n_cols`` x ``n_rows`` cells once each.  Raises
+    ValueError otherwise.
+    """
+    if grid.size != locations.shape[0]:
+        raise ValueError(
+            f"grid declares {grid.size} points but dataset has {locations.shape[0]}"
+        )
+    idx = (locations - locations.min(axis=0)) / grid.spacing
+    rounded = np.rint(idx)
+    if np.max(np.abs(idx - rounded)) > 1e-6:
+        raise ValueError("locations do not lie on the declared grid")
+    cols = rounded[:, 0].astype(int)
+    rows = rounded[:, 1].astype(int)
+    if cols.max() >= grid.n_cols or rows.max() >= grid.n_rows:
+        raise ValueError("locations fall outside the declared grid")
+    if np.bincount(rows * grid.n_cols + cols).max() > 1:
+        raise ValueError("grid cells observed more than once")
+    return cols, rows
 
 
 @dataclass(frozen=True)
@@ -141,37 +168,22 @@ class SpatialDataset:
     def _check_locations(self, validate: bool):
         """Checks of a new location set: finite and without near-duplicates
         (when ``validate``), and on the declared grid."""
-        if validate:
-            if not np.all(np.isfinite(self.locations)):
-                raise ValueError("locations must be finite")
-            if self.n > 1:
+        if validate and not np.all(np.isfinite(self.locations)):
+            raise ValueError("locations must be finite")
+        if self.grid is not None:
+            grid_cells(self.locations, self.grid)
+        # points in distinct cells, each within 1e-6 spacings of its lattice
+        # point, are at least spacing * (1 - 2e-6) apart
+        spaced = self.grid is not None and self.grid.spacing * (1 - 2e-6) >= DUPLICATE_TOL
+        if validate and self.n > 1 and not spaced:
+            # the pair search only finds candidates (its radius leaves room
+            # for rounding); the nearest distances decide and word the error
+            if len(self.tree().query_pairs(2 * DUPLICATE_TOL)):
                 nearest = self.nearest_distances().min()
                 if nearest < DUPLICATE_TOL:
                     raise ValueError(
                         f"duplicate sampling locations (minimum separation {nearest:g})"
                     )
-        if self.grid is not None:
-            self._check_grid()
-
-    def _check_grid(self):
-        g = self.grid
-        if g.size != self.n:
-            raise ValueError(
-                f"grid declares {g.size} points but dataset has {self.n}"
-            )
-        x0 = self.locations[:, 0].min()
-        y0 = self.locations[:, 1].min()
-        idx = (self.locations - (x0, y0)) / g.spacing
-        rounded = np.rint(idx)
-        if np.max(np.abs(idx - rounded)) > 1e-6:
-            raise ValueError("locations do not lie on the declared grid")
-        cols = rounded[:, 0].astype(int)
-        rows = rounded[:, 1].astype(int)
-        if cols.min() < 0 or cols.max() >= g.n_cols or rows.min() < 0 or rows.max() >= g.n_rows:
-            raise ValueError("locations fall outside the declared grid")
-        flat = rows * g.n_cols + cols
-        if len(np.unique(flat)) != self.n:
-            raise ValueError("grid cells observed more than once")
 
     @property
     def n(self) -> int:
@@ -193,10 +205,7 @@ class SpatialDataset:
         g = self.grid
 
         def build():
-            x0 = self.locations[:, 0].min()
-            y0 = self.locations[:, 1].min()
-            cols = np.rint((self.locations[:, 0] - x0) / g.spacing).astype(int)
-            rows = np.rint((self.locations[:, 1] - y0) / g.spacing).astype(int)
+            cols, rows = grid_cells(self.locations, g)
             cols.setflags(write=False)
             rows.setflags(write=False)
             return cols, rows

@@ -137,14 +137,14 @@ def covariance_matrix(locations: np.ndarray, cov: ExponentialCovariance) -> np.n
     n = locations.shape[0]
     if n == 1:
         return np.array([[cov.sill]])
-    d = squareform(pdist(locations))
-    if n > 1 and d[~np.eye(n, dtype=bool)].min() <= 0:
+    condensed = pdist(locations)
+    if n > 1 and condensed.min() <= 0:
         warnings.warn(
             "duplicate locations produce a degenerate covariance matrix",
             RuntimeWarning,
             stacklevel=2,
         )
-    sigma = cov.sigma2 * np.exp(-cov.phi * d)
+    sigma = cov.sigma2 * np.exp(-cov.phi * squareform(condensed))
     np.fill_diagonal(sigma, cov.sill)
     return sigma
 

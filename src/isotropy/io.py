@@ -19,56 +19,96 @@ from .core import GridSpec, SpatialDataset
 
 __all__ = ["DataFormatError", "read_dataset_csv", "write_dataset_csv", "detect_grid"]
 
-GRID_DETECT_TOL = 1e-6
-
-
 class DataFormatError(ValueError):
     """Malformed or inconsistent input data."""
 
 
 def detect_grid(locations: np.ndarray) -> GridSpec | None:
-    """GridSpec if the locations form a complete rectangular grid with a
-    common spacing in both directions (within 1e-6), else None."""
+    """The complete rectangular grid the locations could fill: as many
+    columns and rows as distinct x and y values, spaced by the smallest
+    step between distinct x values; None when the counts cannot fill one.
+
+    This only proposes a grid.  Whether the locations lie on it is
+    :func:`isotropy.core.grid_cells`' rule, which a dataset declared on
+    the grid applies.
+    """
     xs = np.unique(locations[:, 0])
     ys = np.unique(locations[:, 1])
-    if len(xs) < 2 or len(ys) < 2:
+    if len(xs) < 2 or len(ys) < 2 or len(xs) * len(ys) != locations.shape[0]:
         return None
-    if len(xs) * len(ys) != locations.shape[0]:
-        return None
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    s = dx.min()
-    if s <= 0:
-        return None
-    if np.max(np.abs(dx - s)) > GRID_DETECT_TOL or np.max(np.abs(dy - s)) > GRID_DETECT_TOL:
-        return None
-    # every cell must be observed exactly once
-    ix = np.rint((locations[:, 0] - xs[0]) / s)
-    iy = np.rint((locations[:, 1] - ys[0]) / s)
-    if np.max(np.abs(locations[:, 0] - (xs[0] + ix * s))) > GRID_DETECT_TOL:
-        return None
-    if np.max(np.abs(locations[:, 1] - (ys[0] + iy * s))) > GRID_DETECT_TOL:
-        return None
-    flat = (iy * len(xs) + ix).astype(int)
-    if len(np.unique(flat)) != locations.shape[0]:
-        return None
-    return GridSpec(len(xs), len(ys), float(s))
+    return GridSpec(len(xs), len(ys), float(np.diff(xs).min()))
 
 
 def read_dataset_csv(path) -> SpatialDataset:
     """Parse an ``x,y,value`` CSV into a dataset, attaching grid structure
-    when the locations form a complete lattice."""
+    when the locations lie on a complete lattice."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    data = _plain_table(text)
+    if data is None:
+        data = _csv_table(path, text)
+    locations, values = data[:, :2], data[:, 2]
+    if len(values) < 2:
+        raise DataFormatError(f"{path}: need at least 2 observations, got {len(values)}")
+    if len(values) < 10:
+        warnings.warn(
+            f"{path}: only {len(values)} observations; results will be unreliable",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    try:
+        return _dataset(locations, values)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _dataset(locations: np.ndarray, values: np.ndarray) -> SpatialDataset:
+    """The dataset, on the grid :func:`detect_grid` proposes when the
+    locations lie on it."""
+    grid = detect_grid(locations)
+    if grid is not None:
+        try:
+            return SpatialDataset(locations, values, grid=grid)
+        except ValueError:
+            pass  # off the lattice; a fault of the locations recurs below
+    return SpatialDataset(locations, values)
+
+
+def _is_header(fields: list[str]) -> bool:
+    """The header rule: the first three fields, stripped and lower-cased,
+    are ``x``, ``y`` and ``value``."""
+    return [c.strip().lower() for c in fields][:3] == ["x", "y", "value"]
+
+
+def _plain_table(text: str) -> np.ndarray | None:
+    """The ``(m, 3)`` body of a file that needs none of the row rules of
+    :func:`_csv_table`, parsed in one call: an unquoted header line, then
+    rows of exactly three numbers, all finite, no location repeated.
+    None for any other file.  What it accepts, ``_csv_table`` reads to the
+    same bits."""
+    header, _, body = text.partition("\n")
+    # csv splits an unquoted line at its commas; loadtxt warns on a blank body
+    if '"' in header or not _is_header(header.split(",")) or not body or body.isspace():
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == 3 and _rows_ok(data) else None
+
+
+def _csv_table(path: Path, text: str) -> np.ndarray:
+    """The body rows of a CSV text as an ``(m, 3)`` array, by the csv
+    module's rules: quoted fields, extra columns and rows whose fields are
+    all blank are allowed, and each number is read by ``float``.  Raises
+    DataFormatError naming the header, or the first bad row in file order."""
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    header = [c.strip().lower() for c in rows[0]]
-    if header[:3] != ["x", "y", "value"]:
+    if not _is_header(rows[0]):
         raise DataFormatError(
             f"{path}: expected header 'x,y,value', got {','.join(rows[0])!r}"
         )
@@ -82,19 +122,7 @@ def read_dataset_csv(path) -> SpatialDataset:
         ok = False
     if not ok:
         _raise_first_bad_row(path, body)
-    locations, values = data[:, :2], data[:, 2]
-    if len(values) < 2:
-        raise DataFormatError(f"{path}: need at least 2 observations, got {len(values)}")
-    if len(values) < 10:
-        warnings.warn(
-            f"{path}: only {len(values)} observations; results will be unreliable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    try:
-        return SpatialDataset(locations, values, grid=detect_grid(locations))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return data
 
 
 def _rows_ok(data: np.ndarray) -> bool:

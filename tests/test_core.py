@@ -244,8 +244,8 @@ class TestLocationMemo:
         memos = [grid_ds._memo, points_ds._memo] + [d._memo for d in fresh]
         assert len({id(m) for m in memos}) == len(memos)
         # a new dataset, even on equal coordinates, holds only its own
-        # location checks; a subset is not checked
-        assert [set(d._memo) for d in fresh] == [{("tree",), ("nearest",)}] * 2 + [set()]
+        # location checks (none on a grid); a subset is not checked
+        assert [set(d._memo) for d in fresh] == [set(), {("tree",)}, set()]
         for m in memos[:2]:
             held = {id(a) for v in m.values() for a in _memo_arrays(v)}
             for d in fresh:
@@ -256,7 +256,8 @@ class TestLocationMemo:
         self._run_everything(random_field_18x12, points_ds)
         for ds in (random_field_18x12, points_ds):
             kinds = {key[0] for key in ds._memo}
-            assert {"tree", "nearest", "pairs", "windows"} <= kinds
+            assert {"tree", "pairs", "windows"} <= kinds
+            assert ("nearest" in kinds) == (ds is points_ds)  # only ms needs it
             arrays = [a for v in ds._memo.values() for a in _memo_arrays(v)]
             assert len(arrays) > 10
             for a in arrays:

@@ -1,7 +1,14 @@
+import csv
+import io
+import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isotropy import (
     GridSpec,
@@ -107,6 +114,149 @@ class TestCsvRoundTrip:
         g = GridSpec(4, 4)
         locs = g.locations()[:-1]
         assert detect_grid(locs) is None
+
+    @pytest.mark.parametrize("xs, grid", [
+        # within 1e-6 of a 0.001 lattice, but 0.4 spacings off it
+        ((0, 0.001, 0.0020004, 0.0030004), None),
+        # 2e-6 off a lattice of spacing 3: within 1e-6 spacings
+        ((0, 3, 6.000002, 9.000002), GridSpec(4, 4, 3.0)),
+    ])
+    def test_detection_follows_the_dataset_grid_rule(self, tmp_path, xs, grid):
+        spacing = xs[1]
+        p = tmp_path / "g.csv"
+        rows = [f"{x!r},{k * spacing!r},{x + k}" for k in range(4) for x in xs]
+        p.write_text("x,y,value\n" + "\n".join(rows) + "\n")
+        assert read_dataset_csv(p).grid == grid
+
+
+def _oracle(path, text):
+    """The reader's documented row rules applied one row at a time with
+    the csv module and ``float``: the (m, 3) rows, or the DataFormatError
+    message."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        return f"{path}: empty file"
+    if [c.strip().lower() for c in rows[0]][:3] != ["x", "y", "value"]:
+        return f"{path}: expected header 'x,y,value', got {','.join(rows[0])!r}"
+    seen, data = {}, []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not "".join(row).strip():
+            continue
+        if len(row) < 3:
+            return f"{path}:{lineno}: expected 3 columns, got {len(row)}"
+        try:
+            x, y, v = (float(c) for c in row[:3])
+        except ValueError as exc:
+            return f"{path}:{lineno}: {exc}"
+        if not all(map(math.isfinite, (x, y, v))):
+            return f"{path}:{lineno}: non-finite entry"
+        if (x, y) in seen:
+            return (f"{path}:{lineno}: duplicate location ({x:g}, {y:g}), "
+                    f"first seen on line {seen[(x, y)]}")
+        seen[(x, y)] = lineno
+        data.append((x, y, v))
+    if len(data) < 2:
+        return f"{path}: need at least 2 observations, got {len(data)}"
+    return np.array(data)
+
+
+_PLAIN_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                           st.integers(-2, 2).map(str))
+_NUMBERS = st.one_of(_PLAIN_NUMBERS, st.sampled_from([
+    "-0.0", "1_0", "0x10", "nan", "inf", "-Infinity", "Infinity", "1e-400", "1e400", "+.5",
+    "5.", "2E1", "\u0663", "\uff11", "#1", "x", ""]))
+_HEADERS = st.sampled_from([" X ,y, Value\t", "x,y,value,note", '"x",y,value',
+                            "\ufeffx,y,value", "x;y;value", "x,y", ""])
+_ODD_ROWS = st.sampled_from(["", "   ", "\t", ",,", " , , ", "\u00a0", "#", "1,2"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV texts in the reader's input format and near it: lattices and
+    scattered points, written plainly or with odd numbers, padded, quoted
+    and extra fields, odd rows, headers and line endings."""
+    odd = draw(st.booleans())
+    numbers = _NUMBERS if odd else _PLAIN_NUMBERS
+    if draw(st.booleans()):
+        n_cols, n_rows = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        spacing = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+        cells = draw(st.permutations([(i, j) for i in range(n_cols) for j in range(n_rows)]))
+        xy = [[repr(i * spacing), repr(j * spacing)] for i, j in cells]
+    else:
+        coords = st.one_of(st.sampled_from(["0", "1", "2", "-0.0", "0.5"]), numbers)
+        xy = draw(st.lists(st.lists(coords, min_size=2, max_size=2), max_size=12))
+    lines = []
+    for x, y in xy:
+        fields = [x, y, draw(numbers)]
+        if odd and draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, 2))
+            fields[k] = draw(st.sampled_from(
+                ['"{}"', " {} ", "\t{}", "\u00a0{}", "{}\u2003", "{}\x0c"])).format(fields[k])
+        if odd and draw(st.integers(0, 3)) == 0:
+            fields.append(draw(st.sampled_from(["", "note"])))
+        lines.append(",".join(fields))
+        if odd and draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_ODD_ROWS))
+    header = draw(_HEADERS) if odd and draw(st.integers(0, 2)) == 0 else "x,y,value"
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join([header] + lines)
+    return text + ending if draw(st.booleans()) else text
+
+
+class TestReaderRules:
+    """The reader gives what the row rules give, whichever way it parses."""
+
+    _names = itertools.count()
+
+    @pytest.fixture(scope="class")
+    def csv_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader")
+
+    @staticmethod
+    def _read(path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = read_dataset_csv(path)
+            except DataFormatError as exc:
+                result = exc
+        return result, [str(w.message) for w in caught]
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_csv_texts())
+    @example(text="x,y,value\n")
+    @example(text="x,y,value\r\n\r\n")
+    @example(text="x,y,value\r0,0,1\r1,0,2\r")
+    @example(text="x,y,value\r\n0,0,1\r\n1,0,2\r\n0,1,3\r\n1,1,4\r\n")
+    @example(text="x,y,value\n0,0,1\n1,0,2\r0,1,3\n")
+    def test_matches_the_row_rules(self, csv_dir, text):
+        # a new file each time: rewriting one can be slow on some file systems
+        path = csv_dir / f"data-{next(self._names)}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        # the reader's text, as the format defines it: UTF-8 with universal
+        # newlines
+        expected = _oracle(path, path.read_text(encoding="utf-8"))
+        got, caught = self._read(path)
+        if isinstance(expected, str):
+            assert isinstance(got, DataFormatError) and str(got) == expected
+            assert caught == []
+            return
+        m = len(expected)
+        assert caught == ([f"{path}: only {m} observations; results will be unreliable"]
+                          if m < 10 else [])
+        # the same numbers written plainly give the same dataset or error
+        plain_path = path.with_name("plain-" + path.name)
+        plain_path.write_text("x,y,value\n" + "".join(f"{x!r},{y!r},{v!r}\n"
+                                                       for x, y, v in expected.tolist()))
+        plain, _ = self._read(plain_path)
+        if isinstance(plain, Exception):
+            assert type(got) is type(plain)
+            assert str(got) == str(plain).replace(str(plain_path), str(path))
+            return
+        for ds in (got, plain):
+            assert ds.locations.tobytes() == expected[:, :2].tobytes()
+            assert ds.values.tobytes() == expected[:, 2].tobytes()
+        assert got.grid == plain.grid
 
 
 class TestCli:
@@ -315,3 +465,38 @@ def test_cli_default_lags_in_grid_spacings(spacing, tmp_path):
     assert main(["test", str(data), "--method", "gsc-g", "--out", str(out)]) == 0
     direct = gsc_gridded_test(read_dataset_csv(data))
     assert json.loads(out.read_text())["statistic"] == direct.statistic
+
+
+class TestReadCost:
+    """What an ``isotropy test`` call builds besides its test: a grid's
+    location checks build no KD-tree, and only ``ms`` asks for every
+    point's nearest neighbour."""
+
+    @pytest.fixture
+    def trees(self, monkeypatch):
+        from isotropy import core
+
+        seen = {"built": 0, "nearest_queries": 0}
+
+        class CountingTree(core.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                seen["built"] += 1
+                super().__init__(data, *args, **kwargs)
+
+            def query(self, x, k=1, **kwargs):
+                seen["nearest_queries"] += k == 2
+                return super().query(x, k, **kwargs)
+
+        monkeypatch.setattr(core, "cKDTree", CountingTree)
+        return seen
+
+    @pytest.mark.parametrize("method, built, nearest_queries", [
+        ("lz", 0, 0),
+        ("gsc-g", 1, 0),  # its pair search
+        ("gsc-u", 1, 0),
+        ("ms", 1, 1),  # its bandwidth; passes at the parent too
+    ])
+    def test_kd_trees_per_call(self, trees, agreement_csvs, method, built, nearest_queries):
+        design, flags = AGREEMENT_CASES[method][:2]
+        assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 0
+        assert trees == {"built": built, "nearest_queries": nearest_queries}
