@@ -12,6 +12,21 @@ from .grf import AnisotropyParams, ExponentialCovariance
 __all__ = ["directional_semivariogram", "equicorrelation_contours"]
 
 
+# Pairs per chunk of rows: bounds the pair walk's memory whatever n is.
+_CHUNK_PAIRS = 1 << 18
+
+
+def _pair_chunks(loc: np.ndarray):
+    """The pairs i < j in row order, a chunk of rows at a time: ``(i, j)``
+    index arrays and the displacements ``loc[j] - loc[i]``."""
+    n = loc.shape[0]
+    rows = max(1, _CHUNK_PAIRS // n)
+    for a in range(0, n - 1, rows):
+        r, c = np.nonzero(np.arange(a + 1, n) > np.arange(a, min(a + rows, n - 1))[:, None])
+        i, j = r + a, c + a + 1
+        yield i, j, loc[j, 0] - loc[i, 0], loc[j, 1] - loc[i, 1]
+
+
 def directional_semivariogram(
     dataset: SpatialDataset,
     n_directions: int = 4,
@@ -21,37 +36,41 @@ def directional_semivariogram(
     """Classical semivariogram binned by direction sector and distance.
 
     Directions partition the half-circle [0, 180) into ``n_directions``
-    sectors centered on k*180/n_directions degrees.  Returns rows
-    ``(direction_deg, distance, gamma, n_pairs)``; empty bins report a
-    zero pair count and NaN gamma.
+    sectors centered on k*180/n_directions degrees.  Distance bin b is
+    ``(edges[b], edges[b+1]]`` on ``n_bins`` equal steps up to
+    ``max_dist`` (by default half the largest pairwise distance).
+    Returns rows ``(direction_deg, distance, gamma, n_pairs)``; empty
+    bins report a zero pair count and NaN gamma.  The pairs are walked a
+    chunk of rows at a time, so memory grows with n, not n^2.
     """
     if dataset.n < 2:
         raise ValueError("directional semivariogram needs at least two points")
     if n_directions < 1 or n_bins < 1:
         raise ValueError("need at least one direction and one distance bin")
-    loc = dataset.locations
-    dx = loc[:, 0][None, :] - loc[:, 0][:, None]
-    dy = loc[:, 1][None, :] - loc[:, 1][:, None]
-    iu = np.triu_indices(dataset.n, k=1)
-    dx, dy = dx[iu], dy[iu]
-    sqdiff = (dataset.values[None, :] - dataset.values[:, None])[iu] ** 2
-    dist = np.hypot(dx, dy)
+    loc, values = dataset.locations, dataset.values
     if max_dist is None:
-        max_dist = float(dist.max()) / 2.0
-    angle = np.mod(np.arctan2(dy, dx), np.pi)
-    sector_width = np.pi / n_directions
-    sector = np.mod(np.rint(angle / sector_width).astype(int), n_directions)
+        max_dist = max(float(np.hypot(dx, dy).max()) for _, _, dx, dy in _pair_chunks(loc)) / 2.0
     edges = np.linspace(0.0, max_dist, n_bins + 1)
+    sector_width = np.pi / n_directions
+    counts = np.zeros(n_directions * n_bins, dtype=np.int64)
+    sums = np.zeros(n_directions * n_bins)
+    for i, j, dx, dy in _pair_chunks(loc):
+        dist = np.hypot(dx, dy)
+        b = np.searchsorted(edges, dist, "left") - 1
+        # dist <= edges[-1] empties the bins when max_dist <= 0 or is NaN
+        keep = (b >= 0) & (b < n_bins) & (dist <= edges[-1])
+        angle = np.mod(np.arctan2(dy[keep], dx[keep]), np.pi)
+        sector = np.mod(np.rint(angle / sector_width).astype(int), n_directions)
+        cell = sector * n_bins + b[keep]
+        counts += np.bincount(cell, minlength=counts.size)
+        sums += np.bincount(cell, (values[j[keep]] - values[i[keep]]) ** 2, minlength=sums.size)
     rows = []
     for s in range(n_directions):
-        direction_deg = s * 180.0 / n_directions
-        in_sector = sector == s
         for b in range(n_bins):
-            sel = in_sector & (dist > edges[b]) & (dist <= edges[b + 1])
-            count = int(np.count_nonzero(sel))
-            gamma = float(sqdiff[sel].mean() / 2.0) if count else float("nan")
+            count = int(counts[s * n_bins + b])
+            gamma = float(sums[s * n_bins + b] / count / 2.0) if count else float("nan")
             center = float((edges[b] + edges[b + 1]) / 2.0)
-            rows.append((direction_deg, center, gamma, count))
+            rows.append((s * 180.0 / n_directions, center, gamma, count))
     return rows
 
 

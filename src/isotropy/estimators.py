@@ -13,6 +13,7 @@ makes estimates at ``h`` and ``-h`` agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -108,9 +109,10 @@ class PairTable:
     weight for the smoothed ones.  ``values`` are the per-point values,
     globally demeaned for the covariogram, which also keeps each lag's
     kernel weight at zero displacement, received by self-pairs.  An
-    estimate over any subset of points (a moving window, a bootstrap
-    resample) is :meth:`subset_estimates` of its sums of :meth:`columns`
-    and :meth:`point_columns`, with no new pair search.
+    estimate over any subset of points (the whole sample, a moving
+    window, a bootstrap resample) is :meth:`subset_estimates` of its sums
+    of :attr:`entry_columns` and :meth:`point_columns`, with no new pair
+    search.
     """
 
     kind: EstimatorKind
@@ -124,20 +126,21 @@ class PairTable:
     bandwidth: float | None = None
     self_weights: np.ndarray | None = None  # (k,), covariogram only
 
-    def response(self, vi: np.ndarray, vj: np.ndarray) -> np.ndarray:
-        """Half the squared difference (semivariograms) or the product
-        (covariogram) of the pair's values."""
-        if self.kind == "kernel_covariogram":
-            return vi * vj
-        return (vi - vj) ** 2 / 2.0
-
     def columns(self, w: np.ndarray, vi: np.ndarray, vj: np.ndarray) -> np.ndarray:
-        """``(C, E)`` entry columns: w * response, w and, for the
-        covariogram's own-mean centering, w * (v_i + v_j)."""
-        cols = [w * self.response(vi, vj), w]
+        """``(C, E)`` entry columns: w times the response (half the squared
+        difference for semivariograms, the product for the covariogram), w
+        and, for the covariogram's own-mean centering, w * (v_i + v_j)."""
         if self.kind == "kernel_covariogram":
-            cols.append(w * (vi + vj))
-        return np.stack(cols)
+            return np.stack([w * (vi * vj), w, w * (vi + vj)])
+        return np.stack([w * ((vi - vj) ** 2 / 2.0), w])
+
+    @cached_property
+    def entry_columns(self) -> np.ndarray:
+        """Read-only :meth:`columns` of the table's own entries, formed
+        once per table."""
+        cols = self.columns(self.w, self.values[self.i], self.values[self.j])
+        cols.setflags(write=False)
+        return cols
 
     def point_columns(self) -> np.ndarray:
         """``(C', n)`` point columns: 1, and v and v * v for the covariogram."""
@@ -149,12 +152,13 @@ class PairTable:
     def subset_estimates(self, sums, has_entry: np.ndarray, point_sums):
         """``(G, k)`` estimates and effective samples of G subsets, and a
         ``(G,)`` usable flag, from ``sums[c]`` (G, k), the per-lag sums of
-        column c of :meth:`columns`; ``has_entry`` (G, k), whether a lag
-        has an entry (decided on integer counts); and ``point_sums[c]``
-        (G,), the sums of column c of :meth:`point_columns`.  The
-        covariogram is centered at each subset's own mean, expanded into
-        these sums.  A subset is usable when it holds a point and every
-        lag has an entry or a self-pair weight; others get estimate 0."""
+        row c of :attr:`entry_columns`; ``has_entry`` (G, k), whether a
+        lag has an entry (decided on integer counts); and
+        ``point_sums[c]`` (G,), the sums of row c of
+        :meth:`point_columns`.  The covariogram is centered at each
+        subset's own mean, expanded into these sums.  A subset is usable
+        when it holds a point and every lag has an entry or a self-pair
+        weight; others get estimate 0."""
         contrib, total = sums[0], sums[1]
         count = point_sums[0]
         if self.kind == "kernel_covariogram":
@@ -171,50 +175,24 @@ class PairTable:
 
     def estimate(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-sample estimates and effective samples (pair counts for
-        the classical estimator, total kernel weights otherwise)."""
-        k = self.lags.shape[0]
-        bounds = np.searchsorted(self.lag, np.arange(k + 1))
-        resp = self.response(self.values[self.i], self.values[self.j])
-        out = np.empty(k)
-        totals = np.empty(k)
-        for m in range(k):
-            h1, h2 = self.lags[m]
-            at = slice(bounds[m], bounds[m + 1])
-            if self.kind == "classical_semivariogram":
-                if at.start == at.stop:
-                    raise NoPairsError(f"no location pairs at lag {(float(h1), float(h2))}")
-                out[m] = np.mean(resp[at])
-                totals[m] = at.stop - at.start
-                continue
-            total = self.w[at].sum()
-            contrib = float(np.dot(self.w[at], resp[at]))
-            if self.self_weights is not None and self.self_weights[m] > 0:
-                w0 = self.self_weights[m]
-                total = total + w0 * self.values.shape[0]
-                contrib += float(w0 * (self.values * self.values).sum())
-            if total <= 0:
-                raise EmptyNeighborhoodError(
-                    f"no pairs receive weight at lag ({h1:g}, {h2:g}); "
-                    "consider a larger bandwidth"
-                )
-            out[m] = contrib / total
-            totals[m] = total
-        return out, totals
-
-    def window_estimates(self, windows):
-        """:meth:`subset_estimates` of K moving windows, and each window's
-        point count.  ``windows.pair_sums(i, j, cols, group, n_groups)``
-        sums each row of ``cols`` (C, E) over every window's entries
-        ``(i[e], j[e])``, apart for each group, into (K, C, n_groups);
-        ``windows.point_sums(cols)`` sums each row of ``cols`` (C, n)
-        over every window's points into (K, C)."""
-        cols = self.columns(self.w, self.values[self.i], self.values[self.j])
-        sums = windows.pair_sums(self.i, self.j, np.vstack([cols, np.ones((1, self.w.size))]),
-                                 self.lag, self.lags.shape[0])
-        point_sums = windows.point_sums(self.point_columns()).T
-        values, total, usable = self.subset_estimates(
-            np.moveaxis(sums[:, :-1], 1, 0), np.rint(sums[:, -1]) > 0, point_sums)
-        return values, total, usable, point_sums[0]
+        the classical estimator, total kernel weights otherwise): the
+        whole sample as one subset of :meth:`subset_estimates`.  Raises
+        for the first lag with neither an entry nor a self-pair weight."""
+        bounds = np.searchsorted(self.lag, np.arange(self.lags.shape[0] + 1))
+        sums = np.array([[c[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]
+                         for c in self.entry_columns])
+        values, totals, _ = self.subset_estimates(
+            sums[:, None], (np.diff(bounds) > 0)[None], self.point_columns().sum(axis=1)[:, None])
+        empty = np.flatnonzero(totals[0] <= 0)
+        if empty.size:
+            h1, h2 = self.lags[empty[0]]
+            if self.kernel is None:
+                raise NoPairsError(f"no location pairs at lag {(float(h1), float(h2))}")
+            raise EmptyNeighborhoodError(
+                f"no pairs receive weight at lag ({h1:g}, {h2:g}); "
+                "consider a larger bandwidth"
+            )
+        return values[0], totals[0]
 
 
 @dataclass(frozen=True)

@@ -85,13 +85,15 @@ def _is_header(fields: list[str]) -> bool:
 
 def _plain_table(text: str) -> np.ndarray | None:
     """The ``(m, 3)`` body of a file that needs none of the row rules of
-    :func:`_csv_table`, parsed in one call: an unquoted header line, then
-    rows of exactly three numbers, all finite, no location repeated.
-    None for any other file.  What it accepts, ``_csv_table`` reads to the
-    same bits."""
+    :func:`_csv_table`, parsed in one call: an unquoted header line of
+    exactly three fields, then rows of exactly three numbers, all finite,
+    no location repeated.  None for any other file, decided from the
+    header before parsing where it can be.  What it accepts,
+    ``_csv_table`` reads to the same bits."""
     header, _, body = text.partition("\n")
-    # csv splits an unquoted line at its commas; loadtxt warns on a blank body
-    if '"' in header or not _is_header(header.split(",")) or not body or body.isspace():
+    fields = header.split(",")  # as csv splits an unquoted line
+    # loadtxt warns on a blank body
+    if '"' in header or len(fields) != 3 or not _is_header(fields) or not body or body.isspace():
         return None
     try:
         data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)

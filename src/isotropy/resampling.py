@@ -181,29 +181,31 @@ class _Windows:
     def n_windows(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def point_sums(self, cols: np.ndarray) -> np.ndarray:
-        """(K, C) sums of each row of ``cols`` (C, n) over each window's points."""
-        return _rect_sums(self.shape, self.x_first, self.x_last,
-                          self.y_first, self.y_last, cols)[:, :, 0]
-
-    def pair_sums(self, i: np.ndarray, j: np.ndarray, cols: np.ndarray,
-                  group: np.ndarray, n_groups: int) -> np.ndarray:
-        """(K, C, n_groups) sums of each row of ``cols`` (C, E) over each
-        window's entries ``(i[e], j[e])``, apart for each ``group[e]``."""
-        return _rect_sums(
+    def estimates(self, table: PairTable):
+        """:meth:`PairTable.subset_estimates` of every window, and each
+        window's point count.  The table's entry columns, and a count, are
+        summed over every window's entries ``(i[e], j[e])``, apart for each
+        lag; its point columns over every window's points."""
+        i, j = table.i, table.j
+        sums = _rect_sums(
             self.shape,
             np.maximum(self.x_first[i], self.x_first[j]),
             np.minimum(self.x_last[i], self.x_last[j]),
             np.maximum(self.y_first[i], self.y_first[j]),
             np.minimum(self.y_last[i], self.y_last[j]),
-            cols, group, n_groups,
+            [*table.entry_columns, np.ones(i.size)], table.lag, table.lags.shape[0],
         )
+        point_sums = _rect_sums(self.shape, self.x_first, self.x_last, self.y_first,
+                                self.y_last, table.point_columns())[:, :, 0].T
+        values, total, usable = table.subset_estimates(
+            np.moveaxis(sums[:, :-1], 1, 0), np.rint(sums[:, -1]) > 0, point_sums)
+        return values, total, usable, point_sums[0]
 
 
-def _rect_sums(shape, a0, a1, b0, b1, cols: np.ndarray,
+def _rect_sums(shape, a0, a1, b0, b1, cols,
                group: np.ndarray | None = None, n_groups: int = 1) -> np.ndarray:
-    """(nx * ny, C, n_groups) sums of each row of ``cols`` over the
-    entries whose origin rectangle ``[a0, a1] x [b0, b1]`` holds each
+    """(nx * ny, C, n_groups) sums of each of the C arrays in ``cols`` over
+    the entries whose origin rectangle ``[a0, a1] x [b0, b1]`` holds each
     window, apart for each entry's group (all in group 0 by default)."""
     nx, ny = shape
     keep = (a0 <= a1) & (b0 <= b1)
@@ -214,7 +216,7 @@ def _rect_sums(shape, a0, a1, b0, b1, cols: np.ndarray,
     if group is not None:
         corners += np.tile(group[keep], 4)
     sign = np.repeat([1.0, 1.0, -1.0, -1.0], a0.size)
-    out = np.empty((nx * ny, cols.shape[0], n_groups))
+    out = np.empty((nx * ny, len(cols), n_groups))
     for c, col in enumerate(cols):
         diff = np.bincount(corners, np.tile(col[keep], 4) * sign,
                            minlength=(nx + 1) * stride * n_groups)
@@ -250,7 +252,7 @@ def subsample_variance(
         domain = Rect.from_dataset(dataset)
     windows = dataset.memo(("windows", domain, window),
                            lambda: _Windows.build(dataset, domain, window))
-    values, totals, usable, counts = table.window_estimates(windows)
+    values, totals, usable, counts = windows.estimates(table)
     sizes = np.rint(counts)
     keep = usable & (sizes >= 2)
     if np.count_nonzero(keep) < 2:
@@ -395,11 +397,10 @@ class _BlockBootstrap:
         self.x_order = np.argsort(self.loc[:, 0], kind="stable")
         self.x_sorted = self.loc[self.x_order, 0]
         self.point_cols = table.point_columns()
-        # table entries by first point, with the columns they add
+        # table entries by first point
         self.by_i = np.argsort(table.i, kind="stable")
         self.i_start = np.concatenate(
             [[0], np.cumsum(np.bincount(table.i, minlength=dataset.n))])
-        self.entry_cols = table.columns(table.w, table.values[table.i], table.values[table.j])
         # cells aligned to regions, narrow enough that few cell pairs only
         # graze a lag's support (a third of the reach, or 1.5 kernel
         # half-widths for long lags); for each cell, the cells of other
@@ -464,7 +465,7 @@ class _BlockBootstrap:
         inside = ((xj >= u[blk]) & (xj < u[blk] + self.block.width)
                   & (yj >= v[blk]) & (yj < v[blk] + self.block.height))
         e = e[inside]
-        return g[owner[inside]] * self.k + self.table.lag[e], self.entry_cols[:, e]
+        return g[owner[inside]] * self.k + self.table.lag[e], self.table.entry_columns[:, e]
 
     def _cross_pairs(self, u, v, row, p, g, n_reg):
         """Bins and columns of the pairs of resample points in different

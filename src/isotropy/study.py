@@ -424,12 +424,11 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_block(config_json: str, cell_idx: int, ratio: float, angle: float,
+def _run_block(config: StudyConfig, cell_idx: int, ratio: float, angle: float,
                xi: float, rep_lo: int, rep_hi: int):
     """Worker: run all methods on replicates [rep_lo, rep_hi) of one cell.
     A grid design has the same locations in every cell; a uniform design
     draws them once per cell, and the fields vary over replicates."""
-    config = StudyConfig.from_json(config_json)
     locations, grid, domain = config.design.sample(
         RngStream(config.master_seed, mix64(_SALT_LOCATIONS, cell_idx)))
     cov = ExponentialCovariance.from_effective_range(xi, config.sigma2, config.tau2)
@@ -462,12 +461,11 @@ def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> Stu
     """Run the full study; deterministic given (config, master_seed),
     independent of ``threads``."""
     cells = config.cells()
-    config_json = config.to_json()
     tasks = []
     for cell_idx, (ratio, angle), xi in cells:
         for lo in range(0, config.replicates, _BLOCK):
             hi = min(lo + _BLOCK, config.replicates)
-            tasks.append((config_json, cell_idx, ratio, angle, xi, lo, hi))
+            tasks.append((config, cell_idx, ratio, angle, xi, lo, hi))
     blocks: dict[tuple[int, int], list] = {}
     with ExitStack() as stack:
         run_all = stack.enter_context(ProcessPoolExecutor(threads)).map if threads > 1 else map

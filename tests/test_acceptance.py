@@ -20,6 +20,7 @@ import pytest
 from scipy import stats
 
 from isotropy import (
+    EstimatorConfig,
     ExponentialCovariance,
     GridSpec,
     KernelSpec,
@@ -40,7 +41,7 @@ from isotropy.estimators import classical_semivariogram
 from isotropy.study import bandwidth_study, gvl_a, gvm_a, run_power_study
 
 from conftest import record_criterion, study_threads
-from test_estimators import brute_kernel
+from reference_estimates import dense_estimate
 from test_spectral_tests import direct_sum_periodogram
 
 THETA = 1.1780972450961724  # 3*pi/8
@@ -184,10 +185,10 @@ def test_criterion_8_exact_invariants():
     dsk = SpatialDataset(locs, RngStream(812).generator().standard_normal(50))
     for kern in (KernelSpec("epanechnikov"), KernelSpec("truncated_gaussian", 1.5)):
         for lag in ((1.0, 0.0), (-1.0, 1.0)):
-            checks.append(abs(kernel_semivariogram(dsk, lag, kern, 0.8)
-                              - brute_kernel(dsk, lag, kern, 0.8, "semi")) <= 1e-10)
-            checks.append(abs(kernel_covariogram(dsk, lag, kern, 0.8)
-                              - brute_kernel(dsk, lag, kern, 0.8, "cov")) <= 1e-10)
+            for kind, estimator in (("kernel_semivariogram", kernel_semivariogram),
+                                    ("kernel_covariogram", kernel_covariogram)):
+                want = dense_estimate(dsk, [lag], EstimatorConfig(kind, kern, 0.8))[0][0]
+                checks.append(abs(estimator(dsk, lag, kern, 0.8) - want) <= 1e-10)
     # classical hand examples
     hand = SpatialDataset([(0, 0), (1, 0), (0, 1), (1, 1)], [1.0, 2.0, 3.0, 5.0],
                           grid=GridSpec(2, 2))

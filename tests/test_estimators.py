@@ -21,29 +21,7 @@ from isotropy import (
 )
 from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, pair_table
 
-
-def brute_kernel(ds, lag, kernel, bw, kind):
-    """Slow independent oracle over all ordered pairs."""
-    def k1d(u):
-        if kernel.family == "epanechnikov":
-            return 0.75 * (1 - u * u) if abs(u) <= 1 else 0.0
-        return np.exp(-0.5 * u * u) if abs(u) <= kernel.truncation else 0.0
-
-    vals = ds.values - ds.values.mean() if kind == "cov" else ds.values
-    num = den = 0.0
-    for i in range(ds.n):
-        for j in range(ds.n):
-            if i == j and kind != "cov":
-                continue
-            w = (k1d((ds.locations[j, 0] - ds.locations[i, 0] - lag[0]) / bw)
-                 * k1d((ds.locations[j, 1] - ds.locations[i, 1] - lag[1]) / bw))
-            if w == 0:
-                continue
-            resp = ((vals[i] - vals[j]) ** 2 / 2 if kind != "cov"
-                    else vals[i] * vals[j])
-            num += w * resp
-            den += w
-    return num / den
+from reference_estimates import dense_estimate
 
 
 @pytest.fixture
@@ -128,10 +106,12 @@ class TestKernelEstimators:
     def test_matches_brute_force_oracle(self, scattered_50, kernel, lag):
         for bw in (0.5, 0.9):
             a = kernel_semivariogram(scattered_50, lag, kernel, bw)
-            b = brute_kernel(scattered_50, lag, kernel, bw, "semi")
+            b = dense_estimate(scattered_50, [lag],
+                               EstimatorConfig("kernel_semivariogram", kernel, bw))[0][0]
             assert a == pytest.approx(b, abs=1e-10)
             c = kernel_covariogram(scattered_50, lag, kernel, bw)
-            d = brute_kernel(scattered_50, lag, kernel, bw, "cov")
+            d = dense_estimate(scattered_50, [lag],
+                               EstimatorConfig("kernel_covariogram", kernel, bw))[0][0]
             assert c == pytest.approx(d, abs=1e-10)
 
     def test_lag_sign_symmetry(self, scattered_50):
@@ -246,9 +226,9 @@ SUBSET_CASES = {
 
 
 class TestSubsetEstimates:
-    """The finishing step that moving windows and bootstrap resamples
-    share, applied to the whole sample as one subset, gives the
-    full-sample estimate."""
+    """The full-sample estimate, the whole sample as one subset of the
+    finishing step that moving windows and bootstrap resamples share,
+    matches the dense reference; so do its errors."""
 
     @pytest.mark.parametrize("case", sorted(SUBSET_CASES))
     def test_whole_sample_is_one_subset(self, case, random_field_18x12):
@@ -261,13 +241,39 @@ class TestSubsetEstimates:
         table = pair_table(ds, default_lag_set(), cfg)
         if case == "covariogram-self-pairs":
             assert np.all(table.self_weights > 0)
-        k = table.lags.shape[0]
-        cols = table.columns(table.w, table.values[table.i], table.values[table.j])
-        sums = np.stack([np.bincount(table.lag, c, minlength=k) for c in cols])[:, None, :]
-        has_entry = (np.bincount(table.lag, minlength=k) > 0)[None, :]
-        point_sums = table.point_columns().sum(axis=1)[:, None]
-        values, totals, ok = table.subset_estimates(sums, has_entry, point_sums)
-        want, want_totals = table.estimate()
-        assert ok.tolist() == [True]
-        np.testing.assert_allclose(values[0], want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(totals[0], want_totals, rtol=1e-12, atol=0)
+        values, totals = table.estimate()
+        want, want_totals = dense_estimate(ds, default_lag_set().lags, cfg)
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(totals, want_totals, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("cfg, error", [
+        (EstimatorConfig(), NoPairsError),
+        (EstimatorConfig("kernel_semivariogram", KernelSpec("epanechnikov"), 0.3),
+         EmptyNeighborhoodError),
+        (EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 0.3),
+         EmptyNeighborhoodError),
+    ])
+    def test_first_lag_without_weight_is_named(self, cfg, error):
+        # a 4x3 unit grid: lags (7, 0) and (0, 5) reach no pair
+        g = GridSpec(4, 3)
+        ds = SpatialDataset(g.locations(), np.arange(12.0) ** 2, grid=g)
+        lags = LagSet([(1.0, 0.0), (7.0, 0.0), (0.0, 1.0), (0.0, 5.0)])
+        with pytest.raises(error, match=r"lag \(7(\.0)?, 0(\.0)?\)"):
+            estimate_G(ds, lags, cfg)
+        with pytest.raises(error):
+            dense_estimate(ds, lags.lags, cfg)
+
+    def test_covariogram_lag_with_only_self_pairs_is_estimated(self):
+        # points 3 apart, bandwidth 1: no pair reaches lag (0.5, 0), but
+        # the self-pairs sit inside its support
+        g = GridSpec(4, 3, 3.0)
+        ds = SpatialDataset(g.locations(), 2.0 + np.sin(np.arange(12.0)), grid=g)
+        cfg = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 1.0)
+        lags = LagSet([(0.5, 0.0), (3.0, 0.0)])
+        table = pair_table(ds, lags, cfg)
+        assert not np.any(table.lag == 0) and table.self_weights[0] > 0
+        ghat = estimate_G(ds, lags, cfg)
+        want, want_totals = dense_estimate(ds, lags.lags, cfg)
+        np.testing.assert_allclose(ghat.values, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ghat.weights, want_totals, rtol=1e-12, atol=0)
+        assert ghat.values[0] == pytest.approx(ds.values.var(), rel=1e-12)

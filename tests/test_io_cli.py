@@ -500,3 +500,18 @@ class TestReadCost:
         design, flags = AGREEMENT_CASES[method][:2]
         assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 0
         assert trees == {"built": built, "nearest_queries": nearest_queries}
+
+    @pytest.mark.parametrize("header, calls", [("x,y,value", 1), ("x,y,value,id", 0)])
+    def test_loadtxt_calls_per_read(self, tmp_path, monkeypatch, header, calls):
+        # a header of other than three fields goes straight to the csv rules
+        g = GridSpec(5, 4)
+        rows = [f"{x:g},{y:g},{v:g}" + (f",{k}" if header.endswith("id") else "")
+                for k, ((x, y), v) in enumerate(zip(g.locations(), np.arange(20.0)))]
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        seen = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(1) or real(*a, **kw))
+        ds = read_dataset_csv(path)
+        assert len(seen) == calls
+        assert ds.grid == g and np.array_equal(ds.values, np.arange(20.0))

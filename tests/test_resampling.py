@@ -25,6 +25,8 @@ from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, estimate_G
 from isotropy.resampling import ResamplingError, _window_origins, _Windows
 from isotropy.spatial_tests import default_block
 
+from reference_estimates import dense_estimate
+
 
 def unit_grid_dataset(n1, n2, values=None, seed=0):
     g = GridSpec(n1, n2)
@@ -97,7 +99,7 @@ class TestMovingWindows:
 def oracle_subsample(ds, lag_set, cfg, window, domain=None):
     """Moving-window variance the slow way: every window is a new dataset
     (half-open windows, an edge closed at the domain edge) estimated from
-    scratch."""
+    scratch by the dense reference."""
     if domain is None:
         domain = Rect.from_dataset(ds)
     step = window.resolve_step(ds)
@@ -117,17 +119,17 @@ def oracle_subsample(ds, lag_set, cfg, window, domain=None):
                 continue
             sub = SpatialDataset(ds.locations[mask], ds.values[mask], validate=False)
             try:
-                g = estimate_G(sub, lag_set, cfg)
+                values, totals = dense_estimate(sub, lag_set.lags, cfg)
             except (NoPairsError, EmptyNeighborhoodError):
                 discarded += 1
                 continue
-            ghats.append(g.values)
-            weights.append(g.weights)
+            ghats.append(values)
+            weights.append(totals)
             sizes.append(mask.sum())
     gmat = np.asarray(ghats)
     if cfg.kind == "classical_semivariogram":
         wmat = np.asarray(weights)
-        full_w = estimate_G(ds, lag_set, cfg).weights
+        full_w = dense_estimate(ds, lag_set.lags, cfg)[1]
     else:
         wmat = np.repeat(np.asarray(sizes, float)[:, None], lag_set.k, axis=1)
         full_w = np.full(lag_set.k, float(ds.n))
@@ -423,13 +425,13 @@ FAILURES = (NoPairsError, EmptyNeighborhoodError, ResamplingError)
 
 def oracle_gbbb(ds, lag_set, cfg, block, n_boot, rng, domain):
     """Block-bootstrap variance the slow way: every resample is a new
-    dataset estimated from scratch.  Returns Sigma, the success count and
-    the failure reasons."""
+    dataset estimated from scratch by the dense reference.  Returns Sigma,
+    the success count and the failure reasons."""
     ghats, failures = [], []
     for b in range(n_boot):
         try:
             resample = gbbb_resample(ds, block, rng.substream(b), domain)
-            ghats.append(estimate_G(resample, lag_set, cfg).values)
+            ghats.append(dense_estimate(resample, lag_set.lags, cfg)[0])
         except FAILURES as exc:
             failures.append(type(exc).__name__)
     gmat = np.asarray(ghats)

@@ -202,7 +202,7 @@ class TestLocationWorkOnce:
         # gvl-a: one classical geometry on 18x12 (lz needs none); gvm-a:
         # the gsc-u kernel and the ms kernel at its empirical bandwidth
         config = get_preset(preset, replicates=20)
-        _, out = study._run_block(config.to_json(), 4, 2.0, 0.0, 6.0, 0, 20)[1:]
+        _, out = study._run_block(config, 4, 2.0, 0.0, 6.0, 0, 20)[1:]
         assert len(out) == 20
         assert counts == {"_candidate_pairs": pair_geometries, "_Windows.build": 1,
                           "_check_locations": 1}
