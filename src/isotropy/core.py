@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "GridSpec",
@@ -25,6 +24,8 @@ __all__ = [
     "default_contrast",
     "enumerate_lag_pairs",
     "grid_cells",
+    "pairs_within",
+    "neighbour_distances",
 ]
 
 # Two sampling locations closer than this are considered duplicates.
@@ -92,6 +93,152 @@ def grid_cells(locations: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.nd
     return cols, rows
 
 
+# Neighbouring cells as (column step, row step).  The pair search visits
+# each pair of adjacent cells from one side only.
+_HALF_NEIGHBOURHOOD = np.array([(0, 1), (1, -1), (1, 0), (1, 1)])
+_NEIGHBOURHOOD = np.array([(dc, dr) for dc in (-1, 0, 1) for dr in (-1, 0, 1)])
+
+# Cell coordinates stay below 2**_CELL_BITS, so that cell keys and Z-order
+# codes fit 64 bits.
+_CELL_BITS = 30
+
+
+def _cell_coords(points: np.ndarray, width: float):
+    """Integer column and row of each point on square cells at least
+    ``width`` wide and no narrower than ``2**-_CELL_BITS`` of the points'
+    extent, and the cells' width in halved coordinates.
+
+    Cells are laid out in halved coordinates, whose extents stay finite for
+    coordinates near +-1e308.  The 1.001 keeps rounding in the cell
+    coordinates from putting two points within ``width`` of each other
+    more than one cell apart.
+    """
+    half = points / 2
+    lo = half.min(axis=0)
+    extent = float((half.max(axis=0) - lo).max())
+    unit = 1.001 * max(width / 2, extent * 2.0**-_CELL_BITS, np.finfo(float).tiny)
+    return np.floor((half - lo) / unit).astype(np.int64), unit
+
+
+def _expand(start: np.ndarray, count: np.ndarray):
+    """For runs ``start[a] .. start[a] + count[a] - 1``: the run of every
+    position and the position itself."""
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def pairs_within(points: np.ndarray, r: float):
+    """Pairs of rows of ``points`` whose L-inf distance
+    ``max(|x_i - x_j|, |y_i - y_j|)`` is at most ``r``, each once, in no
+    particular order or orientation: index arrays ``i`` and ``j`` and the
+    displacements ``points[j] - points[i]`` as arrays ``dx`` and ``dy``.
+
+    Points are sorted into square cells at least ``r`` wide, and each point
+    is checked against the points after it in its own cell and every point
+    of four neighbouring cells.  Only occupied cells are kept, so narrow
+    cells cost nothing.
+    """
+    n = points.shape[0]
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+    cell, _ = _cell_coords(points, r)
+    # rows 0 and stride - 1 of every column stay empty, so a row step
+    # never wraps into the next column
+    stride = int(cell[:, 1].max()) + 3
+    key = cell[:, 0] * stride + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new_cell = np.r_[True, key[1:] != key[:-1]]
+    start = np.flatnonzero(new_cell)
+    stop = np.append(start[1:], n)
+    keys = key[start]
+    # for each point in sorted order, five runs of sorted positions: the
+    # later points of its own cell, then the points of each of its
+    # half-neighbourhood cells
+    offset = _HALF_NEIGHBOURHOOD[:, 0] * stride + _HALF_NEIGHBOURHOOD[:, 1]
+    target = key[:, None] + offset
+    at = np.minimum(np.searchsorted(keys, target), keys.size - 1)
+    hit = keys[at] == target
+    first = np.column_stack([np.arange(1, n + 1), np.where(hit, start[at], 0)])
+    last = np.column_stack([stop[np.cumsum(new_cell) - 1], np.where(hit, stop[at], 0)])
+    run, b = _expand(first.ravel(), (last - first).ravel())
+    a = run // first.shape[1]
+    x, y = points[order, 0], points[order, 1]
+    with np.errstate(over="ignore"):
+        dx, dy = x[b] - x[a], y[b] - y[a]
+    near = np.flatnonzero((np.abs(dx) <= r) & (np.abs(dy) <= r))
+    return order[a[near]], order[b[near]], dx[near], dy[near]
+
+
+def _interleave(v: np.ndarray) -> np.ndarray:
+    """The bits of nonnegative integers ``v`` below ``2**32`` spread to the
+    even bit positions."""
+    v = v.astype(np.uint64)
+    for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+                        (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+                        (1, 0x5555555555555555)):
+        v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+    return v
+
+
+def _z_code(cell: np.ndarray) -> np.ndarray:
+    """Z-order (Morton) code of cells given as rows of column and row."""
+    return _interleave(cell[:, 0]) | (_interleave(cell[:, 1]) << np.uint64(1))
+
+
+def neighbour_distances(points: np.ndarray) -> np.ndarray:
+    """Each row of ``points``' Euclidean distance to its nearest other row,
+    ``sqrt(dx*dx + dy*dy)`` (``inf`` for a single point).
+
+    The points are sorted in Z order of the finest cells, which also
+    sorts them by the cells of every coarser level: a cell at level ``b``
+    is ``2**b`` finest cells on a side.  A point's distance to the points
+    before and after it in that order bounds its nearest distance, and it
+    searches the nine cells around it at the finest level whose cells are
+    as wide as that bound.  A dense cluster is thus searched on cells of
+    its own scale.
+    """
+    n = points.shape[0]
+    out = np.full(n, np.inf)
+    if n < 2:
+        return out
+    cell, unit = _cell_coords(points, 0.0)
+    code = _z_code(cell)
+    order = np.argsort(code, kind="stable")
+    code, cell, x, y = code[order], cell[order], points[order, 0], points[order, 1]
+    with np.errstate(over="ignore"):
+        gap = _length(np.diff(x), np.diff(y))
+        bound = np.minimum(np.r_[np.inf, gap], np.r_[gap, np.inf])
+        # cells at level b are 2**b units wide; at level _CELL_BITS one
+        # cell holds every point
+        level = np.ceil(np.log2(np.maximum(1.001 * (bound / 2) / unit, 1.0)))
+    level = np.minimum(level, _CELL_BITS).astype(np.int64)
+    steps = len(_NEIGHBOURHOOD)
+    # a step below cell 0 looks in cell 0 again, which repeats candidates
+    # but cannot change a minimum
+    near = np.maximum((cell >> level[:, None])[:, None, :] + _NEIGHBOURHOOD, 0)
+    shift = 2 * np.repeat(level, steps).astype(np.uint64)
+    first = _z_code(near.reshape(-1, 2)) << shift
+    start = np.searchsorted(code, first)
+    count = np.searchsorted(code, first + (np.uint64(1) << shift)) - start
+    # positions in Z order: each point's candidates are contiguous, and
+    # include the point itself
+    run, b = _expand(start, count)
+    a = run // steps
+    with np.errstate(over="ignore"):
+        d = _length(x[b] - x[a], y[b] - y[a])
+    d[a == b] = np.inf
+    count = count.reshape(n, steps).sum(axis=1)
+    out[order] = np.minimum.reduceat(d, np.cumsum(count) - count)
+    return out
+
+
+def _length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Euclidean lengths ``sqrt(dx*dx + dy*dy)``, bit for bit as a KD-tree
+    computes them."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
 @dataclass(frozen=True)
 class SpatialDataset:
     """Sampling locations with observed values, optionally on a grid.
@@ -107,9 +254,10 @@ class SpatialDataset:
         on the grid and the grid must be completely observed.
 
     Work that depends only on the locations and grid (the location
-    checks, the KD-tree, pair geometries, window layouts) is kept in a
-    memo that every dataset made by :meth:`with_values` shares, so it is
-    done once per location set and lives as long as those datasets.
+    checks, nearest-neighbour distances, pair tables, window layouts) is
+    kept in a memo that every dataset made by :meth:`with_values` shares,
+    so it is done once per location set and lives as long as those
+    datasets.
     """
 
     locations: np.ndarray
@@ -153,17 +301,10 @@ class SpatialDataset:
         except KeyError:
             return self._memo.setdefault(key, build())
 
-    def tree(self) -> cKDTree:
-        """KD-tree of the locations (memoized)."""
-        return self.memo(("tree",), lambda: cKDTree(self.locations))
-
     def nearest_distances(self) -> np.ndarray:
         """Each location's distance to its nearest other location
         (memoized, read-only)."""
-        def build():
-            d, _ = self.tree().query(self.locations, k=2)
-            return _readonly(d[:, 1])
-        return self.memo(("nearest",), build)
+        return self.memo(("nearest",), lambda: _readonly(neighbour_distances(self.locations)))
 
     def _check_locations(self, validate: bool):
         """Checks of a new location set: finite and without near-duplicates
@@ -178,7 +319,7 @@ class SpatialDataset:
         if validate and self.n > 1 and not spaced:
             # the pair search only finds candidates (its radius leaves room
             # for rounding); the nearest distances decide and word the error
-            if len(self.tree().query_pairs(2 * DUPLICATE_TOL)):
+            if pairs_within(self.locations, 2 * DUPLICATE_TOL)[0].size:
                 nearest = self.nearest_distances().min()
                 if nearest < DUPLICATE_TOL:
                     raise ValueError(
@@ -342,6 +483,8 @@ def enumerate_lag_pairs(
     """
     if tol is None:
         tol = lag_match_tol(dataset.grid)
+    from scipy.spatial import cKDTree  # a reference independent of pairs_within
+
     loc = dataset.locations
     target = loc + np.asarray(lag, dtype=float)
     tree = cKDTree(loc)

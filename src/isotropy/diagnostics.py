@@ -38,7 +38,8 @@ def directional_semivariogram(
     Directions partition the half-circle [0, 180) into ``n_directions``
     sectors centered on k*180/n_directions degrees.  Distance bin b is
     ``(edges[b], edges[b+1]]`` on ``n_bins`` equal steps up to
-    ``max_dist`` (by default half the largest pairwise distance).
+    ``max_dist`` (by default half the largest pairwise distance; a given
+    one must be positive and finite).
     Returns rows ``(direction_deg, distance, gamma, n_pairs)``; empty
     bins report a zero pair count and NaN gamma.  The pairs are walked a
     chunk of rows at a time, so memory grows with n, not n^2.
@@ -47,6 +48,8 @@ def directional_semivariogram(
         raise ValueError("directional semivariogram needs at least two points")
     if n_directions < 1 or n_bins < 1:
         raise ValueError("need at least one direction and one distance bin")
+    if max_dist is not None and not 0 < max_dist < np.inf:
+        raise ValueError(f"max_dist must be positive and finite, got {max_dist}")
     loc, values = dataset.locations, dataset.values
     if max_dist is None:
         max_dist = max(float(np.hypot(dx, dy).max()) for _, _, dx, dy in _pair_chunks(loc)) / 2.0
@@ -57,8 +60,7 @@ def directional_semivariogram(
     for i, j, dx, dy in _pair_chunks(loc):
         dist = np.hypot(dx, dy)
         b = np.searchsorted(edges, dist, "left") - 1
-        # dist <= edges[-1] empties the bins when max_dist <= 0 or is NaN
-        keep = (b >= 0) & (b < n_bins) & (dist <= edges[-1])
+        keep = (b >= 0) & (b < n_bins)
         angle = np.mod(np.arctan2(dy[keep], dx[keep]), np.pi)
         sector = np.mod(np.rint(angle / sector_width).astype(int), n_directions)
         cell = sector * n_bins + b[keep]

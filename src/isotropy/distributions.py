@@ -3,12 +3,12 @@ Cramér-von Mises test, and reproducible random-number streams."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "RngStream",
@@ -65,12 +65,30 @@ class RngStream:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability P(chi2_df > x)."""
+    """Upper-tail probability P(chi2_df > x).
+
+    Closed form for integer ``df = 2k`` or ``2k + 1``: with ``h = x / 2``,
+    ``exp(-h) * sum_{i<k} h^i / i!`` and
+    ``erfc(sqrt(h)) + sqrt(2x/pi) * exp(-h) * sum_{i<k} x^i / (1*3*...*(2i+1))``.
+    Every term is positive, so the sum keeps its relative accuracy.
+    """
     if x < 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
-    if df < 1:
+    if df < 1 or df != int(df):
         raise ValueError("degrees of freedom must be a positive integer")
-    return float(special.chdtrc(df, x))
+    x = float(x)
+    if x == math.inf:
+        return 0.0
+    half = x / 2
+    k, odd = divmod(int(df), 2)
+    # the sum over i < k, each term from the one before
+    term, total = 1.0, float(k > 0)
+    for i in range(1, k):
+        term *= x / (2 * i + 1) if odd else half / i
+        total += term
+    if odd:
+        return math.erfc(math.sqrt(half)) + math.sqrt(2 * x / math.pi) * math.exp(-half) * total
+    return math.exp(-half) * total
 
 
 def f22_cdf(x):
@@ -93,7 +111,10 @@ def cvm_statistic(u_sorted: np.ndarray) -> float:
 def _cvm_limit_cdf(x: float) -> float:
     # Bessel-function series for the limiting CvM null distribution
     # (Anderson-Darling 1952, eq. 1.3).  Terms are positive and decay like
-    # exp(-(4k+1)^2 / (8x)); kve keeps small-x evaluation stable.
+    # exp(-(4k+1)^2 / (8x)); kve keeps small-x evaluation stable.  scipy
+    # is imported here, so that only the lz test loads it.
+    from scipy import special
+
     if x <= 0:
         return 0.0
     if x > 12:

@@ -5,7 +5,7 @@ pairs.  Non-gridded data smooths over observed pair displacements with a
 Nadaraya-Watson product kernel, one factor per axis, so that the
 estimate at lag ``h`` averages squared differences (or centered
 products) of pairs whose displacement is close to ``h``.  Both find their
-pairs with one KD-tree search within reach of every lag, then keep each
+pairs with one cell search within reach of every lag, then keep each
 pair at the lags it matches.  Pairs enter in both orientations, which
 makes estimates at ``h`` and ``-h`` agree.
 """
@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import LagSet, SpatialDataset, lag_match_tol
+from .core import LagSet, SpatialDataset, lag_match_tol, pairs_within
 
 __all__ = [
     "KernelSpec",
@@ -230,13 +230,9 @@ class GHat:
 def _candidate_pairs(dataset: SpatialDataset, reach: float):
     """Ordered pairs (i != j) within L-inf distance ``reach``, as
     displacement and value-index arrays."""
-    loc = dataset.locations
-    upper = dataset.tree().query_pairs(reach, p=np.inf, output_type="ndarray")
-    i = np.concatenate([upper[:, 0], upper[:, 1]])
-    j = np.concatenate([upper[:, 1], upper[:, 0]])
-    dx = loc[j, 0] - loc[i, 0]
-    dy = loc[j, 1] - loc[i, 1]
-    return i, j, dx, dy
+    i, j, dx, dy = pairs_within(dataset.locations, reach)
+    # 0.0 - d, not -d: a zero displacement is +0.0 in both orientations
+    return np.r_[i, j], np.r_[j, i], np.r_[dx, 0.0 - dx], np.r_[dy, 0.0 - dy]
 
 
 def kernel_reach(lags: np.ndarray, kernel: KernelSpec | None, width: float) -> float:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .core import SpatialDataset, GridSpec
 from .distributions import RngStream
@@ -137,14 +136,25 @@ def covariance_matrix(locations: np.ndarray, cov: ExponentialCovariance) -> np.n
     n = locations.shape[0]
     if n == 1:
         return np.array([[cov.sill]])
-    condensed = pdist(locations)
-    if n > 1 and condensed.min() <= 0:
+    # distances sqrt(dx*dx + dy*dy), built in place: two n x n arrays at most
+    x, y = locations[:, 0], locations[:, 1]
+    sigma = x[:, None] - x
+    sigma *= sigma
+    dy = y[:, None] - y
+    dy *= dy
+    sigma += dy
+    del dy
+    np.sqrt(sigma, out=sigma)
+    np.fill_diagonal(sigma, np.inf)
+    if sigma.min() <= 0:
         warnings.warn(
             "duplicate locations produce a degenerate covariance matrix",
             RuntimeWarning,
             stacklevel=2,
         )
-    sigma = cov.sigma2 * np.exp(-cov.phi * squareform(condensed))
+    sigma *= -cov.phi
+    np.exp(sigma, out=sigma)
+    sigma *= cov.sigma2
     np.fill_diagonal(sigma, cov.sill)
     return sigma
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpatialDataset
+from .core import SpatialDataset, _expand
 from .distributions import RngStream
 from .estimators import PairTable, kernel_reach, lag_entries
 
@@ -336,13 +336,6 @@ def gbbb_resample(
     return SpatialDataset(
         dataset.locations[point] + shift[region], dataset.values[point], validate=False
     )
-
-
-def _expand(start: np.ndarray, count: np.ndarray):
-    """For runs ``start[a] .. start[a] + count[a] - 1``: the run of every
-    position and the position itself."""
-    owner = np.repeat(np.arange(count.size), count)
-    return owner, np.arange(owner.size) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 def _cell_split(side: float, reach: float, width: float):

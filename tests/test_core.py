@@ -1,9 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from isotropy import (
     ContrastMatrix,
@@ -14,6 +16,7 @@ from isotropy import (
     default_lag_set,
     enumerate_lag_pairs,
 )
+from isotropy.core import DUPLICATE_TOL, neighbour_distances, pairs_within
 
 
 def brute_force_pairs(dataset, lag, tol=1e-9):
@@ -185,9 +188,85 @@ class TestSpatialDataset:
             LagSet([(1, 0), (1, 0)])
 
 
+def _lattice(spacing, angle=0.0):
+    c, s = np.cos(angle), np.sin(angle)
+    return GridSpec(18, 12, spacing).locations() @ np.array([[c, s], [-s, c]])
+
+
+# name: (points, radii).  Lattice radii are multiples of the spacing, so
+# many pairs lie exactly at the radius.
+PAIR_SEARCH_CASES = {
+    "scattered": (np.random.default_rng(0).random((300, 2)) * (16, 10), (0.3, 1.0, 2.5)),
+    "spacing-1": (_lattice(1.0), (1.0, 2.0, 3.5)),
+    "spacing-0.7": (_lattice(0.7), (0.7, 1.4, 2.1)),
+    "spacing-1e-3": (_lattice(1e-3), (1e-3, 2e-3)),
+    "rotated": (_lattice(0.7, 0.4), (0.7, 1.3)),
+    "near-duplicates": (np.array([(0, 0), (1e-9, 0), (0, 2e-9), (3, 3), (3, 3 + 2.5e-9),
+                                  (5, 5), (5, 5)], dtype=float), (2 * DUPLICATE_TOL,)),
+    "one-point": (np.array([(1.0, 2.0)]), (1.0,)),
+    "two-points": (np.array([(0.0, 0.0), (1.0, 0.5)]), (0.5, 1.0)),
+    "collinear": (np.column_stack([np.linspace(0, 5, 60), np.zeros(60)]), (0.1, 1.0)),
+    "diagonal": (np.column_stack([np.linspace(0, 5, 60)] * 2), (0.1, 1.0)),
+}
+
+
+def _pair_set(i, j, *_):
+    """Unordered pairs as a set of (smaller, larger) index tuples, each
+    found once."""
+    found = set(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    assert len(found) == len(i)
+    return found
+
+
+class TestPairSearch:
+    """The cell search finds what a KD-tree finds, and nearest distances
+    are the KD-tree's to the bit."""
+
+    @pytest.mark.parametrize("case", sorted(PAIR_SEARCH_CASES))
+    def test_matches_kd_tree(self, case):
+        points, radii = PAIR_SEARCH_CASES[case]
+        tree = cKDTree(points)
+        for r in radii + (2 * DUPLICATE_TOL,):
+            i, j, dx, dy = pairs_within(points, r)
+            assert i.dtype == j.dtype == np.intp
+            assert dx.tobytes() == (points[j, 0] - points[i, 0]).tobytes()
+            assert dy.tobytes() == (points[j, 1] - points[i, 1]).tobytes()
+            assert _pair_set(i, j) == _pair_set(*tree.query_pairs(r, p=np.inf, output_type="ndarray").T)
+        want = tree.query(points, k=2)[0][:, 1] if len(points) > 1 else np.array([np.inf])
+        assert neighbour_distances(points).tobytes() == want.tobytes()
+
+    def test_far_neighbours(self):
+        # a dense cluster, a sparse cloud and one outlier: points search
+        # cells of widths 1e8 apart
+        gen = np.random.default_rng(1)
+        points = np.vstack([gen.random((2000, 2)) * 0.01, gen.random((40, 2)) * 1e3, [(1e6, 1e6)]])
+        want = cKDTree(points).query(points, k=2)[0][:, 1]
+        assert neighbour_distances(points).tobytes() == want.tobytes()
+
+    def test_huge_coordinates(self):
+        # differences overflow to inf; the KD-tree refuses these points
+        points = np.array([(1e308, -1e308), (-1e308, 1e308), (1e308, 1e308),
+                           (-1.7976931348623157e308, 0.0), (0.0, 0.0), (0.0, 1e-9)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (2 * DUPLICATE_TOL, 1.0, 1e300):
+                assert _pair_set(*pairs_within(points, r)) == {(4, 5)}
+            nearest = neighbour_distances(points)
+            ds = SpatialDataset(points[:5], np.zeros(5))
+        assert nearest[4] == nearest[5] == 1e-9
+        assert np.all(np.isinf(nearest[:4]))
+        assert ds.n == 5
+
+    def test_narrow_radius_over_a_wide_span(self):
+        # cells 2e-9 wide over a 1e12 span would number 1e42; only occupied
+        # ones may be kept
+        points = np.array([(0.0, 0.0), (1e12, 1e12), (5e11, 0.0), (5e11, 1e-9)])
+        assert _pair_set(*pairs_within(points, 2 * DUPLICATE_TOL)) == {(2, 3)}
+
+
 def _memo_arrays(value):
     """Every array held by a memo entry: the entry itself, the items of a
-    tuple, the array fields of a dataclass, a KD-tree's data."""
+    tuple, the array fields of a dataclass."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, tuple):
@@ -195,8 +274,6 @@ def _memo_arrays(value):
     if hasattr(value, "__dataclass_fields__"):
         return [a for name in value.__dataclass_fields__
                 for a in _memo_arrays(getattr(value, name))]
-    if hasattr(value, "query_pairs"):  # cKDTree
-        return [value.data]
     return []
 
 
@@ -230,10 +307,10 @@ class TestLocationMemo:
 
     def test_memo_not_in_repr_or_comparison(self):
         ds = SpatialDataset([(0, 0), (1, 0)], [1.0, 2.0])
-        ds.tree()
+        ds.nearest_distances()
         (memo,) = [f for f in dataclasses.fields(SpatialDataset) if f.name == "_memo"]
         assert not memo.compare and not memo.repr
-        assert "memo" not in repr(ds) and "KDTree" not in repr(ds)
+        assert "memo" not in repr(ds) and "nearest" not in repr(ds)
 
     def test_different_locations_share_nothing(self, random_field_18x12):
         grid_ds = random_field_18x12
@@ -243,9 +320,9 @@ class TestLocationMemo:
                  self._scattered(seed=1), points_ds.take(np.arange(250))]
         memos = [grid_ds._memo, points_ds._memo] + [d._memo for d in fresh]
         assert len({id(m) for m in memos}) == len(memos)
-        # a new dataset, even on equal coordinates, holds only its own
-        # location checks (none on a grid); a subset is not checked
-        assert [set(d._memo) for d in fresh] == [set(), {("tree",)}, set()]
+        # a new dataset, even on equal coordinates, starts empty: its
+        # location checks keep nothing unless they find a near-duplicate
+        assert [set(d._memo) for d in fresh] == [set(), set(), set()]
         for m in memos[:2]:
             held = {id(a) for v in m.values() for a in _memo_arrays(v)}
             for d in fresh:
@@ -256,10 +333,10 @@ class TestLocationMemo:
         self._run_everything(random_field_18x12, points_ds)
         for ds in (random_field_18x12, points_ds):
             kinds = {key[0] for key in ds._memo}
-            assert {"tree", "pairs", "windows"} <= kinds
+            assert {"pairs", "windows"} <= kinds
             assert ("nearest" in kinds) == (ds is points_ds)  # only ms needs it
             arrays = [a for v in ds._memo.values() for a in _memo_arrays(v)]
-            assert len(arrays) > 10
+            assert len(arrays) >= 10
             for a in arrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):

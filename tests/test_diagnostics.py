@@ -125,8 +125,11 @@ DIRECTIONAL_CASES = {
     "grid-two-sectors": (lambda: _gridded(9, 7, 5), 2, 4, 4.0),
     # 1100 points take five chunks of rows; the other cases take one
     "many-chunks": (lambda: _scattered(1100, 6), 4, 10, None),
+    # a max_dist that is not positive and finite is refused
     "zero-max-dist": (lambda: _gridded(3, 1, 7), 4, 3, 0.0),
     "negative-max-dist": (lambda: _gridded(4, 3, 8), 3, 5, -2.0),
+    "nan-max-dist": (lambda: _gridded(4, 3, 8), 3, 5, float("nan")),
+    "inf-max-dist": (lambda: _gridded(4, 3, 8), 3, 5, float("inf")),
 }
 
 
@@ -137,6 +140,10 @@ class TestDirectionalReference:
     def test_matches_dense_reference(self, case):
         make, n_directions, n_bins, max_dist = DIRECTIONAL_CASES[case]
         ds = make()
+        if case.endswith("-max-dist"):
+            with pytest.raises(ValueError, match="max_dist must be positive and finite"):
+                directional_semivariogram(ds, n_directions, n_bins, max_dist)
+            return
         got = directional_semivariogram(ds, n_directions, n_bins, max_dist)
         want = dense_directional_semivariogram(ds, n_directions, n_bins, max_dist)
         assert [r[:2] + r[3:] for r in got] == [r[:2] + r[3:] for r in want]

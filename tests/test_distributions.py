@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from isotropy.distributions import (
     RngStream,
@@ -19,6 +19,10 @@ from isotropy.distributions import (
 class TestChi2:
     def test_zero_gives_one(self):
         assert chi2_sf(0.0, 2) == 1.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 6])
+    def test_infinite_statistic(self, df):
+        assert chi2_sf(np.inf, df) == 0.0 == special.chdtrc(df, np.inf)
 
     def test_quantile_values(self):
         assert chi2_sf(5.991465, 2) == pytest.approx(0.05, abs=1e-4)
@@ -38,6 +42,17 @@ class TestChi2:
             chi2_sf(-0.1, 2)
         with pytest.raises(ValueError):
             chi2_sf(1.0, 0)
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, 2.5)
+
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_matches_scipy(self, df):
+        xs = np.concatenate([np.linspace(0.0, 1500.0, 6001), np.geomspace(1e-300, 1.0, 300)])
+        want = special.chdtrc(df, xs)
+        got = np.array([chi2_sf(x, df) for x in xs])
+        kept = want > 1e-290
+        np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0)
+        assert np.all(got[~kept] <= 1e-289)
 
 
 class TestF22:

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from isotropy import (
     AnisotropyParams,
@@ -89,6 +92,26 @@ class TestCovarianceMatrix:
         cov = ExponentialCovariance(1.0, 0.0, 1.0)
         with pytest.warns(RuntimeWarning, match="degenerate"):
             covariance_matrix([(0, 0), (0, 0)], cov)
+
+    @pytest.mark.parametrize("locations", [
+        np.random.default_rng(2).random((300, 2)) * (16, 10),
+        GridSpec(18, 12, 0.7).locations(),
+        anisotropic_transform(GridSpec(18, 12).locations(), AnisotropyParams(2.0, 1.1)),
+        np.array([(0, 0), (1e-300, 0), (5, 5)]),  # a distance that underflows to 0
+        np.array([(0, 0), (0, 0), (1, 1)]),
+    ], ids=["scattered", "lattice", "rotated", "underflow", "duplicate"])
+    def test_matches_pdist(self, locations):
+        cov = ExponentialCovariance(1.0, 0.2, 0.7)
+        condensed = pdist(locations)
+        want = cov.sigma2 * np.exp(-cov.phi * squareform(condensed))
+        np.fill_diagonal(want, cov.sill)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = covariance_matrix(locations, cov)
+        assert got.tobytes() == want.tobytes()
+        assert [str(w.message) for w in caught] == (
+            ["duplicate locations produce a degenerate covariance matrix"]
+            if condensed.min() <= 0 else [])
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -326,6 +329,18 @@ class TestCli:
         assert lines[0] == "direction_deg,distance,gamma,n_pairs"
         assert len(lines) == 1 + 4 * 6
 
+    @pytest.mark.parametrize("max_dist", ["0", "-1", "nan"])
+    def test_diagnose_directional_bad_max_dist_exit_1(self, tmp_path, capsys, max_dist):
+        data = tmp_path / "f.csv"
+        main(["simulate", "--design", "grid:6x5", "--seed", "2", "--out", str(data)])
+        capsys.readouterr()
+        code = main(["diagnose", "directional", "--data", str(data),
+                     f"--max-dist={max_dist}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_dist must be positive and finite" in captured.err
+
     def test_study_preset_with_report(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         code = main(["study", "--preset", "gvl-a", "--replicates", "3",
@@ -468,38 +483,42 @@ def test_cli_default_lags_in_grid_spacings(spacing, tmp_path):
 
 
 class TestReadCost:
-    """What an ``isotropy test`` call builds besides its test: a grid's
-    location checks build no KD-tree, and only ``ms`` asks for every
-    point's nearest neighbour."""
+    """What an ``isotropy test`` call searches besides its test: a grid's
+    location checks search no pairs, each pair table needs one search
+    within reach of its lags, and only ``ms`` asks for every point's
+    nearest neighbour."""
 
     @pytest.fixture
-    def trees(self, monkeypatch):
-        from isotropy import core
+    def searches(self, monkeypatch):
+        from isotropy import core, estimators
 
-        seen = {"built": 0, "nearest_queries": 0}
+        seen = {"reach": 0, "duplicates": 0, "nearest": 0}
+        pairs_within, neighbour_distances = core.pairs_within, core.neighbour_distances
 
-        class CountingTree(core.cKDTree):
-            def __init__(self, data, *args, **kwargs):
-                seen["built"] += 1
-                super().__init__(data, *args, **kwargs)
+        def counting_pairs(points, r):
+            seen["duplicates" if r == 2 * core.DUPLICATE_TOL else "reach"] += 1
+            return pairs_within(points, r)
 
-            def query(self, x, k=1, **kwargs):
-                seen["nearest_queries"] += k == 2
-                return super().query(x, k, **kwargs)
+        def counting_nearest(points):
+            seen["nearest"] += 1
+            return neighbour_distances(points)
 
-        monkeypatch.setattr(core, "cKDTree", CountingTree)
+        monkeypatch.setattr(core, "pairs_within", counting_pairs)
+        monkeypatch.setattr(estimators, "pairs_within", counting_pairs)
+        monkeypatch.setattr(core, "neighbour_distances", counting_nearest)
         return seen
 
-    @pytest.mark.parametrize("method, built, nearest_queries", [
-        ("lz", 0, 0),
-        ("gsc-g", 1, 0),  # its pair search
-        ("gsc-u", 1, 0),
-        ("ms", 1, 1),  # its bandwidth; passes at the parent too
+    @pytest.mark.parametrize("method, reach, nearest, duplicates", [
+        ("lz", 0, 0, 0),
+        ("gsc-g", 1, 0, 0),  # its pair table; the grid rules out duplicates
+        ("gsc-u", 1, 0, 1),
+        ("ms", 1, 1, 1),  # nearest distances set its bandwidth
     ])
-    def test_kd_trees_per_call(self, trees, agreement_csvs, method, built, nearest_queries):
+    def test_searches_per_call(self, searches, agreement_csvs, method, reach, nearest,
+                               duplicates):
         design, flags = AGREEMENT_CASES[method][:2]
         assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 0
-        assert trees == {"built": built, "nearest_queries": nearest_queries}
+        assert searches == {"reach": reach, "nearest": nearest, "duplicates": duplicates}
 
     @pytest.mark.parametrize("header, calls", [("x,y,value", 1), ("x,y,value,id", 0)])
     def test_loadtxt_calls_per_read(self, tmp_path, monkeypatch, header, calls):
@@ -515,3 +534,38 @@ class TestReadCost:
         ds = read_dataset_csv(path)
         assert len(seen) == calls
         assert ds.grid == g and np.array_equal(ds.values, np.arange(20.0))
+
+
+class TestStartup:
+    """What loading the package costs: numpy, and scipy only for ``lz``."""
+
+    @staticmethod
+    def _scipy_modules_after(code, *args):
+        """The scipy modules a fresh interpreter holds after ``code``, which
+        sets ``seen[name] = scipy_modules()`` at each point of interest."""
+        script = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "seen = {}\n" + code + "\nprint(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                             text=True, env=env, check=True, timeout=300)
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    def test_starts_without_scipy(self, agreement_csvs):
+        # only the lz test's CvM p-value loads scipy, and then only scipy.special
+        calls = [(m, str(agreement_csvs[AGREEMENT_CASES[m][0]]), AGREEMENT_CASES[m][1])
+                 for m in ("gsc-g", "gsc-u", "ms", "lz")]
+        seen = self._scipy_modules_after(
+            "import isotropy, isotropy.cli, isotropy.study\n"
+            "seen['import'] = scipy_modules()\n"
+            "for method, path, flags in json.loads(sys.argv[1]):\n"
+            "    assert isotropy.cli.main(['test', path, '--method', method] + flags) == 0\n"
+            "    seen[method] = scipy_modules()\n",
+            json.dumps(calls))
+        special = self._scipy_modules_after("import scipy.special\nseen['special'] = scipy_modules()")
+        assert [seen[k] for k in ("import", "gsc-g", "gsc-u", "ms")] == [[]] * 4
+        assert "scipy.special" in seen["lz"]
+        assert set(seen["lz"]) <= set(special["special"])
