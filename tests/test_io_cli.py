@@ -508,14 +508,18 @@ class TestReadCost:
         monkeypatch.setattr(core, "neighbour_distances", counting_nearest)
         return seen
 
-    @pytest.mark.parametrize("method, reach, nearest, duplicates", [
-        ("lz", 0, 0, 0),
-        ("gsc-g", 1, 0, 0),  # its pair table; the grid rules out duplicates
-        ("gsc-u", 1, 0, 1),
-        ("ms", 1, 1, 1),  # nearest distances set its bandwidth
+    # duplicate-location searches per call; a grid rules them out
+    DUPLICATE_SEARCHES = {"lz": 0, "gsc-g": 0, "gsc-u": 1, "ms": 1}
+
+    @pytest.mark.parametrize("method, reach, nearest", [
+        ("lz", 0, 0),
+        ("gsc-g", 1, 0),  # its pair table
+        ("gsc-u", 1, 0),
+        ("ms", 1, 1),  # nearest distances set its bandwidth
     ])
-    def test_searches_per_call(self, searches, agreement_csvs, method, reach, nearest,
-                               duplicates):
+    def test_kd_trees_per_call(self, searches, agreement_csvs, method, reach, nearest):
+        # the cell searches of core stand where KD-trees stood
+        duplicates = self.DUPLICATE_SEARCHES[method]
         design, flags = AGREEMENT_CASES[method][:2]
         assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 0
         assert searches == {"reach": reach, "nearest": nearest, "duplicates": duplicates}
