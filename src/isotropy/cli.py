@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .distributions import RngStream
 from .grf import AnisotropyParams, ExponentialCovariance, GrfSampler
-from .io import DataFormatError, read_dataset_csv, write_dataset_csv
+from .io import DataFormatError, format_dataset_csv, read_dataset_csv, write_dataset_csv
 from .resampling import Rect
 from .study import (
     METHOD_TABLE,
@@ -78,9 +78,7 @@ def _cmd_simulate(args) -> int:
         write_dataset_csv(ds, args.out)
         print(f"wrote {ds.n} observations to {args.out}")
     else:
-        sys.stdout.write("x,y,value\n")
-        for (x, y), v in zip(ds.locations, ds.values):
-            sys.stdout.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+        sys.stdout.write(format_dataset_csv(ds))
     return EXIT_OK
 
 
@@ -117,6 +115,8 @@ def _cmd_test(args) -> int:
         window=_window(args), offset_step=args.step, kernel=args.kernel,
         truncation=args.truncation, bandwidth=args.bandwidth,
         pvalue_mode=args.pvalue_mode, n_boot=args.n_boot, tuning=args.tuning)
+    given = {"seed": args.seed != 0, "domain": args.domain is not None}
+    method.refuse_unread(args.method, [name for name, is_given in given.items() if is_given])
     domain = _parse_domain(args.domain) if args.domain else Rect.from_dataset(ds)
     res = method.run(spec, method.hypothesis(spec, ds.grid), ds, domain, args.alpha,
                      RngStream(args.seed))
@@ -132,17 +132,14 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    overrides = {key: value for key, value in (
+        ("replicates", args.replicates), ("master_seed", args.seed)) if value is not None}
     if args.preset:
-        kwargs = {}
-        if args.replicates:
-            kwargs["replicates"] = args.replicates
-        if args.seed is not None:
-            kwargs["master_seed"] = args.seed
-        config = get_preset(args.preset, **kwargs)
+        config = get_preset(args.preset, **overrides)
     elif args.config:
+        if overrides:
+            raise CliError("--replicates and --seed only apply to --preset", EXIT_USAGE)
         config = StudyConfig.from_json(Path(args.config).read_text())
-        if args.replicates:
-            raise CliError("--replicates only applies to --preset", EXIT_USAGE)
     else:
         raise CliError("study needs --preset or --config", EXIT_USAGE)
 
@@ -235,7 +232,7 @@ def build_parser() -> _Parser:
                     default=None)
     pt.add_argument("--n-boot", type=int, default=_spec_default("n_boot"))
     pt.add_argument("--tuning", type=float, default=_spec_default("tuning"))
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=int, default=0, help="bootstrap seed (ms)")
     pt.add_argument("--domain", default=None,
                     help="sampling domain X0:Y0:WIDTHxHEIGHT "
                          "(default: inferred from the data)")

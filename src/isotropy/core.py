@@ -56,15 +56,13 @@ class GridSpec:
     def size(self) -> int:
         return self.n_cols * self.n_rows
 
-    def locations(self, x0: float = 0.0, y0: float = 0.0) -> np.ndarray:
-        """All grid locations, x varying fastest, as an ``(n, 2)`` array."""
+    def locations(self) -> np.ndarray:
+        """All grid locations from the origin, x varying fastest, as an
+        ``(n, 2)`` array."""
         ii, jj = np.meshgrid(
             np.arange(self.n_cols), np.arange(self.n_rows), indexing="xy"
         )
-        pts = np.column_stack([ii.ravel(), jj.ravel()]).astype(float) * self.spacing
-        pts[:, 0] += x0
-        pts[:, 1] += y0
-        return pts
+        return np.column_stack([ii.ravel(), jj.ravel()]).astype(float) * self.spacing
 
 
 def grid_cells(locations: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +316,11 @@ class SpatialDataset:
         spaced = self.grid is not None and self.grid.spacing * (1 - 2e-6) >= DUPLICATE_TOL
         if validate and self.n > 1 and not spaced:
             # the pair search only finds candidates (its radius leaves room
-            # for rounding); the nearest distances decide and word the error
-            if pairs_within(self.locations, 2 * DUPLICATE_TOL)[0].size:
-                nearest = self.nearest_distances().min()
+            # for rounding); their Euclidean lengths decide and word the
+            # error, and the closest pair is always among them
+            _, _, dx, dy = pairs_within(self.locations, 2 * DUPLICATE_TOL)
+            if dx.size:
+                nearest = _length(dx, dy).min()
                 if nearest < DUPLICATE_TOL:
                     raise ValueError(
                         f"duplicate sampling locations (minimum separation {nearest:g})"

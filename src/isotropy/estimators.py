@@ -201,9 +201,12 @@ class GHat:
 
     ``weights`` records the effective sample behind each estimate (exact
     pair count for the classical estimator, total kernel weight for the
-    smoothed ones); resampling uses it to put estimates computed on
-    differently sized supports on a common scale.  ``pairs`` is the pair
-    table the estimates came from, which moving windows reuse.
+    smoothed ones).  It is reported to the caller; no isotropy test reads it.
+    The moving-window variance derives its own scale from ``pairs``:
+    pair counts for the classical estimator and point counts for the
+    kernel ones (see :func:`isotropy.resampling.subsample_variance`).
+    ``pairs`` is the pair table the estimates came from, which moving
+    windows and bootstrap resamples reuse.
     """
 
     values: np.ndarray

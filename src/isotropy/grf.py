@@ -200,9 +200,8 @@ class GrfSampler:
         self._factor = _cholesky_with_jitter(sigma, cov.sill)
         self._drawn: dict[GridSpec | None, SpatialDataset] = {}
 
-    def draw_values(self, rng: RngStream | np.random.Generator) -> np.ndarray:
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        z = gen.standard_normal(self.locations.shape[0])
+    def draw_values(self, rng: RngStream) -> np.ndarray:
+        z = rng.generator().standard_normal(self.locations.shape[0])
         return self._factor @ z
 
     def draw(self, rng: RngStream, grid: GridSpec | None = None) -> SpatialDataset:

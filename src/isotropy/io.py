@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import GridSpec, SpatialDataset
 
-__all__ = ["DataFormatError", "read_dataset_csv", "write_dataset_csv", "detect_grid"]
+__all__ = ["DataFormatError", "read_dataset_csv", "format_dataset_csv", "write_dataset_csv",
+           "detect_grid"]
 
 class DataFormatError(ValueError):
     """Malformed or inconsistent input data."""
@@ -159,9 +160,12 @@ def _raise_first_bad_row(path, body) -> None:
     raise AssertionError("no bad row found after a failed check")
 
 
+def format_dataset_csv(dataset: SpatialDataset) -> str:
+    """A dataset in the ingestion format, full float precision."""
+    return "x,y,value\n" + "".join(f"{x:.17g},{y:.17g},{v:.17g}\n" for (x, y), v
+                                    in zip(dataset.locations, dataset.values))
+
+
 def write_dataset_csv(dataset: SpatialDataset, path) -> None:
-    """Emit a dataset in the ingestion format, full float precision."""
-    lines = ["x,y,value"]
-    for (x, y), v in zip(dataset.locations, dataset.values):
-        lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write :func:`format_dataset_csv` of a dataset to ``path``."""
+    Path(path).write_text(format_dataset_csv(dataset), encoding="utf-8")

@@ -323,8 +323,7 @@ def gbbb_resample(
     if domain is None:
         domain = Rect.from_dataset(dataset)
     regions, _ = _partition_regions(domain, block)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    u, v = _draw_blocks(domain, block, regions.shape[0], gen)
+    u, v = _draw_blocks(domain, block, regions.shape[0], rng.generator())
     x = dataset.locations[:, 0]
     y = dataset.locations[:, 1]
     bx, by = u[:, None], v[:, None]

@@ -94,10 +94,6 @@ class TestResult:
         return {"method": self.method, **asdict(self)}
 
 
-def _as_array(x, attr):
-    return getattr(x, attr) if hasattr(x, attr) else np.asarray(x, dtype=float)
-
-
 def _quadratic_forms(a: np.ndarray, sigma: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
     """Quadratic forms y_i' (A S A')^{-1} y_i for rows y_i, and whether
     A S A' needed the diagonal ridge to be inverted."""
@@ -120,19 +116,19 @@ def _statistic(g: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> tuple[float, 
     return max(float(t[0]), 0.0), ridged
 
 
-def quadratic_form(g_hat, contrast, sigma_hat) -> float:
-    """T = (A g)' (A S A')^{-1} (A g); S must already be the variance of
-    the full-sample estimate."""
-    a = _as_array(contrast, "matrix")
-    return _statistic(_as_array(g_hat, "values"), a, _as_array(sigma_hat, "matrix"))[0]
+def quadratic_form(g_hat: np.ndarray, contrast: np.ndarray, sigma_hat: np.ndarray) -> float:
+    """T = (A g)' (A S A')^{-1} (A g) from arrays g, A and S; S must
+    already be the variance of the full-sample estimate."""
+    return _statistic(np.asarray(g_hat, dtype=float), np.asarray(contrast, dtype=float),
+                      np.asarray(sigma_hat, dtype=float))[0]
 
 
 def finite_sample_pvalue(
     full_stat: float,
     window_ghats: np.ndarray,
     g_full: np.ndarray,
-    contrast,
-    sigma_hat,
+    contrast: np.ndarray,
+    sigma_hat: np.ndarray,
     window_weights: np.ndarray,
     full_weights: np.ndarray,
 ) -> float:
@@ -158,11 +154,10 @@ def finite_sample_pvalue(
         raise ValueError("window estimates must be a (K, k) matrix")
     if gmat.shape[0] < 2:
         raise ValueError("finite-sample adjustment needs at least two subblocks")
-    a = _as_array(contrast, "matrix")
-    g0 = _as_array(g_full, "values")
+    a = np.asarray(contrast, dtype=float)
     scale = np.sqrt(np.asarray(window_weights, dtype=float) / np.asarray(full_weights, dtype=float))
-    y = (scale * (gmat - g0)) @ a.T
-    t_k, _ = _quadratic_forms(a, _as_array(sigma_hat, "matrix"), y)
+    y = (scale * (gmat - np.asarray(g_full, dtype=float))) @ a.T
+    t_k, _ = _quadratic_forms(a, np.asarray(sigma_hat, dtype=float), y)
     return float(np.count_nonzero(t_k >= full_stat) / t_k.shape[0])
 
 
@@ -181,15 +176,13 @@ def default_grid_window(dataset: SpatialDataset, domain: Rect | None = None) -> 
     return WindowSpec(w * s, h * s)
 
 
-def default_block(
-    dataset: SpatialDataset, c: float = 1.0, domain: Rect | None = None
-) -> WindowSpec:
-    """Window/block for non-gridded data: about ``c * sqrt(n)`` points per
+def default_block(dataset: SpatialDataset, domain: Rect | None = None) -> WindowSpec:
+    """Window/block for non-gridded data: about ``sqrt(n)`` points per
     block at the observed density, aspect following the domain."""
     if domain is None:
         domain = Rect.from_dataset(dataset)
     density = dataset.n / (domain.width * domain.height)
-    area = c * np.sqrt(dataset.n) / density
+    area = np.sqrt(dataset.n) / density
     aspect = domain.width / domain.height
     return WindowSpec(float(np.sqrt(area * aspect)), float(np.sqrt(area / aspect)))
 
@@ -223,7 +216,7 @@ def _finish(
         p = chi2_sf(t, contrast.r)
     elif pvalue_mode == "finite_sample":
         p = finite_sample_pvalue(
-            t, variance.window_ghats, ghat.values, contrast, variance.sigma,
+            t, variance.window_ghats, ghat.values, contrast.matrix, variance.sigma.matrix,
             variance.window_weights, variance.full_weights,
         )
     else:
@@ -288,7 +281,7 @@ def gsc_nongridded_test(
     if domain is None:
         domain = Rect.from_dataset(dataset)
     if window is None:
-        window = default_block(dataset, 1.0, domain)
+        window = default_block(dataset, domain)
     if pvalue_mode is None:
         pvalue_mode = "finite_sample" if dataset.n < 500 else "asymptotic"
     config = EstimatorConfig(
@@ -330,7 +323,7 @@ def ms_test(
     if domain is None:
         domain = Rect.from_dataset(dataset)
     if block is None:
-        block = default_block(dataset, 1.0, domain)
+        block = default_block(dataset, domain)
     bandwidth = empirical_bandwidth(dataset, tuning)
     config = EstimatorConfig(
         kind="kernel_covariogram", kernel=KernelSpec("epanechnikov"),

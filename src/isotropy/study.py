@@ -158,7 +158,8 @@ class MethodSpec:
     ``lag_scale`` multiplies the default lags, in grid spacings.
     ``window`` is (width, height) in domain units for the moving window
     (gsc-g, gsc-u) or bootstrap block (ms); None picks the built-in
-    default for the design and takes no ``offset_step``.
+    default for the design and takes no ``offset_step``.  A setting the
+    method does not read (see :attr:`Method.reads`) must keep its default.
     """
 
     method: str
@@ -184,8 +185,10 @@ class MethodSpec:
             object.__setattr__(self, "window", tuple(self.window))
         elif self.offset_step is not None:
             raise StudyError("an offset step needs a window")
-        if self.pvalue_mode is not None and not METHOD_TABLE[self.method].has_pvalue_mode:
-            raise StudyError(f"method {self.method} has no p-value mode to choose")
+        fields = self.__dataclass_fields__
+        METHOD_TABLE[self.method].refuse_unread(self.method, [
+            name for name in fields if name not in ("method", "label")
+            and getattr(self, name) != fields[name].default])
         if self.pvalue_mode not in (None, *PVALUE_MODES):
             raise StudyError(f"unknown p-value mode {self.pvalue_mode!r}; "
                              f"expected one of {PVALUE_MODES}")
@@ -237,25 +240,41 @@ def _run_lz(spec, lags, dataset, domain, alpha, rng) -> SymmetryTestResult:
 class Method:
     """How the study harness and the CLI run one test: ``min_n`` is the
     sample size below which its reference distribution is unreliable,
-    ``has_pvalue_mode`` whether :attr:`MethodSpec.pvalue_mode` applies, and
-    ``hypothesis`` builds the (lag set, contrast) of a :class:`MethodSpec`
-    on a dataset's grid (None without lags) for
+    ``reads`` the settings its runner reads (:class:`MethodSpec` fields,
+    and ``seed`` and ``domain`` of ``isotropy test``), and ``hypothesis``
+    builds the (lag set, contrast) of a :class:`MethodSpec` on a dataset's
+    grid (None without lags) for
     ``run(spec, hypothesis, dataset, domain, alpha, rng)``."""
 
     needs_grid: bool
     min_n: int
-    has_pvalue_mode: bool
+    reads: tuple[str, ...]
     run: Callable[..., TestResult | SymmetryTestResult]
     hypothesis: Callable[[MethodSpec, GridSpec | None],
                          tuple[LagSet, ContrastMatrix] | None] = _lag_hypothesis
 
+    def refuse_unread(self, name: str, settings) -> None:
+        """Raise StudyError on the first of ``settings`` (names of settings
+        given other than their default) that method ``name`` does not read."""
+        unread = [s.replace("_", " ").replace("pvalue", "p-value")
+                  for s in settings if s not in self.reads]
+        if unread:
+            raise StudyError(f"method {name} has no {unread[0]} to choose; it reads "
+                             f"{', '.join(self.reads) or 'no setting'}")
+
+
+# The settings every quadratic-form test reads: its lags and its window or
+# block, inside the sampling domain.  Only moving windows read an offset
+# step; bootstrap blocks tile the domain.
+_WINDOWED = ("lag_scale", "extra_lag_pair", "window", "domain")
 
 # Every test the package offers; a new test is one more entry.
 METHOD_TABLE = {
-    "gsc-g": Method(True, 150, True, _run_gsc_g),
-    "gsc-u": Method(False, 300, True, _run_gsc_u),
-    "ms": Method(False, 300, False, _run_ms),
-    "lz": Method(True, 150, False, _run_lz, hypothesis=lambda spec, grid: None),
+    "gsc-g": Method(True, 150, (*_WINDOWED, "offset_step", "pvalue_mode"), _run_gsc_g),
+    "gsc-u": Method(False, 300, (*_WINDOWED, "offset_step", "kernel", "truncation",
+                                 "bandwidth", "pvalue_mode"), _run_gsc_u),
+    "ms": Method(False, 300, (*_WINDOWED, "n_boot", "tuning", "seed"), _run_ms),
+    "lz": Method(True, 150, (), _run_lz, hypothesis=lambda spec, grid: None),
 }
 
 # Failures of a test on one dataset, as opposed to faults in the code:
@@ -298,26 +317,12 @@ class StudyConfig:
                 raise StudyError(f"method {m.label} requires a grid design")
 
     def cells(self) -> list[tuple[int, tuple[float, float], float]]:
-        out = []
-        idx = 0
-        for aniso in self.anisotropies:
-            for xi in self.effective_ranges:
-                out.append((idx, aniso, xi))
-                idx += 1
-        return out
+        """(index, anisotropy, effective range) of every cell, range fastest."""
+        pairs = [(aniso, xi) for aniso in self.anisotropies for xi in self.effective_ranges]
+        return [(idx, aniso, xi) for idx, (aniso, xi) in enumerate(pairs)]
 
     def to_json(self) -> str:
-        d = {
-            "design": self.design.to_dict(),
-            "methods": [vars(m) for m in self.methods],
-            "effective_ranges": list(self.effective_ranges),
-            "anisotropies": [list(a) for a in self.anisotropies],
-            "sigma2": self.sigma2,
-            "tau2": self.tau2,
-            "replicates": self.replicates,
-            "alpha": self.alpha,
-            "master_seed": self.master_seed,
-        }
+        d = asdict(self) | {"design": self.design.to_dict()}
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
@@ -450,8 +455,8 @@ def _run_block(config: StudyConfig, cell_idx: int, ratio: float, angle: float,
             except NUMERICAL_ERRORS:
                 reject, failed = False, True
             rep_out[m.label] = (reject, failed, time.perf_counter() - t0)
-        out.append((rep, fhash, rep_out))
-    return cell_idx, rep_lo, out
+        out.append((fhash, rep_out))
+    return out
 
 
 _BLOCK = 20
@@ -461,31 +466,28 @@ def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> Stu
     """Run the full study; deterministic given (config, master_seed),
     independent of ``threads``."""
     cells = config.cells()
-    tasks = []
-    for cell_idx, (ratio, angle), xi in cells:
-        for lo in range(0, config.replicates, _BLOCK):
-            hi = min(lo + _BLOCK, config.replicates)
-            tasks.append((config, cell_idx, ratio, angle, xi, lo, hi))
-    blocks: dict[tuple[int, int], list] = {}
+    starts = range(0, config.replicates, _BLOCK)
+    tasks = [(config, cell_idx, ratio, angle, xi, lo, min(lo + _BLOCK, config.replicates))
+             for cell_idx, (ratio, angle), xi in cells for lo in starts]
+    # both maps return blocks in task order: cell by cell, replicates in order
+    blocks = []
     with ExitStack() as stack:
         run_all = stack.enter_context(ProcessPoolExecutor(threads)).map if threads > 1 else map
-        for done, (cell_idx, lo, out) in enumerate(run_all(_run_block, *zip(*tasks))):
-            blocks[(cell_idx, lo)] = out
+        for out in run_all(_run_block, *zip(*tasks)):
+            blocks.append(out)
             if progress:
-                progress(done + 1, len(tasks))
+                progress(len(blocks), len(tasks))
 
     results = []
     for cell_idx, (ratio, angle), xi in cells:
-        reps = []
-        for lo in range(0, config.replicates, _BLOCK):
-            reps.extend(blocks[(cell_idx, lo)])
-        reps.sort(key=lambda r: r[0])
+        cell_blocks = blocks[cell_idx * len(starts):(cell_idx + 1) * len(starts)]
+        reps = [rep for out in cell_blocks for rep in out]
         hasher = hashlib.sha256()
-        for _, fhash, _ in reps:
+        for fhash, _ in reps:
             hasher.update(fhash)
         cell_hash = hasher.hexdigest()[:16]
         for m in config.methods:
-            stats = [r[2][m.label] for r in reps]
+            stats = [r[1][m.label] for r in reps]
             n_failed = sum(1 for s in stats if s[1])
             if n_failed > 0.05 * config.replicates:
                 raise StudyError(

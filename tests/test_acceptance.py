@@ -157,7 +157,7 @@ def test_criterion_8_exact_invariants():
     # quadratic-form scale invariance
     gen = RngStream(808).generator()
     g = gen.random(4)
-    a = default_contrast(default_lag_set())
+    a = default_contrast(default_lag_set()).matrix
     s = gen.random((4, 4))
     s = s @ s.T + np.eye(4)
     t0 = quadratic_form(g, a, s)

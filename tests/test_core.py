@@ -151,6 +151,14 @@ class TestSpatialDataset:
         with pytest.raises(ValueError, match="duplicate"):
             SpatialDataset([(0, 0), (1e-12, 0)], [1.0, 2.0])
 
+    def test_duplicate_error_names_the_closest_pair(self):
+        # two candidate pairs within the search radius; the closer one is
+        # worded, as the nearest-neighbour distances give it
+        pts = np.array([(0, 0), (1.5e-9, 0), (10, 10), (10 + 3e-10, 10 + 4e-10)])
+        nearest = neighbour_distances(pts).min()
+        with pytest.raises(ValueError, match=f"minimum separation {nearest:g}\\)"):
+            SpatialDataset(pts, np.arange(4.0))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             SpatialDataset([(0, 0), (1, 0)], [1.0])
@@ -321,7 +329,7 @@ class TestLocationMemo:
         memos = [grid_ds._memo, points_ds._memo] + [d._memo for d in fresh]
         assert len({id(m) for m in memos}) == len(memos)
         # a new dataset, even on equal coordinates, starts empty: its
-        # location checks keep nothing unless they find a near-duplicate
+        # location checks keep nothing
         assert [set(d._memo) for d in fresh] == [set(), set(), set()]
         for m in memos[:2]:
             held = {id(a) for v in m.values() for a in _memo_arrays(v)}

@@ -74,7 +74,7 @@ class TestSharedPairSearch:
     def test_classical_entries_match_per_lag_reference(
             self, n1, n2, spacing, origin, declared, halves):
         g = GridSpec(n1, n2, spacing)
-        ds = SpatialDataset(g.locations(*origin), np.arange(g.size, dtype=float),
+        ds = SpatialDataset(g.locations() + origin, np.arange(g.size, dtype=float),
                             grid=g if declared else None)
         lag_set = LagSet(np.asarray(halves, dtype=float) * (spacing / 2))
         table = pair_table(ds, lag_set, EstimatorConfig())

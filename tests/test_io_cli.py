@@ -358,6 +358,28 @@ class TestCli:
         cfg.write_text(gvm_a(replicates=2).to_json())
         assert main(["study", "--config", str(cfg), "--threads", "1"]) == 0
 
+    def test_study_preset_refuses_zero_replicates(self, capsys):
+        # a zero count used to run the preset's own count
+        assert main(["study", "--preset", "gvl-a", "--replicates", "0"]) == 1
+        assert "replicates must be positive" in capsys.readouterr().err
+
+    def test_study_config_refuses_seed(self, tmp_path, capsys):
+        from isotropy.study import gvl_a
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(gvl_a(replicates=2).to_json())
+        assert main(["study", "--config", str(cfg), "--seed", "99"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design", ["grid:6x5:0.5", "uniform:40:8x6"])
+    def test_simulate_stdout_is_the_out_file(self, design, tmp_path, capsys):
+        args = ["simulate", "--design", design, "--xi", "3", "--seed", "9"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "f.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode()
+
     def test_study_invalid_config_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"design": {"kind": "grid", "n_cols": 6, "n_rows": 5}}')
@@ -469,6 +491,25 @@ def test_cli_study_and_library_agree(method, agreement_csvs, tmp_path):
 def test_cli_rejects_ignored_options(method, design, flags, agreement_csvs, capsys):
     assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, design, flags", [
+    ("ms", "uniform", ["--bandwidth", "0.3"]),
+    ("ms", "uniform", ["--kernel", "epanechnikov"]),
+    ("ms", "uniform", ["--window", "4x2", "--step", "1"]),
+    ("lz", "grid", ["--window", "4x3"]),
+    ("lz", "grid", ["--lag-scale", "2"]),
+    ("gsc-g", "grid", ["--n-boot", "7"]),
+    ("gsc-u", "uniform", ["--tuning", "3"]),
+    ("gsc-g", "grid", ["--seed", "3"]),
+    ("gsc-u", "uniform", ["--seed", "3"]),
+    ("lz", "grid", ["--seed", "3"]),
+    ("lz", "grid", ["--domain", "0:0:17x11"]),
+])
+def test_cli_rejects_unread_settings(method, design, flags, agreement_csvs, capsys):
+    # each of these once ran and printed the result of the call without the flag
+    assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 1
+    assert f"error: method {method} has no " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing", ["2", "0.5"])

@@ -451,7 +451,7 @@ def _ms_config(ds):
 
 
 def _bench_block(ds):
-    return default_block(ds, 1.0, Rect(0, 0, 32, 20))
+    return default_block(ds, Rect(0, 0, 32, 20))
 
 
 AXIS_LAGS = LagSet([(2.5, 0.0), (0.0, 2.5)])

@@ -1,6 +1,9 @@
+import inspect
+import json
+
 import pytest
 
-from isotropy import study
+from isotropy import KernelSpec, Rect, RngStream, study
 from isotropy.resampling import ResamplingError
 from isotropy.study import (
     PRESETS,
@@ -15,6 +18,7 @@ from isotropy.study import (
     gvm_a,
     run_power_study,
 )
+from isotropy.spatial_tests import gsc_gridded_test, gsc_nongridded_test, ms_test
 
 from conftest import study_threads
 
@@ -49,6 +53,73 @@ class TestConfigValidation:
         with pytest.raises(StudyError, match=message):
             MethodSpec(**kwargs)
 
+    # a value other than the default for every setting a method does not read;
+    # the last one named is refused
+    @pytest.mark.parametrize("method, kwargs", [
+        ("gsc-g", {"kernel": "epanechnikov"}),
+        ("gsc-g", {"truncation": 2.0}),
+        ("gsc-g", {"bandwidth": 0.3}),
+        ("gsc-g", {"n_boot": 7}),
+        ("gsc-g", {"tuning": 3.0}),
+        ("gsc-u", {"n_boot": 7}),
+        ("gsc-u", {"tuning": 3.0}),
+        ("ms", {"window": (4.0, 3.0), "offset_step": 1.0}),
+        ("ms", {"kernel": "epanechnikov"}),
+        ("ms", {"truncation": 2.0}),
+        ("ms", {"bandwidth": 0.3}),
+        ("lz", {"lag_scale": 2.0}),
+        ("lz", {"extra_lag_pair": True}),
+        ("lz", {"window": (4.0, 3.0)}),
+        ("lz", {"offset_step": 1.0}),
+        ("lz", {"kernel": "epanechnikov"}),
+        ("lz", {"truncation": 2.0}),
+        ("lz", {"bandwidth": 0.3}),
+        ("lz", {"n_boot": 7}),
+        ("lz", {"tuning": 3.0}),
+    ])
+    def test_unread_settings_rejected(self, method, kwargs):
+        noun = list(kwargs)[-1].replace("_", " ")
+        with pytest.raises(StudyError, match=noun):
+            MethodSpec(method, **kwargs)
+        with pytest.raises(StudyError, match=noun):
+            StudyConfig.from_json(json.dumps({
+                "design": {"kind": "grid", "n_cols": 18, "n_rows": 12}, "replicates": 2,
+                "methods": [{"method": method, **kwargs}]}))
+
+    # a valid value other than the default for every setting a test reads
+    READ_VALUES = {"lag_scale": 2.0, "extra_lag_pair": True, "window": (4.0, 3.0),
+                   "offset_step": 1.0, "kernel": "epanechnikov", "truncation": 2.0,
+                   "bandwidth": 0.3, "pvalue_mode": "asymptotic", "n_boot": 7,
+                   "tuning": 3.0}
+
+    @pytest.mark.parametrize("method", list(study.METHOD_TABLE))
+    def test_read_settings_accepted(self, method):
+        reads = [s for s in study.METHOD_TABLE[method].reads if s in self.READ_VALUES]
+        for setting in reads:
+            extra = {"window": (4.0, 3.0)} if setting == "offset_step" else {}
+            spec = MethodSpec(method, **extra, **{setting: self.READ_VALUES[setting]})
+            assert getattr(spec, setting) == self.READ_VALUES[setting]
+        # with the label, MethodSpec accepts 22 settings over the four methods
+        assert len(reads) + 1 == {"gsc-g": 6, "gsc-u": 9, "ms": 6, "lz": 1}[method]
+
+    def test_spec_defaults_are_the_library_defaults(self, random_field_18x12):
+        # the CLI and studies build a MethodSpec; library callers get the
+        # signature defaults of the tests
+        def default(test, name):
+            return inspect.signature(test).parameters[name].default
+
+        spec = MethodSpec("gsc-u")
+        assert default(gsc_nongridded_test, "kernel") == KernelSpec(spec.kernel, spec.truncation)
+        assert default(gsc_nongridded_test, "bandwidth") == spec.bandwidth == 0.75
+        assert default(gsc_nongridded_test, "pvalue_mode") == spec.pvalue_mode
+        assert (default(ms_test, "n_boot"), default(ms_test, "tuning")) == (
+            MethodSpec("ms").n_boot, MethodSpec("ms").tuning) == (100, 1.0)
+        spec, entry = MethodSpec("gsc-g"), study.METHOD_TABLE["gsc-g"]
+        ds = random_field_18x12
+        ran = entry.run(spec, entry.hypothesis(spec, ds.grid), ds, Rect.from_dataset(ds),
+                        0.05, RngStream(0))
+        assert ran.pvalue_mode == default(gsc_gridded_test, "pvalue_mode") == "finite_sample"
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"method": "gsc-g", "pvalue_mode": "foo"}, "unknown p-value mode"),
         ({"method": "ms", "n_boot": 1}, "two bootstrap resamples"),
@@ -71,8 +142,9 @@ class TestConfigValidation:
                         methods=(MethodSpec("lz"),), replicates=2, alpha=2.0)
 
     def test_json_round_trip(self):
-        cfg = gvm_a(replicates=7)
-        assert StudyConfig.from_json(cfg.to_json()) == cfg
+        for name in PRESETS:
+            cfg = get_preset(name, replicates=7)
+            assert StudyConfig.from_json(cfg.to_json()) == cfg
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(StudyError, match="JSON"):
@@ -202,7 +274,7 @@ class TestLocationWorkOnce:
         # gvl-a: one classical geometry on 18x12 (lz needs none); gvm-a:
         # the gsc-u kernel and the ms kernel at its empirical bandwidth
         config = get_preset(preset, replicates=20)
-        _, out = study._run_block(config, 4, 2.0, 0.0, 6.0, 0, 20)[1:]
+        out = study._run_block(config, 4, 2.0, 0.0, 6.0, 0, 20)
         assert len(out) == 20
         assert counts == {"_candidate_pairs": pair_geometries, "_Windows.build": 1,
                           "_check_locations": 1}
