@@ -51,7 +51,6 @@ from .spatial_tests import (
 from .spectral_tests import (
     Periodogram,
     SymmetryTestResult,
-    fourier_frequencies,
     lz_complete_test,
     lz_reflection_test,
     periodogram,

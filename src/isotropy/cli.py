@@ -186,10 +186,11 @@ def _cmd_diagnose(args) -> int:
 def _add_cov_args(p):
     p.add_argument("--sigma2", type=float, default=1.0, help="partial sill")
     p.add_argument("--tau2", type=float, default=0.0, help="nugget")
-    p.add_argument("--xi", type=float, default=6.0,
-                   help="effective range (correlation 0.05 distance)")
-    p.add_argument("--phi", type=float, default=None,
-                   help="decay rate (overrides --xi)")
+    scale = p.add_mutually_exclusive_group()
+    scale.add_argument("--xi", type=float, default=6.0,
+                       help="effective range (correlation 0.05 distance)")
+    scale.add_argument("--phi", type=float, default=None,
+                       help="decay rate (instead of --xi)")
     p.add_argument("--ratio", type=float, default=1.0, help="anisotropy ratio R >= 1")
     p.add_argument("--angle", type=float, default=0.0,
                    help="anisotropy rotation in radians")
@@ -251,14 +252,17 @@ def build_parser() -> _Parser:
     pu.set_defaults(func=_cmd_study)
 
     pd = sub.add_parser("diagnose", help="emit plot-ready diagnostics as CSV")
-    pd.add_argument("what", choices=["directional", "contours"])
-    pd.add_argument("--data", default=None, help="input CSV (directional)")
-    pd.add_argument("--directions", type=int, default=4)
-    pd.add_argument("--bins", type=int, default=10)
-    pd.add_argument("--max-dist", type=float, default=None)
-    _add_cov_args(pd)
-    pd.add_argument("--levels", default="0.1,0.3,0.5,0.7,0.9")
-    pd.add_argument("--out", default=None)
+    kinds = pd.add_subparsers(dest="what", required=True)
+    pdd = kinds.add_parser("directional", help="directional sample semivariogram of a CSV")
+    pdd.add_argument("--data", required=True, help="input CSV")
+    pdd.add_argument("--directions", type=int, default=4)
+    pdd.add_argument("--bins", type=int, default=10)
+    pdd.add_argument("--max-dist", type=float, default=None)
+    pdd.add_argument("--out", default=None)
+    pdc = kinds.add_parser("contours", help="equicorrelation contours of a covariance")
+    _add_cov_args(pdc)
+    pdc.add_argument("--levels", default="0.1,0.3,0.5,0.7,0.9")
+    pdc.add_argument("--out", default=None)
     pd.set_defaults(func=_cmd_diagnose)
     return p
 
@@ -272,8 +276,6 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "diagnose" and args.what == "directional" and not args.data:
-            raise CliError("diagnose directional requires --data", EXIT_USAGE)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,14 +139,22 @@ def parse_design(text: str) -> GridDesign | UniformDesign:
                      "uniform:N:WIDTHxHEIGHT")
 
 
+def _refuse_unknown_keys(d: dict, known, what: str) -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise StudyError(f"unknown {what} key {', '.join(map(repr, unknown))}")
+
+
 def design_from_dict(d: dict) -> GridDesign | UniformDesign:
     """Design from the ``design`` object of a study config JSON."""
     if not isinstance(d, dict):
         raise StudyError(f"design must be a JSON object, not {d!r}")
     kind = d.get("kind")
     if kind == "grid":
+        _refuse_unknown_keys(d, ["kind", *GridDesign.__dataclass_fields__], "grid design")
         return GridDesign(int(d["n_cols"]), int(d["n_rows"]), float(d.get("spacing", 1.0)))
     if kind == "uniform":
+        _refuse_unknown_keys(d, ["kind", *UniformDesign.__dataclass_fields__], "uniform design")
         return UniformDesign(int(d["n"]), float(d["width"]), float(d["height"]))
     raise StudyError(f"unknown design kind {kind!r}")
 
@@ -331,11 +339,14 @@ class StudyConfig:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise StudyError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise StudyError(f"config must be a JSON object, not {type(d).__name__}")
 
         def get(key):  # the value, or the field's default when absent
             return d.get(key, cls.__dataclass_fields__[key].default)
 
         try:
+            _refuse_unknown_keys(d, cls.__dataclass_fields__, "config")
             return cls(
                 design=design_from_dict(d["design"]),
                 methods=tuple(MethodSpec(**m) for m in d["methods"]),
@@ -465,6 +476,8 @@ _BLOCK = 20
 def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> StudyReport:
     """Run the full study; deterministic given (config, master_seed),
     independent of ``threads``."""
+    if threads < 1:
+        raise StudyError(f"threads must be at least 1, not {threads}")
     cells = config.cells()
     starts = range(0, config.replicates, _BLOCK)
     tasks = [(config, cell_idx, ratio, angle, xi, lo, min(lo + _BLOCK, config.replicates))

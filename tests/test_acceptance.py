@@ -178,7 +178,7 @@ def test_criterion_8_exact_invariants():
         small = GridSpec(*dims)
         dsm = simulate_grf(small.locations(), cov, rng=RngStream(810 + dims[0]),
                            grid=small)
-        checks.append(np.max(np.abs(periodogram(dsm).values
+        checks.append(np.max(np.abs(periodogram(dsm).power_all
                                     - direct_sum_periodogram(dsm))) <= 1e-8)
     # kernel estimators equal the brute-force oracle
     locs = uniform_locations(50, 6.0, 5.0, RngStream(811))

@@ -341,6 +341,41 @@ class TestCli:
         assert captured.out == ""
         assert "max_dist must be positive and finite" in captured.err
 
+    # every option of the other diagnose kind is refused; it used to be ignored
+    @pytest.mark.parametrize("kind, flag", [
+        *(("directional", f) for f in ("--sigma2=2", "--tau2=0.1", "--xi=3", "--phi=0.5",
+                                       "--ratio=2", "--angle=1", "--levels=0.5")),
+        *(("contours", f) for f in ("--data=f.csv", "--directions=3", "--bins=3",
+                                    "--max-dist=2")),
+    ])
+    def test_diagnose_refuses_the_other_kinds_options(self, tmp_path, capsys, kind, flag):
+        data = tmp_path / "f.csv"
+        main(["simulate", "--design", "grid:6x5", "--seed", "2", "--out", str(data)])
+        args = ["diagnose", kind, "--out", str(tmp_path / "d.csv")]
+        args += ["--data", str(data)] if kind == "directional" else []
+        assert main(args) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(args + [flag])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate", "--design", "grid:6x5"],
+                                         ["diagnose", "contours"]],
+                             ids=["simulate", "contours"])
+    def test_xi_and_phi_exclusive_exit_1(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--xi", "3", "--phi", "0.5"])
+        assert exc.value.code == 1
+        assert "not allowed with argument --xi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_study_refuses_threads_below_one(self, threads, capsys):
+        # these used to run serially
+        code = main(["study", "--preset", "gvl-a", "--replicates", "1", "--threads", threads])
+        assert code == 1
+        assert "threads must be at least 1" in capsys.readouterr().err
+
     def test_study_preset_with_report(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         code = main(["study", "--preset", "gvl-a", "--replicates", "3",

@@ -9,7 +9,6 @@ from isotropy import (
     SpatialDataset,
     cvm_test,
     f22_cdf,
-    fourier_frequencies,
     lz_complete_test,
     lz_reflection_test,
     periodogram,
@@ -18,66 +17,108 @@ from isotropy import (
 from isotropy.spectral_tests import (
     DegeneratePeriodogramError,
     Periodogram,
-    _diagonal_pairs,
+    _half_count,
     lz_diagonal_ratios,
 )
 
 
 def direct_sum_periodogram(ds):
     """Independent oracle: lag-domain cosine sum with the biased
-    covariance estimator of the demeaned field."""
+    covariance estimator of the demeaned field, at every DFT bin."""
     f = ds.field_matrix()
     n1, n2 = f.shape
     x = f - f.mean()
-    freqs = fourier_frequencies(n1, n2)
-    out = np.zeros(len(freqs))
-    for m in range(len(freqs)):
-        w1 = 2 * np.pi * freqs.k1[m] / n1
-        w2 = 2 * np.pi * freqs.k2[m] / n2
-        total = 0.0
-        for h1 in range(-(n1 - 1), n1):
-            for h2 in range(-(n2 - 1), n2):
-                # biased covariance estimate at lag (h1, h2)
-                i0, i1 = max(0, -h1), min(n1, n1 - h1)
-                j0, j1 = max(0, -h2), min(n2, n2 - h2)
-                block = x[i0:i1, j0:j1] * x[i0 + h1:i1 + h1, j0 + h2:j1 + h2]
-                chat = block.sum() / (n1 * n2)
-                total += chat * np.cos(h1 * w1 + h2 * w2)
-        out[m] = total / (2 * np.pi) ** 2
+    w1 = 2 * np.pi * np.arange(n1)[:, None] / n1
+    w2 = 2 * np.pi * np.arange(n2)[None, :] / n2
+    out = np.zeros((n1, n2))
+    for h1 in range(-(n1 - 1), n1):
+        for h2 in range(-(n2 - 1), n2):
+            # biased covariance estimate at lag (h1, h2)
+            i0, i1 = max(0, -h1), min(n1, n1 - h1)
+            j0, j1 = max(0, -h2), min(n2, n2 - h2)
+            block = x[i0:i1, j0:j1] * x[i0 + h1:i1 + h1, j0 + h2:j1 + h2]
+            chat = block.sum() / (n1 * n2)
+            out += chat * np.cos(h1 * w1 + h2 * w2)
+    return out / (2 * np.pi) ** 2
+
+
+def retained(n):
+    """DFT indices of an axis of n points other than zero and Nyquist."""
+    return [k for k in range(1, n) if 2 * k != n]
+
+
+def noise_pgram(n1, n2, seed=5):
+    g = GridSpec(n1, n2)
+    vals = RngStream(seed, n1 * 100 + n2).generator().standard_normal(n1 * n2)
+    return periodogram(SpatialDataset(g.locations(), vals, grid=g))
+
+
+def bins_read(n1, n2, stage):
+    """The (row, col) bins of an n1 x n2 power array whose zeroing makes
+    ``stage`` raise, i.e. the bins its ratio sample reads."""
+    out = set()
+    for a in range(n1):
+        for b in range(n2):
+            power = np.ones((n1, n2))
+            power[a, b] = 0.0
+            try:
+                stage(Periodogram(power))
+            except DegeneratePeriodogramError:
+                out.add((a, b))
     return out
 
 
-def synthetic_pgram(n1, n2, power):
-    freqs = fourier_frequencies(n1, n2)
-    values = power[freqs.k1 % n1, freqs.k2 % n2]
-    return Periodogram(freqs, values, power)
+def loop_ratio_samples(power):
+    """Both stages' ratio samples by explicit loops over signed indices."""
+    n1, n2 = power.shape
+    m1 = max(k for k in range(n1) if 2 * k < n1)
+    m2 = max(k for k in range(n2) if 2 * k < n2)
+    stage1 = [power[k1 % n1, k2 % n2] / power[(-k1) % n1, k2 % n2]
+              for k1 in range(1, m1 + 1) for k2 in range(1, m2 + 1)]
+    m = min(m1, m2)
+    stage2 = [power[k1, k2] / power[k2, k1]
+              for k1 in range(1, m + 1) for k2 in range(k1 + 1, m + 1)]
+    return np.array(stage1), np.array(stage2)
 
 
 class TestFourierFrequencies:
     def test_even_axis(self):
-        fr = fourier_frequencies(6, 6)
-        assert sorted(set(fr.k1.tolist())) == [-2, -1, 1, 2]
-        assert len(fr) == 16
+        assert _half_count(6) == 2
+        res = lz_complete_test(noise_pgram(6, 8))
+        assert res.diagnostics["n_reflection_ratios"] == 2 * 3
 
     def test_odd_axis(self):
-        fr = fourier_frequencies(7, 7)
-        assert sorted(set(fr.k1.tolist())) == [-3, -2, -1, 1, 2, 3]
-        assert len(fr) == 36
+        assert _half_count(7) == 3
+        res = lz_complete_test(noise_pgram(7, 7))
+        assert res.diagnostics["n_reflection_ratios"] == 3 * 3
 
     def test_counts_closed_form(self):
         for n in range(4, 65):
-            m = (n - 1) // 2 if n % 2 else n // 2 - 1
-            fr = fourier_frequencies(n, 8)
-            assert len(fr) == (2 * m) * (2 * 3)
+            m = len(retained(n)) // 2
+            assert _half_count(n) == m
+            if m * 3 < 5:
+                with pytest.raises(ValueError, match="frequency pairs"):
+                    lz_complete_test(noise_pgram(n, 8))
+            else:
+                res = lz_complete_test(noise_pgram(n, 8))
+                assert res.diagnostics["n_reflection_ratios"] == m * 3
 
     def test_omega_range(self):
-        fr = fourier_frequencies(18, 12)
-        assert np.all(fr.omega1 > -np.pi) and np.all(fr.omega1 < np.pi)
-        assert np.all(fr.omega1 != 0) and np.all(fr.omega2 != 0)
+        # stage 1 reads rows +-1..8 of columns 1..5; stage 2 the
+        # off-diagonal bins of the 5x5 quarter; neither a zero nor a
+        # Nyquist row or column
+        stage1 = bins_read(18, 12, lz_reflection_test)
+        stage2 = bins_read(18, 12, lz_diagonal_ratios)
+        assert stage1 == {(a, b) for a in retained(18) for b in range(1, 6)}
+        assert stage2 <= stage1
+        for a, b in stage1:
+            assert a not in (0, 9) and b not in (0, 6)
 
     def test_too_small(self):
+        g = GridSpec(2, 8)
+        ds = SpatialDataset(g.locations(), np.arange(16.0), grid=g)
         with pytest.raises(ValueError, match="too small"):
-            fourier_frequencies(2, 8)
+            periodogram(ds)
 
 
 class TestPeriodogram:
@@ -90,11 +131,11 @@ class TestPeriodogram:
         g = GridSpec(8, 6)
         ds = SpatialDataset(g.locations(), np.full(48, 7.0), grid=g)
         pg = periodogram(ds)
-        assert np.allclose(pg.values, 0.0, atol=1e-28)
+        assert np.allclose(pg.power_all, 0.0, atol=1e-28)
 
     def test_nonnegative_and_symmetric(self, random_field_18x12):
         pg = periodogram(random_field_18x12)
-        assert np.all(pg.values >= 0)
+        assert np.all(pg.power_all >= 0)
         n1, n2 = 18, 12
         for k1, k2 in [(1, 1), (3, 2), (-5, 4), (8, -5)]:
             assert pg.power_all[k1 % n1, k2 % n2] == pytest.approx(
@@ -107,7 +148,8 @@ class TestPeriodogram:
             ds = simulate_grf(g.locations(), cov, rng=RngStream(900 + seed), grid=g)
             pg = periodogram(ds)
             oracle = direct_sum_periodogram(ds)
-            assert np.allclose(pg.values, oracle, atol=1e-8)
+            assert oracle.shape == pg.power_all.shape
+            assert np.allclose(pg.power_all, oracle, atol=1e-8)
 
     def test_parseval(self, random_field_18x12):
         pg = periodogram(random_field_18x12)
@@ -124,7 +166,8 @@ class TestPeriodogram:
         for r in range(200):
             vals = RngStream(7000, r).generator().standard_normal(400) * np.sqrt(sigma2)
             ds = SpatialDataset(g.locations(), vals, grid=g)
-            means.append(periodogram(ds).values.mean())
+            keep = retained(20)
+            means.append(periodogram(ds).power_all[np.ix_(keep, keep)].mean())
         assert np.mean(means) == pytest.approx(sigma2 / (2 * np.pi) ** 2, rel=0.05)
 
 
@@ -135,7 +178,7 @@ class TestReflectionStage:
         a = 1.0 + np.cos(2 * np.pi * np.arange(n1) / n1) ** 2
         b = 2.0 + np.sin(2 * np.pi * np.arange(n2) / n2) ** 2
         power = np.outer(a, b)
-        pg = synthetic_pgram(n1, n2, power)
+        pg = Periodogram(power)
         stat, p = lz_reflection_test(pg)
         # all probability transforms collapse to F(2,2) cdf at 1 = 0.5
         n = 8 * 5
@@ -147,7 +190,7 @@ class TestReflectionStage:
         power = np.ones((18, 12))
         power[1, 1] = 0.0
         with pytest.raises(DegeneratePeriodogramError):
-            lz_reflection_test(synthetic_pgram(18, 12, power))
+            lz_reflection_test(Periodogram(power))
 
     def test_too_few_pairs(self):
         g = GridSpec(4, 4)
@@ -185,21 +228,21 @@ class TestReflectionStage:
 
 class TestDiagonalStage:
     def test_pair_set_on_rectangular_grid(self):
-        fr = fourier_frequencies(18, 12)
-        k1, k2 = _diagonal_pairs(fr)
         # min(n1*, n2*) = 5 usable indices -> C(5,2) unordered pairs
-        # {(k1,k2), (k2,k1)}, each given once as k1 < k2
-        assert set(zip(k1.tolist(), k2.tolist())) == {
-            (a, b) for a in range(1, 6) for b in range(a + 1, 6)}
-        assert len(k1) == 10
+        # {(k1,k2), (k2,k1)}, each given once as k1 < k2 over k2 < k1
+        pairs = {(a, b) for a in range(1, 6) for b in range(a + 1, 6)}
+        assert bins_read(18, 12, lz_diagonal_ratios) == pairs | {(b, a) for a, b in pairs}
+        power = np.ones((18, 12))
+        for a, b in pairs:
+            power[a, b] = 2.0
+        assert np.array_equal(lz_diagonal_ratios(Periodogram(power)), np.full(10, 2.0))
 
     def test_pair_set_on_square_grid(self):
-        fr = fourier_frequencies(12, 12)
-        assert len(_diagonal_pairs(fr)[0]) == 5 * 4 / 2
+        assert len(lz_diagonal_ratios(Periodogram(np.ones((12, 12))))) == 5 * 4 / 2
 
     def test_diagonally_symmetric_power_gives_unit_ratios(self):
         power = np.ones((12, 12))
-        pg = synthetic_pgram(12, 12, power)
+        pg = Periodogram(power)
         ratios = lz_diagonal_ratios(pg)
         assert np.allclose(ratios, 1.0)
 
@@ -215,7 +258,7 @@ class TestTwoStage:
                 power[(-k1) % n1, k2] = 1e-4
                 power[(-k1) % n1, (-k2) % n2] = 50.0
                 power[k1, (-k2) % n2] = 1e-4
-        res = lz_complete_test(synthetic_pgram(n1, n2, power), alpha=0.05)
+        res = lz_complete_test(Periodogram(power), alpha=0.05)
         assert res.reject and not res.stage2_reached
         assert res.stage1_pvalue <= 0.025
 
@@ -240,3 +283,13 @@ class TestTwoStage:
         a = lz_complete_test(periodogram(random_field_18x12))
         b = lz_complete_test(periodogram(random_field_18x12))
         assert a == b
+
+
+@pytest.mark.parametrize("dims", [(18, 12), (25, 15), (16, 16), (7, 9), (3, 12)])
+def test_ratio_samples_match_signed_index_loops(dims):
+    power = noise_pgram(*dims, seed=77).power_all
+    stage1, stage2 = loop_ratio_samples(power)
+    pg = Periodogram(power)
+    assert lz_reflection_test(pg) == cvm_test(stage1, f22_cdf)
+    got = lz_diagonal_ratios(pg)
+    assert got.shape == stage2.shape and np.array_equal(got, stage2)

@@ -152,6 +152,20 @@ class TestConfigValidation:
         with pytest.raises(StudyError, match="missing"):
             StudyConfig.from_json("{}")
 
+    @pytest.mark.parametrize("where, key", [
+        ("config", "alpah"), ("grid design", "spacng"), ("uniform design", "hieght")])
+    def test_unknown_keys_refused(self, where, key):
+        # a misspelt key used to be ignored, leaving its setting at the default
+        d = json.loads((gvm_a if where == "uniform design" else gvl_a)(replicates=2).to_json())
+        target = d if where == "config" else d["design"]
+        target[key] = 0.2
+        with pytest.raises(StudyError, match=f"unknown {where} key '{key}'"):
+            StudyConfig.from_json(json.dumps(d))
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(StudyError, match="JSON object"):
+            StudyConfig.from_json("[1]")
+
     def test_all_presets_construct(self):
         for name in PRESETS:
             cfg = get_preset(name, replicates=2)
