@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from .core import single
 from .distributions import RngStream
 from .grf import AnisotropyParams, ExponentialCovariance, GrfSampler
 from .io import DataFormatError, format_dataset_csv, read_dataset_csv, write_dataset_csv
@@ -94,6 +95,8 @@ def _parse_domain(text: str) -> Rect:
 
 
 def _cmd_test(args) -> int:
+    if not (0 < args.alpha < 1):
+        raise CliError("alpha must be in (0, 1)", EXIT_USAGE)
     ds = read_dataset_csv(args.data)
     method = METHOD_TABLE[args.method]
     if ds.n < method.min_n:
@@ -118,8 +121,8 @@ def _cmd_test(args) -> int:
     given = {"seed": args.seed != 0, "domain": args.domain is not None}
     method.refuse_unread(args.method, [name for name, is_given in given.items() if is_given])
     domain = _parse_domain(args.domain) if args.domain else Rect.from_dataset(ds)
-    res = method.run(spec, method.hypothesis(spec, ds.grid), ds, domain, args.alpha,
-                     RngStream(args.seed))
+    res = single(method.run(spec, method.hypothesis(spec, ds.grid), [ds], domain, args.alpha,
+                            [RngStream(args.seed)]))
     payload = res.to_dict() | {"alpha": args.alpha}
     payload["diagnostics"] = payload.pop("diagnostics")  # the long entry goes last
     for key, value in payload.items():

@@ -32,6 +32,14 @@ __all__ = [
 DUPLICATE_TOL = 1e-9
 
 
+def single(outcomes: list):
+    """The outcome of a one-dataset block: its result, or its failure raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -446,8 +454,8 @@ def default_lag_set(scale: float = 1.0, extra_pair: bool = False,
     degrees are appended (only meaningful at ``scale=1``; they are scaled
     along with the rest).
     """
-    if not (scale > 0):
-        raise ValueError("scale must be positive")
+    if not (0 < scale < np.inf):
+        raise ValueError("lag scale must be positive and finite")
     base = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 1.0)]
     if extra_pair:
         base.extend(_EXTRA_PAIR)

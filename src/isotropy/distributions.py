@@ -18,6 +18,7 @@ __all__ = [
     "cvm_statistic",
     "cvm_pvalue",
     "cvm_test",
+    "cvm_statistics",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -102,10 +103,12 @@ def f22_cdf(x):
 
 def cvm_statistic(u_sorted: np.ndarray) -> float:
     """Computational form of the one-sample CvM statistic from sorted
-    probability-integral transforms."""
-    n = u_sorted.shape[0]
+    probability-integral transforms; an array of statistics for the rows of
+    a C-contiguous ``(R, n)`` array."""
+    n = u_sorted.shape[-1]
     i = np.arange(1, n + 1)
-    return float(1.0 / (12 * n) + np.sum((u_sorted - (2 * i - 1) / (2 * n)) ** 2))
+    w = 1.0 / (12 * n) + np.sum((u_sorted - (2 * i - 1) / (2 * n)) ** 2, axis=-1)
+    return float(w) if w.ndim == 0 else w
 
 
 def _cvm_limit_cdf(x: float) -> float:
@@ -167,14 +170,21 @@ def cvm_test(
     -------
     (statistic, p_value)
     """
-    x = np.sort(np.asarray(list(sample), dtype=float))
-    if x.size == 0:
+    w = cvm_statistics(np.asarray(list(sample), dtype=float), cdf)
+    return w, cvm_pvalue(w)
+
+
+def cvm_statistics(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]):
+    """The CvM statistic of each row of ``samples`` (..., m) under ``cdf``, a
+    float for one sample; NaN for a row holding NaN.  Rows are summed
+    C-contiguous, so each gets the bits of a lone sample."""
+    x = np.sort(np.ascontiguousarray(samples), axis=-1)
+    if x.shape[-1] == 0:
         raise ValueError("CvM test requires a nonempty sample")
     u = np.asarray(cdf(x), dtype=float)
     if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
         raise ValueError("cdf returned values outside [0, 1]")
     u = np.clip(u, 0.0, 1.0)
     # cdf may be non-monotone only through float noise; keep order consistent
-    u.sort()
-    w = cvm_statistic(u)
-    return w, cvm_pvalue(w)
+    u.sort(axis=-1)
+    return cvm_statistic(u)

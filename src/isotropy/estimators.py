@@ -61,8 +61,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("epanechnikov", "truncated_gaussian"):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not (self.truncation > 0):
-            raise ValueError("truncation must be positive")
+        if not (0 < self.truncation < np.inf):
+            raise ValueError("truncation must be positive and finite")
 
     @property
     def support(self) -> float:
@@ -94,8 +94,8 @@ class EstimatorConfig:
         ):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.kind != "classical_semivariogram":
-            if self.bandwidth is None or not (self.bandwidth > 0):
-                raise ValueError("kernel estimators need a positive bandwidth")
+            if self.bandwidth is None or not (0 < self.bandwidth < np.inf):
+                raise ValueError("kernel estimators need a finite positive bandwidth")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,9 @@ class PairTable:
     estimate over any subset of points (the whole sample, a moving
     window, a bootstrap resample) is :meth:`subset_estimates` of its sums
     of :attr:`entry_columns` and :meth:`point_columns`, with no new pair
-    search.
+    search.  A semivariogram table may hold R fields' values as a
+    C-contiguous ``(R, n)`` array; the response column and the estimates then
+    carry that replicate axis, the location-only columns do not.
     """
 
     kind: EstimatorKind
@@ -121,30 +123,31 @@ class PairTable:
     i: np.ndarray                        # (E,)
     j: np.ndarray                        # (E,)
     w: np.ndarray                        # (E,)
-    values: np.ndarray                   # (n,)
+    values: np.ndarray                   # (n,), or (R, n) for a semivariogram
     kernel: KernelSpec | None = None
     bandwidth: float | None = None
     self_weights: np.ndarray | None = None  # (k,), covariogram only
 
-    def columns(self, w: np.ndarray, vi: np.ndarray, vj: np.ndarray) -> np.ndarray:
-        """``(C, E)`` entry columns: w times the response (half the squared
+    def columns(self, w: np.ndarray, vi: np.ndarray, vj: np.ndarray) -> tuple:
+        """The C entry columns: w times the response (half the squared
         difference for semivariograms, the product for the covariogram), w
         and, for the covariogram's own-mean centering, w * (v_i + v_j)."""
         if self.kind == "kernel_covariogram":
-            return np.stack([w * (vi * vj), w, w * (vi + vj)])
-        return np.stack([w * ((vi - vj) ** 2 / 2.0), w])
+            return w * (vi * vj), w, w * (vi + vj)
+        return w * ((vi - vj) ** 2 / 2.0), w
 
     @cached_property
-    def entry_columns(self) -> np.ndarray:
+    def entry_columns(self) -> tuple:
         """Read-only :meth:`columns` of the table's own entries, formed
         once per table."""
-        cols = self.columns(self.w, self.values[self.i], self.values[self.j])
-        cols.setflags(write=False)
+        cols = self.columns(self.w, *(np.take(self.values, e, axis=-1) for e in (self.i, self.j)))
+        for c in cols:
+            c.setflags(write=False)
         return cols
 
     def point_columns(self) -> np.ndarray:
         """``(C', n)`` point columns: 1, and v and v * v for the covariogram."""
-        ones = np.ones_like(self.values)
+        ones = np.ones(self.values.shape[-1])
         if self.kind == "kernel_covariogram":
             return np.stack([ones, self.values, self.values * self.values])
         return ones[None, :]
@@ -152,7 +155,8 @@ class PairTable:
     def subset_estimates(self, sums, has_entry: np.ndarray, point_sums):
         """``(G, k)`` estimates and effective samples of G subsets, and a
         ``(G,)`` usable flag, from ``sums[c]`` (G, k), the per-lag sums of
-        row c of :attr:`entry_columns`; ``has_entry`` (G, k), whether a
+        column c of :attr:`entry_columns` (the response sums with a leading
+        replicate axis when the table has one); ``has_entry`` (G, k), whether a
         lag has an entry (decided on integer counts); and
         ``point_sums[c]`` (G,), the sums of row c of
         :meth:`point_columns`.  The covariogram is centered at each
@@ -179,10 +183,10 @@ class PairTable:
         whole sample as one subset of :meth:`subset_estimates`.  Raises
         for the first lag with neither an entry nor a self-pair weight."""
         bounds = np.searchsorted(self.lag, np.arange(self.lags.shape[0] + 1))
-        sums = np.array([[c[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])]
-                         for c in self.entry_columns])
+        sums = [np.stack([c[..., a:b].sum(axis=-1) for a, b in zip(bounds[:-1], bounds[1:])],
+                         axis=-1)[..., None, :] for c in self.entry_columns]
         values, totals, _ = self.subset_estimates(
-            sums[:, None], (np.diff(bounds) > 0)[None], self.point_columns().sum(axis=1)[:, None])
+            sums, (np.diff(bounds) > 0)[None], self.point_columns().sum(axis=1)[:, None])
         empty = np.flatnonzero(totals[0] <= 0)
         if empty.size:
             h1, h2 = self.lags[empty[0]]
@@ -192,7 +196,7 @@ class PairTable:
                 f"no pairs receive weight at lag ({h1:g}, {h2:g}); "
                 "consider a larger bandwidth"
             )
-        return values[0], totals[0]
+        return values[..., 0, :], totals[0]
 
 
 @dataclass(frozen=True)
@@ -285,12 +289,14 @@ def _geometry(dataset: SpatialDataset, lags: np.ndarray, kernel: KernelSpec | No
     return entries
 
 
-def _table(dataset: SpatialDataset, lags, config: EstimatorConfig) -> PairTable:
+def _table(dataset: SpatialDataset, lags, config: EstimatorConfig, values=None) -> PairTable:
     """Candidate pairs within reach of every lag (one lag, or rows of
     lags), kept at each lag they match: exactly (within
     :func:`lag_match_tol`) for the classical estimator, with kernel weight
     for the smoothed ones.  The entries depend on the locations alone, so
-    they are found once per location set; the current values are filled in."""
+    they are found once per location set; ``values`` (the dataset's own by
+    default) are filled in."""
+    values = dataset.values if values is None else values
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     if config.kind == "classical_semivariogram":
         kernel, width = None, lag_match_tol(dataset.grid)
@@ -299,13 +305,13 @@ def _table(dataset: SpatialDataset, lags, config: EstimatorConfig) -> PairTable:
     key = ("pairs", tuple(map(tuple, lags.tolist())), kernel, width)
     entries = dataset.memo(key, lambda: _geometry(dataset, lags, kernel, width))
     if kernel is None:
-        return PairTable(config.kind, lags, *entries, dataset.values)
+        return PairTable(config.kind, lags, *entries, values)
     if config.kind == "kernel_semivariogram":
-        return PairTable(config.kind, lags, *entries, dataset.values, kernel, width)
+        return PairTable(config.kind, lags, *entries, values, kernel, width)
     # self-pairs (zero displacement) anchor the variance at lag 0
     self_weights = kernel.weight(-lags[:, 0] / width) * kernel.weight(-lags[:, 1] / width)
-    return PairTable(config.kind, lags, *entries, dataset.values - dataset.values.mean(),
-                     kernel, width, self_weights)
+    return PairTable(config.kind, lags, *entries, values - values.mean(), kernel, width,
+                     self_weights)
 
 
 def classical_semivariogram(dataset: SpatialDataset, lag: tuple[float, float]) -> float:
@@ -346,14 +352,16 @@ def empirical_bandwidth(dataset: SpatialDataset, tuning: float = 1.0) -> float:
 
 
 def check_tuning(tuning: float) -> None:
-    """Reject a bandwidth tuning factor that is not positive."""
-    if not (tuning > 0):
-        raise ValueError("tuning must be positive")
+    """Reject a bandwidth tuning factor that is not positive and finite."""
+    if not (0 < tuning < np.inf):
+        raise ValueError("tuning must be positive and finite")
 
 
-def pair_table(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig) -> PairTable:
-    """The pair table of the configured estimator at every lag of the set."""
-    return _table(dataset, lag_set.lags, config)
+def pair_table(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig,
+               values=None) -> PairTable:
+    """The pair table of the configured estimator at every lag of the set,
+    holding ``values`` (the dataset's own by default; see :class:`PairTable`)."""
+    return _table(dataset, lag_set.lags, config, values)
 
 
 def estimate_G(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig) -> GHat:

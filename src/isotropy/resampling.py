@@ -72,10 +72,10 @@ class WindowSpec:
     offset_step: float | None = None
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("window dimensions must be positive")
-        if self.offset_step is not None and not (self.offset_step > 0):
-            raise ValueError("offset step must be positive")
+        if not (0 < self.width < np.inf and 0 < self.height < np.inf):
+            raise ValueError("window dimensions must be positive and finite")
+        if self.offset_step is not None and not (0 < self.offset_step < np.inf):
+            raise ValueError("offset step must be positive and finite")
 
     def resolve_step(self, dataset: SpatialDataset) -> float:
         if self.offset_step is not None:
@@ -85,16 +85,17 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class SigmaHat:
-    """Estimated variance-covariance of the lag-set estimate vector."""
+    """Estimated variance-covariance of the lag-set estimate vector, one
+    matrix per replicate when the estimates carry a replicate axis."""
 
     matrix: np.ndarray
     method: str  # "moving_window" or "gbbb"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError("covariance matrix must be square")
-        m = (m + m.T) / 2.0  # enforce exact symmetry
+        m = (m + np.swapaxes(m, -1, -2)) / 2.0  # enforce exact symmetry
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -102,7 +103,7 @@ class SigmaHat:
 @dataclass(frozen=True)
 class SubsampleResult:
     sigma: SigmaHat
-    window_ghats: np.ndarray    # (K, k) usable-window estimates
+    window_ghats: np.ndarray    # (K, k) usable-window estimates, (R, K, k) for R fields
     window_weights: np.ndarray  # (K, k) per-lag effective samples per window
     full_weights: np.ndarray    # (k,) per-lag effective sample of the full data
     n_windows: int
@@ -185,9 +186,10 @@ class _Windows:
         """:meth:`PairTable.subset_estimates` of every window, and each
         window's point count.  The table's entry columns, and a count, are
         summed over every window's entries ``(i[e], j[e])``, apart for each
-        lag; its point columns over every window's points."""
+        lag; its point columns over every window's points.  Only a response
+        column carries the table's replicate axis; the others are summed once."""
         i, j = table.i, table.j
-        sums = _rect_sums(
+        *sums, count = _rect_sums(
             self.shape,
             np.maximum(self.x_first[i], self.x_first[j]),
             np.minimum(self.x_last[i], self.x_last[j]),
@@ -195,20 +197,21 @@ class _Windows:
             np.minimum(self.y_last[i], self.y_last[j]),
             [*table.entry_columns, np.ones(i.size)], table.lag, table.lags.shape[0],
         )
-        point_sums = _rect_sums(self.shape, self.x_first, self.x_last, self.y_first,
-                                self.y_last, table.point_columns())[:, :, 0].T
-        values, total, usable = table.subset_estimates(
-            np.moveaxis(sums[:, :-1], 1, 0), np.rint(sums[:, -1]) > 0, point_sums)
+        point_sums = [s[:, 0] for s in _rect_sums(self.shape, self.x_first, self.x_last,
+                                                   self.y_first, self.y_last,
+                                                   table.point_columns())]
+        values, total, usable = table.subset_estimates(sums, np.rint(count) > 0, point_sums)
         return values, total, usable, point_sums[0]
 
 
 def _rect_sums(shape, a0, a1, b0, b1, cols,
-               group: np.ndarray | None = None, n_groups: int = 1) -> np.ndarray:
-    """(nx * ny, C, n_groups) sums of each of the C arrays in ``cols`` over
-    the entries whose origin rectangle ``[a0, a1] x [b0, b1]`` holds each
-    window, apart for each entry's group (all in group 0 by default)."""
+               group: np.ndarray | None = None, n_groups: int = 1) -> list[np.ndarray]:
+    """``(..., nx * ny, n_groups)`` sums of each array in ``cols`` over the
+    entries whose origin rectangle ``[a0, a1] x [b0, b1]`` holds each window,
+    apart for each entry's group (all in group 0 by default).  Each row of an
+    ``(R, E)`` array gets its own bins of one ``bincount``, summed as alone."""
     nx, ny = shape
-    keep = (a0 <= a1) & (b0 <= b1)
+    keep = np.flatnonzero((a0 <= a1) & (b0 <= b1))
     a0, a1, b0, b1 = a0[keep], a1[keep] + 1, b0[keep], b1[keep] + 1
     stride = ny + 1
     corners = np.concatenate([a0 * stride + b0, a1 * stride + b1,
@@ -216,12 +219,16 @@ def _rect_sums(shape, a0, a1, b0, b1, cols,
     if group is not None:
         corners += np.tile(group[keep], 4)
     sign = np.repeat([1.0, 1.0, -1.0, -1.0], a0.size)
-    out = np.empty((nx * ny, len(cols), n_groups))
-    for c, col in enumerate(cols):
-        diff = np.bincount(corners, np.tile(col[keep], 4) * sign,
-                           minlength=(nx + 1) * stride * n_groups)
-        out[:, c] = (diff.reshape(nx + 1, stride, n_groups).cumsum(0).cumsum(1)[:nx, :ny]
-                     .reshape(nx * ny, n_groups))
+    size = (nx + 1) * stride * n_groups
+    out = []
+    for col in cols:
+        rows = col.shape[:-1]  # () or (R,)
+        n_rows = rows[0] if rows else 1
+        bins = corners if n_rows == 1 else (size * np.arange(n_rows)[:, None] + corners).ravel()
+        diff = np.bincount(bins, (np.tile(np.take(col, keep, axis=-1), 4) * sign).ravel(),
+                           minlength=n_rows * size).astype(float, copy=False)
+        out.append(diff.reshape(*rows, nx + 1, stride, n_groups).cumsum(-3).cumsum(-2)
+                   [..., :nx, :ny, :].reshape(*rows, nx * ny, n_groups))
     return out
 
 
@@ -247,6 +254,7 @@ def subsample_variance(
     information each).  Windows with fewer than two points, or where any
     lag cannot be estimated, are discarded and counted.  The window layout
     depends on the locations alone and is built once per location set.
+    A replicate axis of ``table`` carries over to the estimates and matrices.
     """
     if domain is None:
         domain = Rect.from_dataset(dataset)
@@ -260,22 +268,22 @@ def subsample_variance(
             f"only {np.count_nonzero(keep)} usable windows of {windows.n_windows}; "
             "enlarge the window or the domain"
         )
-    gmat = values[keep]
+    gmat = np.ascontiguousarray(values[..., keep, :])
     if table.kind == "classical_semivariogram":
         wmat = totals[keep]
-        full_w = np.bincount(table.lag, minlength=gmat.shape[1]).astype(float)
+        full_w = np.bincount(table.lag, minlength=gmat.shape[-1]).astype(float)
     else:
-        wmat = np.repeat(sizes[keep][:, None], gmat.shape[1], axis=1)
-        full_w = np.full(gmat.shape[1], float(dataset.n))
-    z = np.sqrt(wmat / full_w) * (gmat - gmat.mean(axis=0))
-    sigma = (z.T @ z) / gmat.shape[0]
+        wmat = np.repeat(sizes[keep][:, None], gmat.shape[-1], axis=1)
+        full_w = np.full(gmat.shape[-1], float(dataset.n))
+    z = np.sqrt(wmat / full_w) * (gmat - gmat.mean(axis=-2, keepdims=True))
+    sigma = (np.swapaxes(z, -1, -2) @ z) / gmat.shape[-2]
     return SubsampleResult(
         sigma=SigmaHat(sigma, "moving_window"),
         window_ghats=gmat,
         window_weights=wmat,
         full_weights=full_w,
         n_windows=windows.n_windows,
-        n_discarded=windows.n_windows - gmat.shape[0],
+        n_discarded=windows.n_windows - gmat.shape[-2],
     )
 
 
@@ -431,7 +439,7 @@ class _BlockBootstrap:
         block_bins, block_cols = self._block_pairs(u, v, row, p, g)
         cross_bins, cross_cols = self._cross_pairs(u, v, row, p, g, n_reg)
         bins = np.concatenate([block_bins, cross_bins])
-        cols = np.concatenate([block_cols, cross_cols], axis=1)
+        cols = [np.concatenate(c) for c in zip(block_cols, cross_cols)]
         sums = [np.bincount(bins, c, minlength=n_res * k).reshape(n_res, k) for c in cols]
         has_pair = np.bincount(bins, minlength=n_res * k).reshape(n_res, k) > 0
         values, _, ok = self.table.subset_estimates(sums, has_pair, point_sums)
@@ -457,7 +465,8 @@ class _BlockBootstrap:
         inside = ((xj >= u[blk]) & (xj < u[blk] + self.block.width)
                   & (yj >= v[blk]) & (yj < v[blk] + self.block.height))
         e = e[inside]
-        return g[owner[inside]] * self.k + self.table.lag[e], self.table.entry_columns[:, e]
+        return (g[owner[inside]] * self.k + self.table.lag[e],
+                [c[e] for c in self.table.entry_columns])
 
     def _cross_pairs(self, u, v, row, p, g, n_reg):
         """Bins and columns of the pairs of resample points in different

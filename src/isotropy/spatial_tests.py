@@ -14,6 +14,7 @@ to the chi-square is slow).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -25,14 +26,15 @@ from .core import (
     SpatialDataset,
     default_contrast,
     default_lag_set,
+    single,
 )
 from .distributions import RngStream, chi2_sf
 from .estimators import (
     EstimatorConfig,
-    GHat,
     KernelSpec,
     empirical_bandwidth,
     estimate_G,
+    pair_table,
 )
 from .resampling import (
     GbbbResult,
@@ -49,7 +51,9 @@ __all__ = [
     "quadratic_form",
     "finite_sample_pvalue",
     "gsc_gridded_test",
+    "gsc_gridded_tests",
     "gsc_nongridded_test",
+    "gsc_nongridded_tests",
     "ms_test",
     "default_grid_window",
     "default_block",
@@ -64,6 +68,7 @@ PVALUE_MODES = (*_ASYMPTOTIC, "finite_sample")
 # small diagonal ridge before inversion.
 RIDGE_CONDITION = 1e12
 RIDGE_SCALE = 1e-8
+_SINGULAR = "contrast covariance is singular even after ridge fallback"
 
 
 class SingularityError(np.linalg.LinAlgError):
@@ -94,33 +99,39 @@ class TestResult:
         return {"method": self.method, **asdict(self)}
 
 
-def _quadratic_forms(a: np.ndarray, sigma: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Quadratic forms y_i' (A S A')^{-1} y_i for rows y_i, and whether
-    A S A' needed the diagonal ridge to be inverted."""
+def _quadratic_forms(a: np.ndarray, sigma: np.ndarray, y: np.ndarray):
+    """Quadratic forms y_i' (A S A')^{-1} y_i for the rows y_i of ``y`` (..., K, r),
+    one S per leading index of ``sigma`` (..., k, k), and whether each A S A'
+    needed the diagonal ridge; NaN forms where one of a stack stays singular."""
     m = a @ sigma @ a.T
-    ridged = bool(np.linalg.cond(m) > RIDGE_CONDITION)
-    if ridged:
-        m = m + (RIDGE_SCALE * np.trace(m) / m.shape[0]) * np.eye(m.shape[0])
+    ridged = np.linalg.cond(m) > RIDGE_CONDITION
+    if ridged.any():
+        ridge = RIDGE_SCALE * np.trace(m, axis1=-2, axis2=-1)[ridged] / m.shape[-1]
+        m[ridged] += ridge[:, None, None] * np.eye(m.shape[-1])
+    rhs = np.swapaxes(y, -1, -2)
     try:
-        sol = np.linalg.solve(m, y.T)
+        sol = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularityError(
-            "contrast covariance is singular even after ridge fallback"
-        ) from exc
-    return np.einsum("ij,ji->i", y, sol), ridged
+        if m.ndim == 2:
+            raise SingularityError(_SINGULAR) from exc
+        sol = np.full(rhs.shape, np.nan)
+        for row in np.ndindex(m.shape[:-2]):  # a singular row fails alone
+            with suppress(np.linalg.LinAlgError):
+                sol[row] = np.linalg.solve(m[row], rhs[row])
+    return np.einsum("...ij,...ji->...i", y, sol), ridged
 
 
-def _statistic(g: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> tuple[float, bool]:
-    """T = (A g)' (A S A')^{-1} (A g), clamped at zero, and the ridge flag."""
-    t, ridged = _quadratic_forms(a, sigma, (a @ g)[None, :])
-    return max(float(t[0]), 0.0), ridged
+def _statistics(g: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T = (A g)' (A S A')^{-1} (A g) per row of ``g``, clamped at zero, and the ridge flags."""
+    t, ridged = _quadratic_forms(a, sigma, np.swapaxes(a @ g[..., None], -1, -2))
+    return np.where(t[..., 0] < 0, 0.0, t[..., 0]), ridged
 
 
 def quadratic_form(g_hat: np.ndarray, contrast: np.ndarray, sigma_hat: np.ndarray) -> float:
     """T = (A g)' (A S A')^{-1} (A g) from arrays g, A and S; S must
     already be the variance of the full-sample estimate."""
-    return _statistic(np.asarray(g_hat, dtype=float), np.asarray(contrast, dtype=float),
-                      np.asarray(sigma_hat, dtype=float))[0]
+    return float(_statistics(np.asarray(g_hat, dtype=float), np.asarray(contrast, dtype=float),
+                             np.asarray(sigma_hat, dtype=float))[0])
 
 
 def finite_sample_pvalue(
@@ -147,18 +158,20 @@ def finite_sample_pvalue(
     subsampling quantile test).  The subblocks overlap and are not
     exchangeable with the full field, so T is not counted among them.
     The resolution is 1/K; p = 0 means T exceeded every subblock
-    statistic.
+    statistic.  A leading replicate axis on every argument but the
+    contrast and the weights gives one p-value per replicate.
     """
     gmat = np.asarray(window_ghats, dtype=float)
-    if gmat.ndim != 2:
+    if gmat.ndim < 2:
         raise ValueError("window estimates must be a (K, k) matrix")
-    if gmat.shape[0] < 2:
+    if gmat.shape[-2] < 2:
         raise ValueError("finite-sample adjustment needs at least two subblocks")
     a = np.asarray(contrast, dtype=float)
     scale = np.sqrt(np.asarray(window_weights, dtype=float) / np.asarray(full_weights, dtype=float))
-    y = (scale * (gmat - np.asarray(g_full, dtype=float))) @ a.T
+    y = (scale * (gmat - np.asarray(g_full, dtype=float)[..., None, :])) @ a.T
     t_k, _ = _quadratic_forms(a, np.asarray(sigma_hat, dtype=float), y)
-    return float(np.count_nonzero(t_k >= full_stat) / t_k.shape[0])
+    p = np.count_nonzero(t_k >= np.asarray(full_stat)[..., None], axis=-1) / t_k.shape[-1]
+    return float(p) if p.ndim == 0 else p
 
 
 def default_grid_window(dataset: SpatialDataset, domain: Rect | None = None) -> WindowSpec:
@@ -199,52 +212,62 @@ def _resolve_hypothesis(dataset, lag_set, contrast):
     return lag_set, contrast
 
 
-def _finish(
-    method: str,
-    ghat: GHat,
-    contrast: ContrastMatrix,
-    variance: SubsampleResult | GbbbResult,
-    pvalue_mode: str,
-    head: dict[str, Any],
-    tail: dict[str, Any],
-) -> TestResult:
-    """Result of a quadratic-form test with diagnostics ``head``, the ridge
-    flag and g_hat, then ``tail``; finite_sample needs a moving-window variance."""
-    t, ridged = _statistic(ghat.values, contrast.matrix, variance.sigma.matrix)
+def _finish(method: str, g: np.ndarray, contrast: ContrastMatrix,
+            variance: SubsampleResult | GbbbResult, pvalue_mode: str, head: dict[str, Any],
+            tail: dict[str, Any]) -> list[TestResult | SingularityError]:
+    """Per row of the estimates ``g`` (R, k), a result with diagnostics ``head``,
+    the ridge flag and g_hat, then ``tail``, or the SingularityError of a row
+    whose contrast covariance stays singular; finite_sample needs moving windows."""
+    a, sigma = contrast.matrix, np.broadcast_to(variance.sigma.matrix, (*g.shape, g.shape[-1]))
+    t, ridged = _statistics(g, a, sigma)
     if pvalue_mode in _ASYMPTOTIC:
         pvalue_mode = "asymptotic_chi2"
-        p = chi2_sf(t, contrast.r)
+        p = [chi2_sf(x, contrast.r) for x in t]
     elif pvalue_mode == "finite_sample":
-        p = finite_sample_pvalue(
-            t, variance.window_ghats, ghat.values, contrast.matrix, variance.sigma.matrix,
-            variance.window_weights, variance.full_weights,
-        )
+        p = finite_sample_pvalue(t, variance.window_ghats, g, a, sigma,
+                                 variance.window_weights, variance.full_weights)
     else:
         raise ValueError(f"unknown p-value mode {pvalue_mode!r}")
-    diagnostics = {**head, "ridge_fallback": ridged, "g_hat": ghat.values.tolist(), **tail}
-    return TestResult(t, contrast.r, p, method, pvalue_mode, diagnostics)
+    return [SingularityError(_SINGULAR) if np.isnan(t_r) else TestResult(
+        float(t_r), contrast.r, float(p_r), method, pvalue_mode,
+        {**head, "ridge_fallback": bool(ridged_r), "g_hat": g_r.tolist(), **tail})
+        for t_r, p_r, ridged_r, g_r in zip(t, p, ridged, g)]
 
 
-def _window_counts(dataset: SpatialDataset, sub: SubsampleResult) -> dict[str, int]:
-    return {
-        "n": dataset.n,
-        "n_windows": sub.n_windows,
-        "n_usable_windows": int(sub.window_ghats.shape[0]),
-        "n_discarded_windows": sub.n_discarded,
-    }
+def _moving_window_tests(method, datasets, lag_set, contrast, config, window, pvalue_mode,
+                         domain, tail) -> list[TestResult | SingularityError]:
+    """A moving-window test on every dataset of a block, its values carried
+    as one C-contiguous ``(R, n)`` array on the first dataset's location set."""
+    dataset = datasets[0]
+    if any(d.locations is not dataset.locations for d in datasets):
+        raise ValueError("the datasets of a block must share one location set")
+    table = pair_table(dataset, lag_set, config, np.stack([d.values for d in datasets]))
+    g, _ = table.estimate()
+    if not np.all(np.isfinite(g)):
+        raise ValueError("estimates must be finite")
+    sub = subsample_variance(dataset, table, window, domain)
+    counts = {"n": dataset.n, "n_windows": sub.n_windows,
+              "n_usable_windows": int(sub.window_ghats.shape[-2]),
+              "n_discarded_windows": sub.n_discarded}
+    return _finish(method, g, contrast, sub, pvalue_mode, counts, tail)
 
 
-def gsc_gridded_test(
-    dataset: SpatialDataset,
-    lag_set: LagSet | None = None,
-    contrast: ContrastMatrix | None = None,
-    window: WindowSpec | None = None,
-    *,
-    pvalue_mode: str = "finite_sample",
-    domain: Rect | None = None,
-) -> TestResult:
+def gsc_gridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
+                     contrast: ContrastMatrix | None = None, window: WindowSpec | None = None,
+                     *, pvalue_mode: str = "finite_sample",
+                     domain: Rect | None = None) -> TestResult:
     """Isotropy/symmetry test for gridded data: classical semivariogram
-    estimates, moving-window variance, finite-sample p-value by default."""
+    estimates, moving-window variance, finite-sample p-value by default;
+    the one-dataset block of :func:`gsc_gridded_tests`."""
+    return single(gsc_gridded_tests([dataset], lag_set, contrast, window,
+                                    pvalue_mode=pvalue_mode, domain=domain))
+
+
+def gsc_gridded_tests(datasets, lag_set=None, contrast=None, window=None, *,
+                      pvalue_mode="finite_sample", domain=None) -> list[TestResult | Exception]:
+    """:func:`gsc_gridded_test` of each dataset of a block (datasets on one location
+    set): a result, or the SingularityError of a singular contrast covariance."""
+    dataset = datasets[0]
     if dataset.grid is None:
         raise ValueError("gridded test requires a dataset with grid structure")
     lag_set, contrast = _resolve_hypothesis(dataset, lag_set, contrast)
@@ -252,31 +275,34 @@ def gsc_gridded_test(
         domain = Rect.from_dataset(dataset)
     if window is None:
         window = default_grid_window(dataset, domain)
-    ghat = estimate_G(dataset, lag_set, EstimatorConfig())
-    sub = subsample_variance(dataset, ghat.pairs, window, domain)
-    return _finish(
-        "gsc-g", ghat, contrast, sub, pvalue_mode, _window_counts(dataset, sub),
-        {"window": [window.width, window.height]},
-    )
+    return _moving_window_tests("gsc-g", datasets, lag_set, contrast, EstimatorConfig(), window,
+                                pvalue_mode, domain, {"window": [window.width, window.height]})
 
 
-def gsc_nongridded_test(
-    dataset: SpatialDataset,
-    lag_set: LagSet | None = None,
-    contrast: ContrastMatrix | None = None,
-    kernel: KernelSpec = KernelSpec("truncated_gaussian", 1.5),
-    bandwidth: float = 0.75,
-    window: WindowSpec | None = None,
-    *,
-    pvalue_mode: str | None = None,
-    domain: Rect | None = None,
-) -> TestResult:
+def gsc_nongridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
+                        contrast: ContrastMatrix | None = None,
+                        kernel: KernelSpec = KernelSpec("truncated_gaussian", 1.5),
+                        bandwidth: float = 0.75, window: WindowSpec | None = None, *,
+                        pvalue_mode: str | None = None,
+                        domain: Rect | None = None) -> TestResult:
     """Isotropy/symmetry test for non-gridded data: kernel semivariogram
     with the same kernel and bandwidth on the full field and on windows.
 
     ``pvalue_mode=None`` picks the finite-sample adjustment below n=500
-    and the asymptotic chi-square otherwise.
+    and the asymptotic chi-square otherwise.  The one-dataset block of
+    :func:`gsc_nongridded_tests`.
     """
+    return single(gsc_nongridded_tests([dataset], lag_set, contrast, kernel, bandwidth, window,
+                                       pvalue_mode=pvalue_mode, domain=domain))
+
+
+def gsc_nongridded_tests(datasets, lag_set=None, contrast=None,
+                         kernel=KernelSpec("truncated_gaussian", 1.5), bandwidth=0.75,
+                         window=None, *, pvalue_mode=None,
+                         domain=None) -> list[TestResult | Exception]:
+    """:func:`gsc_nongridded_test` of every dataset of a block, as
+    :func:`gsc_gridded_tests` runs its test."""
+    dataset = datasets[0]
     lag_set, contrast = _resolve_hypothesis(dataset, lag_set, contrast)
     if domain is None:
         domain = Rect.from_dataset(dataset)
@@ -284,16 +310,11 @@ def gsc_nongridded_test(
         window = default_block(dataset, domain)
     if pvalue_mode is None:
         pvalue_mode = "finite_sample" if dataset.n < 500 else "asymptotic"
-    config = EstimatorConfig(
-        kind="kernel_semivariogram", kernel=kernel, bandwidth=bandwidth
-    )
-    ghat = estimate_G(dataset, lag_set, config)
-    sub = subsample_variance(dataset, ghat.pairs, window, domain)
-    return _finish(
-        "gsc-u", ghat, contrast, sub, pvalue_mode, _window_counts(dataset, sub),
+    config = EstimatorConfig("kernel_semivariogram", kernel, bandwidth)
+    return _moving_window_tests(
+        "gsc-u", datasets, lag_set, contrast, config, window, pvalue_mode, domain,
         {"window": [window.width, window.height], "bandwidth": bandwidth,
-         "kernel": kernel.family},
-    )
+         "kernel": kernel.family})
 
 
 def ms_test(
@@ -331,8 +352,8 @@ def ms_test(
     )
     ghat = estimate_G(dataset, lag_set, config)
     boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, rng, domain)
-    return _finish(
-        "ms", ghat, contrast, boot, "asymptotic_chi2",
+    return single(_finish(
+        "ms", ghat.values[None], contrast, boot, "asymptotic_chi2",
         {
             "n": dataset.n,
             "n_boot": boot.n_success,
@@ -342,4 +363,4 @@ def ms_test(
             "bandwidth": bandwidth,
         },
         {},
-    )
+    ))

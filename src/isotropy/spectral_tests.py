@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import SpatialDataset
-from .distributions import cvm_test, f22_cdf
+from .core import SpatialDataset, single
+from .distributions import cvm_pvalue, cvm_statistics, cvm_test, f22_cdf
 
 __all__ = [
     "Periodogram",
@@ -25,9 +25,11 @@ __all__ = [
     "periodogram",
     "lz_reflection_test",
     "lz_complete_test",
+    "lz_complete_tests",
 ]
 
 MIN_RATIO_PAIRS = 5
+_DEGENERATE = "zero periodogram ordinate in a ratio"
 
 
 class DegeneratePeriodogramError(ValueError):
@@ -42,7 +44,8 @@ def _half_count(n: int) -> int:
 
 @dataclass(frozen=True)
 class Periodogram:
-    """Periodogram ordinates at every DFT bin of an ``n1 x n2`` grid.
+    """Periodogram ordinates at every DFT bin of an ``n1 x n2`` grid (or of
+    each grid of a stack, on leading axes).
 
     ``power_all[k1 mod n1, k2 mod n2]`` is the ordinate at the Fourier
     frequency (2 pi k1 / n1, 2 pi k2 / n2), zero and Nyquist bins
@@ -53,29 +56,48 @@ class Periodogram:
     power_all: np.ndarray
 
 
-def periodogram(dataset: SpatialDataset) -> Periodogram:
+def periodogram(dataset: SpatialDataset | list[SpatialDataset]) -> Periodogram:
     """Moment-based spectral density estimate of a gridded field.
 
     Computed as the squared modulus of the DFT of the demeaned field
     over (2 pi)^2 n1 n2, which equals the lag-domain cosine sum with the
-    biased covariance estimator and is nonnegative by construction.
+    biased covariance estimator and is nonnegative by construction.  A list of
+    datasets on one grid gets its estimates stacked, ``(R, n1, n2)``, by one ``fft2``.
     """
-    if dataset.grid is None:
+    datasets = dataset if isinstance(dataset, list) else [dataset]
+    if datasets[0].grid is None:
         raise ValueError("periodogram requires a complete rectangular grid")
-    f = dataset.field_matrix()
-    n1, n2 = f.shape
+    f = np.stack([d.field_matrix() for d in datasets])
+    n1, n2 = f.shape[1:]
     if _half_count(n1) < 1 or _half_count(n2) < 1:
         raise ValueError(f"grid {n1}x{n2} too small for spectral analysis")
-    x = f - f.mean()
+    x = f - f.mean(axis=(1, 2), keepdims=True)
     power = np.abs(np.fft.fft2(x)) ** 2 / ((2 * np.pi) ** 2 * n1 * n2)
     power.setflags(write=False)
-    return Periodogram(power)
+    return Periodogram(power if isinstance(dataset, list) else power[0])
 
 
 def _ordinate_ratios(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    if np.any(bottom == 0) or np.any(top == 0):
-        raise DegeneratePeriodogramError("zero periodogram ordinate in a ratio")
-    return top / bottom
+    """``top / bottom`` along the last axis.  A zero ordinate marks a
+    degenerate field: a lone sample raises, a row of a stack becomes NaN."""
+    zero = ((top == 0) | (bottom == 0)).any(axis=-1)
+    if zero.ndim == 0 and zero:
+        raise DegeneratePeriodogramError(_DEGENERATE)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = top / bottom
+    ratios[zero] = np.nan
+    return ratios
+
+
+def _reflection_ratios(power: np.ndarray) -> np.ndarray:
+    """:func:`lz_reflection_test`'s ratios per periodogram of ``power`` (..., n1, n2)."""
+    m1, m2 = map(_half_count, power.shape[-2:])
+    if m1 * m2 < MIN_RATIO_PAIRS:
+        raise ValueError(f"only {m1 * m2} frequency pairs; need {MIN_RATIO_PAIRS}")
+    k1, k2 = np.arange(1, m1 + 1), slice(1, m2 + 1)
+    rows = power.shape[:-2]
+    return _ordinate_ratios(power[..., k1, k2].reshape(*rows, -1),
+                            power[..., -k1, k2].reshape(*rows, -1))
 
 
 def lz_reflection_test(pgram: Periodogram) -> tuple[float, float]:
@@ -86,28 +108,23 @@ def lz_reflection_test(pgram: Periodogram) -> tuple[float, float]:
     quadrants are copies by the real-transform symmetry) and tests them
     against the F(2,2) law.
     """
-    power = pgram.power_all
-    m1, m2 = map(_half_count, power.shape)
-    if m1 * m2 < MIN_RATIO_PAIRS:
-        raise ValueError(f"only {m1 * m2} frequency pairs; need {MIN_RATIO_PAIRS}")
-    k1, k2 = np.arange(1, m1 + 1), slice(1, m2 + 1)
-    ratios = _ordinate_ratios(power[k1, k2].ravel(), power[-k1, k2].ravel())
-    return cvm_test(ratios, f22_cdf)
+    return cvm_test(_reflection_ratios(pgram.power_all), f22_cdf)
 
 
 def lz_diagonal_ratios(pgram: Periodogram) -> np.ndarray:
     """Ratios I at index (k1,k2) over I at (k2,k1), k1 < k2, over the
-    quarter-plane pairs usable for the diagonal-symmetry stage.
+    quarter-plane pairs usable for the diagonal-symmetry stage; one row
+    per periodogram of a stacked ``power_all``.
 
     On a square grid the index swap is the exact frequency swap
     (w1,w2) -> (w2,w1); on a rectangular grid it is the natural
     surrogate, and only indices up to the shorter axis' limit qualify,
     which thins the set.
     """
-    m = min(map(_half_count, pgram.power_all.shape))
-    quarter = pgram.power_all[1:m + 1, 1:m + 1]
+    m = min(map(_half_count, pgram.power_all.shape[-2:]))
+    quarter = pgram.power_all[..., 1:m + 1, 1:m + 1]
     i, j = np.triu_indices(m, k=1)
-    return _ordinate_ratios(quarter[i, j], quarter[j, i])
+    return _ordinate_ratios(quarter[..., i, j], quarter[..., j, i])
 
 
 @dataclass(frozen=True)
@@ -144,17 +161,31 @@ def lz_complete_test(pgram: Periodogram, alpha: float = 0.05) -> SymmetryTestRes
     reject, stage 2 tests the diagonal symmetry at alpha/2.  Rejection
     at either stage rejects complete symmetry.
     """
+    return single(lz_complete_tests(Periodogram(pgram.power_all[None]), alpha))
+
+
+def lz_complete_tests(pgram: Periodogram, alpha: float = 0.05) -> list:
+    """:func:`lz_complete_test` per row of a stacked periodogram: a result, or the
+    DegeneratePeriodogramError of a zero ordinate.  P-values only where read."""
+    power = pgram.power_all
     if not (0 < alpha < 1):
         raise ValueError("alpha must be in (0, 1)")
-    s1, p1 = lz_reflection_test(pgram)
-    m1, m2 = map(_half_count, pgram.power_all.shape)
-    diag = {"n_reflection_ratios": m1 * m2, "n_diagonal_ratios": 0}
-    if p1 <= alpha / 2:
-        return SymmetryTestResult(alpha, s1, p1, None, None, True, diag)
+    m1, m2 = map(_half_count, power.shape[-2:])
+    s1 = cvm_statistics(_reflection_ratios(power), f22_cdf)
     ratios = lz_diagonal_ratios(pgram)
-    diag["n_diagonal_ratios"] = int(ratios.shape[0])
-    if ratios.shape[0] == 0:
-        # nothing testable at stage 2 (can happen on awkward grids)
-        return SymmetryTestResult(alpha, s1, p1, None, None, False, diag)
-    s2, p2 = cvm_test(ratios, f22_cdf)
-    return SymmetryTestResult(alpha, s1, p1, s2, p2, bool(p2 <= alpha / 2), diag)
+    n2 = ratios.shape[-1]
+    s2 = cvm_statistics(ratios, f22_cdf).tolist() if n2 else [None] * power.shape[0]
+    out = []
+    for w1, w2 in zip(s1.tolist(), s2):
+        p1 = cvm_pvalue(w1) if w1 == w1 else None  # NaN: a degenerate field
+        # stage 2 follows a stage-1 acceptance, if it has ratios (awkward grids have none)
+        stage2 = p1 is not None and p1 > alpha / 2 and n2 > 0
+        if p1 is None or (stage2 and w2 != w2):
+            out.append(DegeneratePeriodogramError(_DEGENERATE))
+            continue
+        p2 = cvm_pvalue(w2) if stage2 else None
+        out.append(SymmetryTestResult(
+            alpha, w1, p1, w2 if stage2 else None, p2,
+            bool(p1 <= alpha / 2 or (stage2 and p2 <= alpha / 2)),
+            {"n_reflection_ratios": m1 * m2, "n_diagonal_ratios": 0 if p1 <= alpha / 2 else n2}))
+    return out

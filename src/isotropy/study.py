@@ -40,14 +40,14 @@ from .spatial_tests import (
     PVALUE_MODES,
     SingularityError,
     TestResult,
-    gsc_gridded_test,
-    gsc_nongridded_test,
+    gsc_gridded_tests,
+    gsc_nongridded_tests,
     ms_test,
 )
 from .spectral_tests import (
     DegeneratePeriodogramError,
     SymmetryTestResult,
-    lz_complete_test,
+    lz_complete_tests,
     periodogram,
 )
 
@@ -224,24 +224,31 @@ def _lag_hypothesis(spec: MethodSpec, grid: GridSpec | None) -> tuple[LagSet, Co
 # The runners look the tests up by their module-level names on every
 # call, so a wrapper installed on this module sees each call.
 
-def _run_gsc_g(spec, lags, dataset, domain, alpha, rng) -> TestResult:
-    return gsc_gridded_test(dataset, *lags, spec.window_spec(),
-                            pvalue_mode=spec.pvalue_mode or "finite_sample", domain=domain)
+def _run_gsc_g(spec, lags, block, domain, alpha, rngs):
+    return gsc_gridded_tests(block, *lags, spec.window_spec(),
+                             pvalue_mode=spec.pvalue_mode or "finite_sample", domain=domain)
 
 
-def _run_gsc_u(spec, lags, dataset, domain, alpha, rng) -> TestResult:
-    return gsc_nongridded_test(
-        dataset, *lags, KernelSpec(spec.kernel, spec.truncation), spec.bandwidth,
+def _run_gsc_u(spec, lags, block, domain, alpha, rngs):
+    return gsc_nongridded_tests(
+        block, *lags, KernelSpec(spec.kernel, spec.truncation), spec.bandwidth,
         spec.window_spec(), pvalue_mode=spec.pvalue_mode, domain=domain)
 
 
-def _run_ms(spec, lags, dataset, domain, alpha, rng) -> TestResult:
-    return ms_test(dataset, *lags, spec.window_spec(), spec.n_boot, spec.tuning, rng,
-                   domain=domain)
+def _run_ms(spec, lags, block, domain, alpha, rngs):
+    # each replicate draws its own bootstrap blocks, so it runs alone
+    out = []
+    for dataset, rng in zip(block, rngs):
+        try:
+            out.append(ms_test(dataset, *lags, spec.window_spec(), spec.n_boot, spec.tuning,
+                               rng, domain=domain))
+        except NUMERICAL_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
-def _run_lz(spec, lags, dataset, domain, alpha, rng) -> SymmetryTestResult:
-    return lz_complete_test(periodogram(dataset), alpha)
+def _run_lz(spec, lags, block, domain, alpha, rngs):
+    return lz_complete_tests(periodogram(block), alpha)
 
 
 @dataclass(frozen=True)
@@ -252,12 +259,14 @@ class Method:
     and ``seed`` and ``domain`` of ``isotropy test``), and ``hypothesis``
     builds the (lag set, contrast) of a :class:`MethodSpec` on a dataset's
     grid (None without lags) for
-    ``run(spec, hypothesis, dataset, domain, alpha, rng)``."""
+    ``run(spec, hypothesis, block, domain, alpha, rngs)``: one outcome per dataset
+    of the block (datasets on one location set, a random stream each), a result or
+    the :data:`NUMERICAL_ERRORS` instance it failed with; a whole-block failure raises."""
 
     needs_grid: bool
     min_n: int
     reads: tuple[str, ...]
-    run: Callable[..., TestResult | SymmetryTestResult]
+    run: Callable[..., list[TestResult | SymmetryTestResult | Exception]]
     hypothesis: Callable[[MethodSpec, GridSpec | None],
                          tuple[LagSet, ContrastMatrix] | None] = _lag_hypothesis
 
@@ -450,23 +459,24 @@ def _run_block(config: StudyConfig, cell_idx: int, ratio: float, angle: float,
     cov = ExponentialCovariance.from_effective_range(xi, config.sigma2, config.tau2)
     aniso = None if ratio == 1.0 else AnisotropyParams(ratio, angle)
     sampler = GrfSampler(locations, cov, aniso)
-    hypotheses = [METHOD_TABLE[m.method].hypothesis(m, grid) for m in config.methods]
-    out = []
-    for rep in range(rep_lo, rep_hi):
-        field_rng = RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep))
-        ds = sampler.draw(field_rng, grid=grid)
-        fhash = hashlib.sha256(ds.values.tobytes()).digest()
-        rep_out = {}
-        for i, (m, hypothesis) in enumerate(zip(config.methods, hypotheses)):
-            mrng = RngStream(config.master_seed, mix64(_SALT_METHOD, cell_idx, rep, i))
-            t0 = time.perf_counter()
-            try:
-                res = METHOD_TABLE[m.method].run(m, hypothesis, ds, domain, config.alpha, mrng)
-                reject, failed = res.rejects(config.alpha), False
-            except NUMERICAL_ERRORS:
-                reject, failed = False, True
-            rep_out[m.label] = (reject, failed, time.perf_counter() - t0)
-        out.append((fhash, rep_out))
+    reps = range(rep_lo, rep_hi)
+    block = [sampler.draw(RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep)),
+                          grid=grid) for rep in reps]
+    out = [(hashlib.sha256(ds.values.tobytes()).digest(), {}) for ds in block]
+    for i, m in enumerate(config.methods):
+        method = METHOD_TABLE[m.method]
+        rngs = [RngStream(config.master_seed, mix64(_SALT_METHOD, cell_idx, rep, i))
+                for rep in reps]
+        t0 = time.perf_counter()
+        try:
+            outcomes = method.run(m, method.hypothesis(m, grid), block, domain, config.alpha,
+                                  rngs)
+        except NUMERICAL_ERRORS as exc:
+            outcomes = [exc] * len(block)
+        seconds = (time.perf_counter() - t0) / len(block)  # the block's time over its rows
+        for (_, rep_out), outcome in zip(out, outcomes):
+            failed = isinstance(outcome, Exception)
+            rep_out[m.label] = (not failed and outcome.rejects(config.alpha), failed, seconds)
     return out
 
 

@@ -514,7 +514,7 @@ def test_cli_study_and_library_agree(method, agreement_csvs, tmp_path):
     assert json.loads(json.dumps(direct.to_dict())) == direct.to_dict()
 
     entry = METHOD_TABLE[method]
-    ran = entry.run(spec, entry.hypothesis(spec, ds.grid), ds, domain, 0.05, RngStream(4))
+    (ran,) = entry.run(spec, entry.hypothesis(spec, ds.grid), [ds], domain, 0.05, [RngStream(4)])
     assert ran.rejects(0.05) == expected["reject"]
 
 
@@ -545,6 +545,30 @@ def test_cli_rejects_unread_settings(method, design, flags, agreement_csvs, caps
     # each of these once ran and printed the result of the call without the flag
     assert main(["test", str(agreement_csvs[design]), "--method", method] + flags) == 1
     assert f"error: method {method} has no " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "-1", "nan"])
+@pytest.mark.parametrize("method, design", [("gsc-g", "grid"), ("gsc-u", "uniform"),
+                                            ("ms", "uniform"), ("lz", "grid")])
+def test_cli_refuses_alpha_outside_unit_interval(method, design, alpha, agreement_csvs, capsys):
+    # gsc-g, gsc-u and ms once printed a decision at these levels
+    assert main(["test", str(agreement_csvs[design]), "--method", method,
+                 "--alpha", alpha]) == 1
+    assert "error: alpha must be in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, flags, message", [
+    ("ms", ["--tuning", "inf"], "tuning must be positive and finite"),
+    ("gsc-u", ["--bandwidth", "inf"], "a finite positive bandwidth"),
+    ("gsc-u", ["--lag-scale", "inf"], "lag scale must be positive and finite"),
+    ("gsc-u", ["--window", "4x2", "--step", "inf"], "offset step must be positive and finite"),
+    ("gsc-u", ["--truncation", "inf"], "truncation must be positive and finite"),
+])
+def test_cli_refuses_non_finite_settings(method, flags, message, agreement_csvs, capsys):
+    # ms ended in an OverflowError traceback, gsc-u in a numerical failure or
+    # a search that took every pair as a candidate
+    assert main(["test", str(agreement_csvs["uniform"]), "--method", method] + flags) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing", ["2", "0.5"])

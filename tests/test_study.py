@@ -1,10 +1,11 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from isotropy import KernelSpec, Rect, RngStream, study
-from isotropy.resampling import ResamplingError
+from isotropy.resampling import WindowSpec
 from isotropy.study import (
     PRESETS,
     GridDesign,
@@ -18,7 +19,13 @@ from isotropy.study import (
     gvm_a,
     run_power_study,
 )
-from isotropy.spatial_tests import gsc_gridded_test, gsc_nongridded_test, ms_test
+from isotropy.spatial_tests import (
+    gsc_gridded_test,
+    gsc_gridded_tests,
+    gsc_nongridded_test,
+    gsc_nongridded_tests,
+    ms_test,
+)
 
 from conftest import study_threads
 
@@ -116,8 +123,8 @@ class TestConfigValidation:
             MethodSpec("ms").n_boot, MethodSpec("ms").tuning) == (100, 1.0)
         spec, entry = MethodSpec("gsc-g"), study.METHOD_TABLE["gsc-g"]
         ds = random_field_18x12
-        ran = entry.run(spec, entry.hypothesis(spec, ds.grid), ds, Rect.from_dataset(ds),
-                        0.05, RngStream(0))
+        (ran,) = entry.run(spec, entry.hypothesis(spec, ds.grid), [ds], Rect.from_dataset(ds),
+                           0.05, [RngStream(0)])
         assert ran.pvalue_mode == default(gsc_gridded_test, "pvalue_mode") == "finite_sample"
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -133,6 +140,22 @@ class TestConfigValidation:
     ])
     def test_bad_values_rejected_at_construction(self, kwargs, message):
         # each of these used to fail only inside the first replicate
+        with pytest.raises(StudyError, match=message):
+            MethodSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "ms", "tuning": float("inf")}, "tuning must be positive and finite"),
+        ({"method": "gsc-u", "bandwidth": float("inf")}, "finite positive bandwidth"),
+        ({"method": "gsc-u", "bandwidth": float("nan")}, "finite positive bandwidth"),
+        ({"method": "gsc-u", "lag_scale": float("inf")}, "scale must be positive and finite"),
+        ({"method": "gsc-u", "window": (4, 2), "offset_step": float("inf")},
+         "offset step must be positive and finite"),
+        ({"method": "gsc-u", "truncation": float("inf")}, "truncation must be positive and finite"),
+        ({"method": "gsc-g", "window": (float("inf"), 3)}, "window dimensions must be positive"),
+    ])
+    def test_non_finite_values_rejected(self, kwargs, message):
+        # each of these once ran: to a traceback, a numerical failure, or a
+        # reach that made every pair a candidate
         with pytest.raises(StudyError, match=message):
             MethodSpec(**kwargs)
 
@@ -229,7 +252,8 @@ class TestRunStudy:
 class TestFailureHandling:
     @staticmethod
     def _config():
-        return StudyConfig(design=GridDesign(18, 12), methods=(MethodSpec("lz"),),
+        return StudyConfig(design=GridDesign(18, 12),
+                           methods=(MethodSpec("lz"), MethodSpec("gsc-g", window=(4.0, 3.0))),
                            effective_ranges=(6.0,), anisotropies=((1.0, 0.0),),
                            replicates=20)
 
@@ -237,26 +261,106 @@ class TestFailureHandling:
         def broken(pgram, alpha):
             raise TypeError("bug in the test")
 
-        monkeypatch.setattr(study, "lz_complete_test", broken)
+        monkeypatch.setattr(study, "lz_complete_tests", broken)
         with pytest.raises(TypeError, match="bug in the test"):
             run_power_study(self._config(), threads=1)
 
     def test_numerical_failure_is_counted(self, monkeypatch):
-        calls = []
-        real = study.lz_complete_test
+        # the fourth field of the block is constant: lz meets zero periodogram
+        # ordinates, gsc-g a zero (singular) contrast covariance
+        from isotropy.spectral_tests import DegeneratePeriodogramError
+        from isotropy.grf import GrfSampler
+        from isotropy.spatial_tests import SingularityError
 
-        def fails_once(pgram, alpha):
-            calls.append(alpha)
-            if len(calls) == 1:
-                raise ResamplingError("no usable windows")
-            return real(pgram, alpha)
+        draws = []
+        real = GrfSampler.draw
 
-        monkeypatch.setattr(study, "lz_complete_test", fails_once)
-        (cell,) = run_power_study(self._config(), threads=1).results
-        assert len(calls) == 20
-        assert cell.n_failed == 1
-        # a failed replicate counts as a non-rejection
-        assert cell.rate == cell.n_reject / 20
+        def constant_fourth(sampler, rng, grid=None):
+            ds = real(sampler, rng, grid=grid)
+            draws.append(ds)
+            return ds.with_values(np.full(ds.n, 1.5)) if len(draws) == 4 else ds
+
+        monkeypatch.setattr(GrfSampler, "draw", constant_fourth)
+        config = self._config()
+        report = run_power_study(config, threads=1)
+        assert [cell.n_failed for cell in report.results] == [1, 1]
+        for cell in report.results:  # a failed replicate counts as a non-rejection
+            assert cell.rate == cell.n_reject / 20
+
+        # the block's other rows are bitwise their one-dataset outcomes
+        block = [draws[0].with_values(d.values) for d in draws[:6]]
+        block[3] = block[0].with_values(np.full(block[0].n, 1.5))
+        domain = Rect(0.0, 0.0, 18.0, 12.0)
+        for m, error in zip(config.methods, (DegeneratePeriodogramError, SingularityError)):
+            method = study.METHOD_TABLE[m.method]
+            lags = method.hypothesis(m, block[0].grid)
+            outcomes = method.run(m, lags, block, domain, 0.05, [RngStream(0)] * 6)
+            assert isinstance(outcomes[3], error)
+            for ds, got in zip(block[:3] + block[4:], outcomes[:3] + outcomes[4:]):
+                (alone,) = method.run(m, lags, [ds], domain, 0.05, [RngStream(0)])
+                assert got.to_dict() == alone.to_dict()
+
+
+def _mixed_block(locations, grid, seed, rows=20):
+    """``rows`` fields on one location set, isotropic and anisotropic in turn."""
+    from isotropy import AnisotropyParams, ExponentialCovariance, GrfSampler
+
+    fields = []
+    for r in range(rows):
+        ratio, xi = [(1.0, 3.0), (2.0, 6.0), (4.0, 12.0), (1.4142135623730951, 6.0)][r % 4]
+        aniso = None if ratio == 1.0 else AnisotropyParams(ratio, 0.3 * r)
+        sampler = GrfSampler(locations, ExponentialCovariance.from_effective_range(xi), aniso)
+        fields.append(sampler.draw(RngStream(seed, r), grid=grid))
+    return [fields[0].with_values(ds.values) for ds in fields]
+
+
+class TestBlockRows:
+    """A block's outcomes are, row by row, the one-dataset test calls'."""
+
+    @staticmethod
+    def _check(block, run_block, run_one, size):
+        want = [run_one(ds).to_dict() for ds in block]
+        got = [o.to_dict() for lo in range(0, len(block), size)
+               for o in run_block(block[lo:lo + size])]
+        assert got == want
+        return want
+
+    @pytest.mark.parametrize("size", [1, 3, 20])
+    @pytest.mark.parametrize("cols, rows, window", [(18, 12, (4.0, 3.0)), (25, 15, (5.0, 3.0))])
+    def test_gsc_g(self, cols, rows, window, size):
+        from isotropy import GridSpec
+
+        grid = GridSpec(cols, rows)
+        block = _mixed_block(grid.locations(), grid, cols)
+        kw = {"window": WindowSpec(*window), "domain": Rect(0.0, 0.0, cols, rows)}
+        self._check(block, lambda b: gsc_gridded_tests(b, **kw),
+                    lambda ds: gsc_gridded_test(ds, **kw), size)
+
+    @pytest.mark.parametrize("size", [1, 3, 20])
+    @pytest.mark.parametrize("pvalue_mode", ["finite_sample", "asymptotic"])
+    def test_gsc_u(self, pvalue_mode, size):
+        from isotropy import uniform_locations
+
+        design = gvm_a().design
+        block = _mixed_block(uniform_locations(design.n, design.width, design.height,
+                                               RngStream(5)), None, 7)
+        kw = {"window": WindowSpec(4.0, 2.0), "pvalue_mode": pvalue_mode,
+              "domain": Rect(0.0, 0.0, design.width, design.height)}
+        self._check(block, lambda b: gsc_nongridded_tests(b, **kw),
+                    lambda ds: gsc_nongridded_test(ds, **kw), size)
+
+    @pytest.mark.parametrize("size", [1, 3, 20])
+    @pytest.mark.parametrize("cols, rows", [(18, 12), (25, 15), (16, 16), (7, 9)])
+    def test_lz(self, cols, rows, size):
+        from isotropy import GridSpec, lz_complete_test, periodogram
+        from isotropy.spectral_tests import lz_complete_tests
+
+        grid = GridSpec(cols, rows)
+        block = _mixed_block(grid.locations(), grid, 100 + cols)
+        want = self._check(block, lambda b: lz_complete_tests(periodogram(b), 0.05),
+                           lambda ds: lz_complete_test(periodogram(ds), 0.05), size)
+        stage2 = [r["stage2_pvalue"] is not None for r in want]
+        assert any(stage2) and not all(stage2)  # rows reject at stage 1 and reach stage 2
 
 
 class TestLocationWorkOnce:
@@ -314,6 +418,6 @@ class TestLocationWorkOnce:
             for m in methods:
                 method = study.METHOD_TABLE[m.method]
                 lags = method.hypothesis(m, grid)
-                got, want = (method.run(m, lags, d, domain, 0.05, RngStream(7)).to_dict()
+                got, want = (method.run(m, lags, [d], domain, 0.05, [RngStream(7)])[0].to_dict()
                              for d in (ds, fresh))
                 assert got == want
