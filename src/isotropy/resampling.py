@@ -223,12 +223,12 @@ def _rect_sums(shape, a0, a1, b0, b1, cols,
     out = []
     for col in cols:
         rows = col.shape[:-1]  # () or (R,)
-        n_rows = rows[0] if rows else 1
-        bins = corners if n_rows == 1 else (size * np.arange(n_rows)[:, None] + corners).ravel()
-        diff = np.bincount(bins, (np.tile(np.take(col, keep, axis=-1), 4) * sign).ravel(),
-                           minlength=n_rows * size).astype(float, copy=False)
-        out.append(diff.reshape(*rows, nx + 1, stride, n_groups).cumsum(-3).cumsum(-2)
-                   [..., :nx, :ny, :].reshape(*rows, nx * ny, n_groups))
+        bins = (size * np.arange(*rows)[:, None] + corners).ravel() if rows else corners
+        weights = np.take(col, np.tile(keep, 4), axis=-1)
+        weights *= sign
+        diff = np.bincount(bins, weights.ravel(), minlength=size * (rows[0] if rows else 1))
+        out.append(diff.astype(float, copy=False).reshape(*rows, nx + 1, stride, n_groups)
+                   .cumsum(-3).cumsum(-2)[..., :nx, :ny, :].reshape(*rows, nx * ny, n_groups))
     return out
 
 
