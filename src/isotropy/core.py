@@ -488,6 +488,8 @@ def enumerate_lag_pairs(
 
     Each direction is counted once: the reversed pair is found under the
     negated lag.  Returns an ``(m, 2)`` integer array (possibly empty).
+    A test oracle that no package path calls: it needs scipy, from the
+    ``test`` extra, until ROADMAP item 8 moves it into the tests.
     """
     if tol is None:
         tol = lag_match_tol(dataset.grid)

@@ -49,12 +49,9 @@ class ExponentialCovariance:
     phi: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0):
-            raise ValueError("partial sill sigma2 must be positive")
-        if self.tau2 < 0:
-            raise ValueError("nugget tau2 must be nonnegative")
-        if not (self.phi > 0):
-            raise ValueError("decay rate phi must be positive")
+        _check_variances(self.sigma2, self.tau2)
+        if not (0 < self.phi < np.inf):
+            raise ValueError(f"decay rate phi must be positive and finite, not {self.phi}")
 
     @property
     def sill(self) -> float:
@@ -86,12 +83,18 @@ class ExponentialCovariance:
         return cls(sigma2, tau2, phi_from_effective_range(xi, sigma2, tau2))
 
 
+def _check_variances(sigma2: float, tau2: float) -> None:
+    if not (0 < sigma2 < np.inf):
+        raise ValueError(f"partial sill sigma2 must be positive and finite, not {sigma2}")
+    if not (0 <= tau2 < np.inf):
+        raise ValueError(f"nugget tau2 must be nonnegative and finite, not {tau2}")
+
+
 def phi_from_effective_range(xi: float, sigma2: float = 1.0, tau2: float = 0.0) -> float:
     """Decay rate such that correlation reaches 0.05 at distance ``xi``."""
-    if not (xi > 0):
-        raise ValueError("effective range must be positive")
-    if not (sigma2 > 0):
-        raise ValueError("partial sill sigma2 must be positive")
+    if not (0 < xi < np.inf):
+        raise ValueError(f"effective range xi must be positive and finite, not {xi}")
+    _check_variances(sigma2, tau2)
     ratio = EFFECTIVE_RANGE_LEVEL * (tau2 + sigma2) / sigma2
     if ratio >= 1:
         raise ValueError(
@@ -109,8 +112,10 @@ class AnisotropyParams:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.ratio < 1:
-            raise ValueError("anisotropy ratio must be >= 1")
+        if not (1 <= self.ratio < np.inf):
+            raise ValueError(f"anisotropy ratio must be finite and >= 1, not {self.ratio}")
+        if not np.isfinite(self.angle):
+            raise ValueError(f"anisotropy angle must be finite, not {self.angle}")
         object.__setattr__(self, "angle", float(self.angle) % np.pi)
 
     @property

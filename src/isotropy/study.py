@@ -85,7 +85,7 @@ class GridDesign:
     spacing: float = 1.0
 
     def __post_init__(self):
-        if self.n_cols < 2 or self.n_rows < 2:
+        if _integer(self.n_cols, "n_cols") < 2 or _integer(self.n_rows, "n_rows") < 2:
             raise StudyError("grid design needs at least 2x2 points")
         if not (self.spacing > 0):
             raise StudyError("grid design needs a positive spacing")
@@ -109,7 +109,7 @@ class UniformDesign:
     height: float
 
     def __post_init__(self):
-        if self.n < 2:
+        if _integer(self.n, "n") < 2:
             raise StudyError("uniform design needs n >= 2")
         if not (self.width > 0 and self.height > 0):
             raise StudyError("uniform design needs positive domain dimensions")
@@ -139,6 +139,13 @@ def parse_design(text: str) -> GridDesign | UniformDesign:
                      "uniform:N:WIDTHxHEIGHT")
 
 
+def _integer(value, key: str) -> int:
+    """``value`` if an int (not a float, bool or string), else StudyError naming ``key``."""
+    if type(value) is int:
+        return value
+    raise StudyError(f"{key} must be an integer, not {value!r}")
+
+
 def _refuse_unknown_keys(d: dict, known, what: str) -> None:
     unknown = sorted(set(d) - set(known))
     if unknown:
@@ -152,10 +159,10 @@ def design_from_dict(d: dict) -> GridDesign | UniformDesign:
     kind = d.get("kind")
     if kind == "grid":
         _refuse_unknown_keys(d, ["kind", *GridDesign.__dataclass_fields__], "grid design")
-        return GridDesign(int(d["n_cols"]), int(d["n_rows"]), float(d.get("spacing", 1.0)))
+        return GridDesign(d["n_cols"], d["n_rows"], float(d.get("spacing", 1.0)))
     if kind == "uniform":
         _refuse_unknown_keys(d, ["kind", *UniformDesign.__dataclass_fields__], "uniform design")
-        return UniformDesign(int(d["n"]), float(d["width"]), float(d["height"]))
+        return UniformDesign(d["n"], float(d["width"]), float(d["height"]))
     raise StudyError(f"unknown design kind {kind!r}")
 
 
@@ -189,8 +196,12 @@ class MethodSpec:
                 f"unknown method {self.method!r}; expected one of {tuple(METHOD_TABLE)}")
         if not self.label:
             object.__setattr__(self, "label", self.method)
+        if not isinstance(self.extra_lag_pair, bool):
+            raise StudyError(f"extra_lag_pair must be true or false, not {self.extra_lag_pair!r}")
         if self.window is not None:
             object.__setattr__(self, "window", tuple(self.window))
+            if len(self.window) != 2:
+                raise StudyError(f"window must be [width, height], not {list(self.window)}")
         elif self.offset_step is not None:
             raise StudyError("an offset step needs a window")
         fields = self.__dataclass_fields__
@@ -205,7 +216,7 @@ class MethodSpec:
             self.window_spec()
             KernelSpec(self.kernel, self.truncation)
             EstimatorConfig("kernel_semivariogram", bandwidth=self.bandwidth)
-            check_n_boot(self.n_boot)
+            check_n_boot(_integer(self.n_boot, "n_boot"))
             check_tuning(self.tuning)
         except ValueError as exc:
             raise StudyError(f"method {self.label}: {exc}") from None
@@ -323,10 +334,16 @@ class StudyConfig:
     master_seed: int = 20260810
 
     def __post_init__(self):
-        if self.replicates < 1:
+        if _integer(self.replicates, "replicates") < 1:
             raise StudyError("replicates must be positive")
         if not (0 < self.alpha < 1):
             raise StudyError("alpha must be in (0, 1)")
+        try:  # the field checks of every cell, before any field is drawn
+            for _, (ratio, angle), xi in self.cells():
+                ExponentialCovariance.from_effective_range(xi, self.sigma2, self.tau2)
+                AnisotropyParams(ratio, angle)
+        except ValueError as exc:
+            raise StudyError(f"invalid config value: {exc}") from None
         if not self.methods:
             raise StudyError("at least one method is required")
         for m in self.methods:
@@ -363,9 +380,9 @@ class StudyConfig:
                 anisotropies=tuple((float(a), float(b)) for a, b in get("anisotropies")),
                 sigma2=float(get("sigma2")),
                 tau2=float(get("tau2")),
-                replicates=int(d["replicates"]),
+                replicates=d["replicates"],
                 alpha=float(get("alpha")),
-                master_seed=int(get("master_seed")),
+                master_seed=_integer(get("master_seed"), "master_seed"),
             )
         except KeyError as exc:
             raise StudyError(f"config missing required key {exc}") from exc

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,25 @@ class TestF22:
         assert np.allclose(f22_cdf(xs), stats.f.cdf(xs, 2, 2), atol=1e-12)
 
 
+def _scipy_limit_cdf(x):
+    """The limiting CvM cdf by the Anderson-Darling (1952) Bessel series,
+    with scipy's ``gammaln`` and ``kve``, summed until a term falls below 1e-14."""
+    if x <= 0:
+        return 0.0
+    if x > 12:
+        return 1.0
+    total = 0.0
+    for k in range(60):
+        y = 4 * k + 1
+        q = y * y / (16.0 * x)
+        term = (np.exp(special.gammaln(k + 0.5) - special.gammaln(k + 1) - 2 * q)
+                * np.sqrt(y) * special.kve(0.25, q))
+        total += term
+        if term < 1e-14 and k > 2:
+            break
+    return min(1.0, total / (np.pi ** 1.5 * np.sqrt(x)))
+
+
 class TestCvm:
     def test_hand_example_two_points(self):
         # u-values 0.25 and 0.75 sit exactly on (2i-1)/(2n)
@@ -98,6 +119,15 @@ class TestCvm:
         assert _cvm_limit_cdf(0.46136) == pytest.approx(0.95, abs=1e-3)
         assert _cvm_limit_cdf(0.74346) == pytest.approx(0.99, abs=1e-3)
         assert _cvm_limit_cdf(1.16786) == pytest.approx(0.999, abs=1e-3)
+
+    def test_limit_cdf_matches_the_scipy_series(self):
+        xs = [*np.geomspace(1e-3, 12, 3000), 0.0, -1.0, 12.0 + 1e-12, 50.0, np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no floating-point warning of any kind
+            got = np.array([_cvm_limit_cdf(x) for x in xs])
+        want = np.array([_scipy_limit_cdf(x) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert list(got[-5:]) == [0.0, 0.0, 1.0, 1.0, 1.0]
 
     def test_pvalue_close_to_scipy(self):
         rng = np.random.default_rng(11)

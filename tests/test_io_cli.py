@@ -369,6 +369,27 @@ class TestCli:
         assert exc.value.code == 1
         assert "not allowed with argument --xi" in capsys.readouterr().err
 
+    # these once wrote a degenerate field or white noise, or were refused
+    # under another parameter's name or none
+    @pytest.mark.parametrize("command", [["simulate", "--design", "grid:6x5"],
+                                         ["diagnose", "contours"]],
+                             ids=["simulate", "contours"])
+    @pytest.mark.parametrize("flags, name", [
+        (["--ratio", "inf"], "ratio"),
+        (["--phi", "inf"], "phi"),
+        (["--ratio", "nan"], "ratio"),
+        (["--angle", "nan", "--ratio", "2"], "angle"),
+        (["--sigma2", "inf"], "sigma2"),
+        (["--tau2", "nan"], "tau2"),
+        (["--xi", "inf"], "xi"),
+        (["--phi", "0.5", "--tau2", "inf"], "tau2"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_non_finite_field_parameters_exit_1(self, command, flags, name, capsys):
+        assert main(command + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f" {name} must be " in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_study_refuses_threads_below_one(self, threads, capsys):
         # these used to run serially
@@ -641,12 +662,12 @@ class TestReadCost:
 
 
 class TestStartup:
-    """What loading the package costs: numpy, and scipy only for ``lz``."""
+    """What loading the package costs: numpy alone, scipy never."""
 
     @staticmethod
-    def _scipy_modules_after(code, *args):
-        """The scipy modules a fresh interpreter holds after ``code``, which
-        sets ``seen[name] = scipy_modules()`` at each point of interest."""
+    def _run_fresh(code, *args):
+        """The JSON of ``seen`` after ``code`` runs in a fresh interpreter;
+        ``scipy_modules()`` lists the scipy modules loaded so far."""
         script = (
             "import json, sys\n"
             "def scipy_modules():\n"
@@ -659,17 +680,33 @@ class TestStartup:
         return json.loads(out.stdout.strip().splitlines()[-1])
 
     def test_starts_without_scipy(self, agreement_csvs):
-        # only the lz test's CvM p-value loads scipy, and then only scipy.special
+        # no test loads scipy; lz's CvM p-value once loaded scipy.special
         calls = [(m, str(agreement_csvs[AGREEMENT_CASES[m][0]]), AGREEMENT_CASES[m][1])
                  for m in ("gsc-g", "gsc-u", "ms", "lz")]
-        seen = self._scipy_modules_after(
+        seen = self._run_fresh(
             "import isotropy, isotropy.cli, isotropy.study\n"
             "seen['import'] = scipy_modules()\n"
             "for method, path, flags in json.loads(sys.argv[1]):\n"
             "    assert isotropy.cli.main(['test', path, '--method', method] + flags) == 0\n"
             "    seen[method] = scipy_modules()\n",
             json.dumps(calls))
-        special = self._scipy_modules_after("import scipy.special\nseen['special'] = scipy_modules()")
-        assert [seen[k] for k in ("import", "gsc-g", "gsc-u", "ms")] == [[]] * 4
-        assert "scipy.special" in seen["lz"]
-        assert set(seen["lz"]) <= set(special["special"])
+        assert seen == dict.fromkeys(("import", "gsc-g", "gsc-u", "ms", "lz"), [])
+
+    def test_every_command_runs_with_scipy_blocked(self, agreement_csvs, tmp_path):
+        # an import of scipy, or of any of its modules, raises ImportError
+        commands = [
+            ["simulate", "--design", "grid:6x5", "--out", str(tmp_path / "f.csv")],
+            *(["test", str(agreement_csvs[design]), "--method", m] + flags
+              for m, (design, flags, *_) in AGREEMENT_CASES.items()),
+            ["study", "--preset", "gvl-a", "--replicates", "1"],
+            ["diagnose", "directional", "--data", str(agreement_csvs["grid"]),
+             "--out", str(tmp_path / "d.csv")],
+            ["diagnose", "contours", "--ratio", "2", "--out", str(tmp_path / "c.csv")],
+        ]
+        seen = self._run_fresh(
+            "sys.modules['scipy'] = None\n"
+            "import isotropy.cli\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    seen[' '.join(args)] = isotropy.cli.main(args)\n",
+            json.dumps(commands))
+        assert seen == {" ".join(args): 0 for args in commands}

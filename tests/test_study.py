@@ -159,6 +159,28 @@ class TestConfigValidation:
         with pytest.raises(StudyError, match=message):
             MethodSpec(**kwargs)
 
+    # a config edit per key; each once ran, guessing a value, or ended in a traceback
+    WRONG_VALUES = {
+        "n_boot": lambda d: d["methods"].append({"method": "ms", "n_boot": 10.0}),
+        "extra_lag_pair": lambda d: d["methods"].append(
+            {"method": "gsc-u", "extra_lag_pair": "false"}),
+        "window": lambda d: d["methods"].append({"method": "gsc-g", "window": [4.0, 2.0, 9.0]}),
+        "replicates": lambda d: d.update(replicates=2.9),
+        "n_cols": lambda d: d["design"].update(n_cols=18.9),
+        "master_seed": lambda d: d.update(master_seed=7.5),
+        "ratio": lambda d: d.update(anisotropies=[[1.0, 0.0], [float("inf"), 0.0]]),
+        "tau2": lambda d: d.update(tau2=float("nan")),
+    }
+
+    @pytest.mark.parametrize("key", list(WRONG_VALUES))
+    def test_wrong_types_and_non_finite_values_rejected(self, key):
+        d = {"design": {"kind": "grid", "n_cols": 18, "n_rows": 12}, "replicates": 2,
+             "methods": [{"method": "lz"}]}
+        StudyConfig.from_json(json.dumps(d))
+        self.WRONG_VALUES[key](d)
+        with pytest.raises(StudyError, match=f"{key} must be"):
+            StudyConfig.from_json(json.dumps(d))
+
     def test_bad_alpha(self):
         with pytest.raises(StudyError, match="alpha"):
             StudyConfig(design=GridDesign(6, 5),
