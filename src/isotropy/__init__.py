@@ -34,7 +34,6 @@ from .grf import (
 )
 from .resampling import (
     Rect,
-    SigmaHat,
     WindowSpec,
     gbbb_resample,
     gbbb_variance,
@@ -49,7 +48,6 @@ from .spatial_tests import (
     quadratic_form,
 )
 from .spectral_tests import (
-    Periodogram,
     SymmetryTestResult,
     lz_complete_test,
     lz_reflection_test,

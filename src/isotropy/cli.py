@@ -18,9 +18,11 @@ from pathlib import Path
 
 from .core import single
 from .distributions import RngStream
+from .estimators import KERNEL_FAMILIES
 from .grf import AnisotropyParams, ExponentialCovariance, GrfSampler
 from .io import DataFormatError, format_dataset_csv, read_dataset_csv, write_dataset_csv
 from .resampling import Rect
+from .spatial_tests import PVALUE_MODES
 from .study import (
     METHOD_TABLE,
     NUMERICAL_ERRORS,
@@ -121,8 +123,7 @@ def _cmd_test(args) -> int:
     given = {"seed": args.seed != 0, "domain": args.domain is not None}
     method.refuse_unread(args.method, [name for name, is_given in given.items() if is_given])
     domain = _parse_domain(args.domain) if args.domain else Rect.from_dataset(ds)
-    res = single(method.run(spec, method.hypothesis(spec, ds.grid), [ds], domain, args.alpha,
-                            [RngStream(args.seed)]))
+    res = single(method.run(spec, [ds], domain, args.alpha, [RngStream(args.seed)]))
     payload = res.to_dict() | {"alpha": args.alpha}
     payload["diagnostics"] = payload.pop("diagnostics")  # the long entry goes last
     for key, value in payload.items():
@@ -229,11 +230,10 @@ def build_parser() -> _Parser:
     pt.add_argument("--window", default=None, help="WIDTHxHEIGHT window/block")
     pt.add_argument("--step", type=float, default=None, help="window offset step")
     pt.add_argument("--bandwidth", type=float, default=_spec_default("bandwidth"))
-    pt.add_argument("--kernel", choices=["epanechnikov", "truncated_gaussian"],
+    pt.add_argument("--kernel", choices=KERNEL_FAMILIES,
                     default=_spec_default("kernel"))
     pt.add_argument("--truncation", type=float, default=_spec_default("truncation"))
-    pt.add_argument("--pvalue-mode", choices=["asymptotic", "finite_sample"],
-                    default=None)
+    pt.add_argument("--pvalue-mode", choices=PVALUE_MODES, default=None)
     pt.add_argument("--n-boot", type=int, default=_spec_default("n_boot"))
     pt.add_argument("--tuning", type=float, default=_spec_default("tuning"))
     pt.add_argument("--seed", type=int, default=0, help="bootstrap seed (ms)")

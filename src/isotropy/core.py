@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -269,10 +269,9 @@ class SpatialDataset:
     locations: np.ndarray
     values: np.ndarray
     grid: GridSpec | None = None
-    validate: InitVar[bool] = True
     _memo: dict | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self, validate: bool = True):
+    def __post_init__(self):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
         val = np.asarray(self.values, dtype=float).ravel()
         if loc.ndim != 2 or loc.shape[1] != 2:
@@ -286,8 +285,8 @@ class SpatialDataset:
         object.__setattr__(self, "locations", np.ascontiguousarray(loc))
         if self._memo is None:  # a new location set
             object.__setattr__(self, "_memo", {})
-            self._check_locations(validate)
-        if validate and not np.all(np.isfinite(val)):
+            self._check_locations()
+        if not np.all(np.isfinite(val)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "locations", _readonly(self.locations))
         object.__setattr__(self, "values", _readonly(val))
@@ -312,17 +311,17 @@ class SpatialDataset:
         (memoized, read-only)."""
         return self.memo(("nearest",), lambda: _readonly(neighbour_distances(self.locations)))
 
-    def _check_locations(self, validate: bool):
-        """Checks of a new location set: finite and without near-duplicates
-        (when ``validate``), and on the declared grid."""
-        if validate and not np.all(np.isfinite(self.locations)):
+    def _check_locations(self):
+        """Checks of a new location set: finite, without near-duplicates,
+        and on the declared grid."""
+        if not np.all(np.isfinite(self.locations)):
             raise ValueError("locations must be finite")
         if self.grid is not None:
             grid_cells(self.locations, self.grid)
         # points in distinct cells, each within 1e-6 spacings of its lattice
         # point, are at least spacing * (1 - 2e-6) apart
         spaced = self.grid is not None and self.grid.spacing * (1 - 2e-6) >= DUPLICATE_TOL
-        if validate and self.n > 1 and not spaced:
+        if self.n > 1 and not spaced:
             # the pair search only finds candidates (its radius leaves room
             # for rounding); their Euclidean lengths decide and word the
             # error, and the closest pair is always among them
@@ -366,10 +365,7 @@ class SpatialDataset:
 
     def take(self, indices: np.ndarray) -> "SpatialDataset":
         """Subset the dataset by observation indices (grid structure dropped)."""
-        # subsets of a validated dataset cannot introduce duplicates
-        return SpatialDataset(
-            self.locations[indices], self.values[indices], validate=False
-        )
+        return SpatialDataset(self.locations[indices], self.values[indices])
 
 
 @dataclass(frozen=True)

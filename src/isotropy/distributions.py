@@ -141,8 +141,11 @@ def cvm_pvalue(statistic: float) -> float:
     """Asymptotic p-value for the one-sample CvM statistic.
 
     Values below 1e-6 are clamped to 1e-6 (with a warning): the series
-    expansion is not reliable that deep in the tail.
+    expansion is not reliable that deep in the tail.  A NaN statistic
+    (from a sample holding NaN) raises ValueError.
     """
+    if statistic != statistic:
+        raise ValueError("CvM statistic is NaN")
     p = 1.0 - _cvm_limit_cdf(statistic)
     if p < CVM_PVALUE_FLOOR:
         warnings.warn(

@@ -50,6 +50,10 @@ class EmptyNeighborhoodError(ValueError):
     """No pair received positive kernel weight at the requested lag."""
 
 
+# The kernel families of KernelSpec.
+KERNEL_FAMILIES = ("epanechnikov", "truncated_gaussian")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Smoothing kernel: Epanechnikov, or a Gaussian truncated at
@@ -59,7 +63,7 @@ class KernelSpec:
     truncation: float = 1.5
 
     def __post_init__(self):
-        if self.family not in ("epanechnikov", "truncated_gaussian"):
+        if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not (0 < self.truncation < np.inf):
             raise ValueError("truncation must be positive and finite")

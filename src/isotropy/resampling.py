@@ -15,7 +15,6 @@ from .estimators import PairTable, kernel_reach, lag_entries
 __all__ = [
     "Rect",
     "WindowSpec",
-    "SigmaHat",
     "SubsampleResult",
     "GbbbResult",
     "ResamplingError",
@@ -83,36 +82,26 @@ class WindowSpec:
         return dataset.grid.spacing if dataset.grid is not None else 0.5
 
 
-@dataclass(frozen=True)
-class SigmaHat:
-    """Estimated variance-covariance of the lag-set estimate vector, one
-    matrix per replicate when the estimates carry a replicate axis."""
-
-    matrix: np.ndarray
-    method: str  # "moving_window" or "gbbb"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-            raise ValueError("covariance matrix must be square")
-        m = (m + np.swapaxes(m, -1, -2)) / 2.0  # enforce exact symmetry
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    """Read-only ``(m + m') / 2`` of each matrix of ``m``: exactly symmetric."""
+    m = (m + np.swapaxes(m, -1, -2)) / 2.0
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
 class SubsampleResult:
-    sigma: SigmaHat
-    window_ghats: np.ndarray    # (K, k) usable-window estimates, (R, K, k) for R fields
-    window_weights: np.ndarray  # (K, k) per-lag effective samples per window
-    full_weights: np.ndarray    # (k,) per-lag effective sample of the full data
+    """``sigma`` is Var(G_hat), ``(k, k)`` or ``(R, k, k)`` for R fields."""
+
+    sigma: np.ndarray
+    window_ghats: np.ndarray  # (K, k) usable-window estimates, (R, K, k) for R fields
+    scale: np.ndarray         # (K, k) sqrt(window / full-data effective sample) per lag
     n_windows: int
-    n_discarded: int
 
 
 @dataclass(frozen=True)
 class GbbbResult:
-    sigma: SigmaHat
+    sigma: np.ndarray  # Var(G_hat), (k, k)
     n_success: int
     n_failed: int
     trim_fraction: float
@@ -275,16 +264,10 @@ def subsample_variance(
     else:
         wmat = np.repeat(sizes[keep][:, None], gmat.shape[-1], axis=1)
         full_w = np.full(gmat.shape[-1], float(dataset.n))
-    z = np.sqrt(wmat / full_w) * (gmat - gmat.mean(axis=-2, keepdims=True))
+    scale = np.sqrt(wmat / full_w)
+    z = scale * (gmat - gmat.mean(axis=-2, keepdims=True))
     sigma = (np.swapaxes(z, -1, -2) @ z) / gmat.shape[-2]
-    return SubsampleResult(
-        sigma=SigmaHat(sigma, "moving_window"),
-        window_ghats=gmat,
-        window_weights=wmat,
-        full_weights=full_w,
-        n_windows=windows.n_windows,
-        n_discarded=windows.n_windows - gmat.shape[-2],
-    )
+    return SubsampleResult(_symmetric(sigma), gmat, scale, windows.n_windows)
 
 
 def _partition_regions(domain: Rect, block: WindowSpec):
@@ -340,9 +323,7 @@ def gbbb_resample(
     if point.size == 0:
         raise ResamplingError("bootstrap resample captured no observations")
     shift = regions - np.column_stack([u, v])
-    return SpatialDataset(
-        dataset.locations[point] + shift[region], dataset.values[point], validate=False
-    )
+    return SpatialDataset(dataset.locations[point] + shift[region], dataset.values[point])
 
 
 def _cell_split(side: float, reach: float, width: float):
@@ -548,12 +529,7 @@ def gbbb_variance(
         )
     centered = gmat - gmat.mean(axis=0)
     sigma = (centered.T @ centered) / (gmat.shape[0] - 1)
-    return GbbbResult(
-        sigma=SigmaHat(sigma, "gbbb"),
-        n_success=gmat.shape[0],
-        n_failed=n_failed,
-        trim_fraction=trim,
-    )
+    return GbbbResult(_symmetric(sigma), gmat.shape[0], n_failed, trim)
 
 
 def check_n_boot(n_boot: int) -> None:

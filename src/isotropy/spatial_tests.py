@@ -59,10 +59,9 @@ __all__ = [
     "default_block",
 ]
 
-# P-value modes of the moving-window tests; the first two name the
-# asymptotic chi-square.
-_ASYMPTOTIC = ("asymptotic", "asymptotic_chi2")
-PVALUE_MODES = (*_ASYMPTOTIC, "finite_sample")
+# P-value modes of the moving-window tests; a result labels the first
+# "asymptotic_chi2".
+PVALUE_MODES = ("asymptotic", "finite_sample")
 
 # Condition-number threshold beyond which the contrast covariance gets a
 # small diagonal ridge before inversion.
@@ -140,17 +139,17 @@ def finite_sample_pvalue(
     g_full: np.ndarray,
     contrast: np.ndarray,
     sigma_hat: np.ndarray,
-    window_weights: np.ndarray,
-    full_weights: np.ndarray,
+    scale: np.ndarray,
 ) -> float:
     """P-value from the empirical distribution of the statistic over
     subblocks.
 
     Each window's estimate vector is centered at the full-sample
     estimate (so the reference reflects the null even under anisotropy)
-    and standardized per lag by sqrt(window effective sample /
-    full-sample effective sample) to put its quadratic form T_k on the
-    same footing as the full-sample statistic T.
+    and standardized per lag by ``scale``, sqrt(window effective sample /
+    full-sample effective sample) as :func:`subsample_variance` forms it,
+    to put its quadratic form T_k on the same footing as the full-sample
+    statistic T.
 
     The p-value is the subsampling tail share #{k : T_k >= T} / K over
     the K usable subblocks, so ``p <= alpha`` exactly when T exceeds
@@ -159,15 +158,14 @@ def finite_sample_pvalue(
     exchangeable with the full field, so T is not counted among them.
     The resolution is 1/K; p = 0 means T exceeded every subblock
     statistic.  A leading replicate axis on every argument but the
-    contrast and the weights gives one p-value per replicate.
+    contrast and the scale gives one p-value per replicate.
     """
     gmat = np.asarray(window_ghats, dtype=float)
     if gmat.ndim < 2:
         raise ValueError("window estimates must be a (K, k) matrix")
     if gmat.shape[-2] < 2:
         raise ValueError("finite-sample adjustment needs at least two subblocks")
-    a = np.asarray(contrast, dtype=float)
-    scale = np.sqrt(np.asarray(window_weights, dtype=float) / np.asarray(full_weights, dtype=float))
+    a, scale = np.asarray(contrast, dtype=float), np.asarray(scale, dtype=float)
     y = (scale * (gmat - np.asarray(g_full, dtype=float)[..., None, :])) @ a.T
     t_k, _ = _quadratic_forms(a, np.asarray(sigma_hat, dtype=float), y)
     p = np.count_nonzero(t_k >= np.asarray(full_stat)[..., None], axis=-1) / t_k.shape[-1]
@@ -218,14 +216,13 @@ def _finish(method: str, g: np.ndarray, contrast: ContrastMatrix,
     """Per row of the estimates ``g`` (R, k), a result with diagnostics ``head``,
     the ridge flag and g_hat, then ``tail``, or the SingularityError of a row
     whose contrast covariance stays singular; finite_sample needs moving windows."""
-    a, sigma = contrast.matrix, np.broadcast_to(variance.sigma.matrix, (*g.shape, g.shape[-1]))
+    a, sigma = contrast.matrix, np.broadcast_to(variance.sigma, (*g.shape, g.shape[-1]))
     t, ridged = _statistics(g, a, sigma)
-    if pvalue_mode in _ASYMPTOTIC:
+    if pvalue_mode == "asymptotic":
         pvalue_mode = "asymptotic_chi2"
         p = [chi2_sf(x, contrast.r) for x in t]
     elif pvalue_mode == "finite_sample":
-        p = finite_sample_pvalue(t, variance.window_ghats, g, a, sigma,
-                                 variance.window_weights, variance.full_weights)
+        p = finite_sample_pvalue(t, variance.window_ghats, g, a, sigma, variance.scale)
     else:
         raise ValueError(f"unknown p-value mode {pvalue_mode!r}")
     return [SingularityError(_SINGULAR) if np.isnan(t_r) else TestResult(
@@ -246,9 +243,9 @@ def _moving_window_tests(method, datasets, lag_set, contrast, config, window, pv
     if not np.all(np.isfinite(g)):
         raise ValueError("estimates must be finite")
     sub = subsample_variance(dataset, table, window, domain)
-    counts = {"n": dataset.n, "n_windows": sub.n_windows,
-              "n_usable_windows": int(sub.window_ghats.shape[-2]),
-              "n_discarded_windows": sub.n_discarded}
+    usable = sub.window_ghats.shape[-2]
+    counts = {"n": dataset.n, "n_windows": sub.n_windows, "n_usable_windows": usable,
+              "n_discarded_windows": sub.n_windows - usable}
     return _finish(method, g, contrast, sub, pvalue_mode, counts, tail)
 
 
@@ -353,7 +350,7 @@ def ms_test(
     ghat = estimate_G(dataset, lag_set, config)
     boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, rng, domain)
     return single(_finish(
-        "ms", ghat.values[None], contrast, boot, "asymptotic_chi2",
+        "ms", ghat.values[None], contrast, boot, "asymptotic",
         {
             "n": dataset.n,
             "n_boot": boot.n_success,

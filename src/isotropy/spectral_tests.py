@@ -19,7 +19,6 @@ from .core import SpatialDataset, single
 from .distributions import cvm_pvalue, cvm_statistics, cvm_test, f22_cdf
 
 __all__ = [
-    "Periodogram",
     "SymmetryTestResult",
     "DegeneratePeriodogramError",
     "periodogram",
@@ -42,27 +41,18 @@ def _half_count(n: int) -> int:
     return (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class Periodogram:
-    """Periodogram ordinates at every DFT bin of an ``n1 x n2`` grid (or of
-    each grid of a stack, on leading axes).
-
-    ``power_all[k1 mod n1, k2 mod n2]`` is the ordinate at the Fourier
-    frequency (2 pi k1 / n1, 2 pi k2 / n2), zero and Nyquist bins
-    included; the tests read only the bins 1 <= |k_j| <= m_j, with m_j
-    from ``_half_count``.
-    """
-
-    power_all: np.ndarray
-
-
-def periodogram(dataset: SpatialDataset | list[SpatialDataset]) -> Periodogram:
-    """Moment-based spectral density estimate of a gridded field.
+def periodogram(dataset: SpatialDataset | list[SpatialDataset]) -> np.ndarray:
+    """Moment-based spectral density estimate of a gridded field, as a
+    read-only ``(n1, n2)`` array of ordinates at every DFT bin.
 
     Computed as the squared modulus of the DFT of the demeaned field
     over (2 pi)^2 n1 n2, which equals the lag-domain cosine sum with the
-    biased covariance estimator and is nonnegative by construction.  A list of
-    datasets on one grid gets its estimates stacked, ``(R, n1, n2)``, by one ``fft2``.
+    biased covariance estimator and is nonnegative by construction.
+    ``power[k1 mod n1, k2 mod n2]`` is the ordinate at the Fourier
+    frequency (2 pi k1 / n1, 2 pi k2 / n2), zero and Nyquist bins
+    included; the tests read only the bins 1 <= |k_j| <= m_j, with m_j
+    from ``_half_count``.  A list of datasets on one grid gets its
+    estimates stacked, ``(R, n1, n2)``, by one ``fft2``.
     """
     datasets = dataset if isinstance(dataset, list) else [dataset]
     if datasets[0].grid is None:
@@ -74,7 +64,7 @@ def periodogram(dataset: SpatialDataset | list[SpatialDataset]) -> Periodogram:
     x = f - f.mean(axis=(1, 2), keepdims=True)
     power = np.abs(np.fft.fft2(x)) ** 2 / ((2 * np.pi) ** 2 * n1 * n2)
     power.setflags(write=False)
-    return Periodogram(power if isinstance(dataset, list) else power[0])
+    return power if isinstance(dataset, list) else power[0]
 
 
 def _ordinate_ratios(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
@@ -100,7 +90,7 @@ def _reflection_ratios(power: np.ndarray) -> np.ndarray:
                             power[..., -k1, k2].reshape(*rows, -1))
 
 
-def lz_reflection_test(pgram: Periodogram) -> tuple[float, float]:
+def lz_reflection_test(power: np.ndarray) -> tuple[float, float]:
     """Test of reflection (axial) symmetry.
 
     Forms the ratios I(w1, w2) / I(-w1, w2) over the quarter-plane
@@ -108,21 +98,21 @@ def lz_reflection_test(pgram: Periodogram) -> tuple[float, float]:
     quadrants are copies by the real-transform symmetry) and tests them
     against the F(2,2) law.
     """
-    return cvm_test(_reflection_ratios(pgram.power_all), f22_cdf)
+    return cvm_test(_reflection_ratios(power), f22_cdf)
 
 
-def lz_diagonal_ratios(pgram: Periodogram) -> np.ndarray:
+def lz_diagonal_ratios(power: np.ndarray) -> np.ndarray:
     """Ratios I at index (k1,k2) over I at (k2,k1), k1 < k2, over the
     quarter-plane pairs usable for the diagonal-symmetry stage; one row
-    per periodogram of a stacked ``power_all``.
+    per periodogram of a stacked ``power``.
 
     On a square grid the index swap is the exact frequency swap
     (w1,w2) -> (w2,w1); on a rectangular grid it is the natural
     surrogate, and only indices up to the shorter axis' limit qualify,
     which thins the set.
     """
-    m = min(map(_half_count, pgram.power_all.shape[-2:]))
-    quarter = pgram.power_all[..., 1:m + 1, 1:m + 1]
+    m = min(map(_half_count, power.shape[-2:]))
+    quarter = power[..., 1:m + 1, 1:m + 1]
     i, j = np.triu_indices(m, k=1)
     return _ordinate_ratios(quarter[..., i, j], quarter[..., j, i])
 
@@ -154,25 +144,24 @@ class SymmetryTestResult:
         return {"method": "lz", **asdict(self)}
 
 
-def lz_complete_test(pgram: Periodogram, alpha: float = 0.05) -> SymmetryTestResult:
+def lz_complete_test(power: np.ndarray, alpha: float = 0.05) -> SymmetryTestResult:
     """Two-stage test of complete symmetry at overall level ``alpha``.
 
     Stage 1 tests reflection symmetry at alpha/2; only if it does not
     reject, stage 2 tests the diagonal symmetry at alpha/2.  Rejection
     at either stage rejects complete symmetry.
     """
-    return single(lz_complete_tests(Periodogram(pgram.power_all[None]), alpha))
+    return single(lz_complete_tests(power[None], alpha))
 
 
-def lz_complete_tests(pgram: Periodogram, alpha: float = 0.05) -> list:
+def lz_complete_tests(power: np.ndarray, alpha: float = 0.05) -> list:
     """:func:`lz_complete_test` per row of a stacked periodogram: a result, or the
     DegeneratePeriodogramError of a zero ordinate.  P-values only where read."""
-    power = pgram.power_all
     if not (0 < alpha < 1):
         raise ValueError("alpha must be in (0, 1)")
     m1, m2 = map(_half_count, power.shape[-2:])
     s1 = cvm_statistics(_reflection_ratios(power), f22_cdf)
-    ratios = lz_diagonal_ratios(pgram)
+    ratios = lz_diagonal_ratios(power)
     n2 = ratios.shape[-1]
     s2 = cvm_statistics(ratios, f22_cdf).tolist() if n2 else [None] * power.shape[0]
     out = []

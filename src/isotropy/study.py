@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ContrastMatrix, GridSpec, LagSet, default_contrast, default_lag_set
+from .core import GridSpec, default_lag_set
 from .distributions import RngStream, mix64
 from .estimators import (
     EmptyNeighborhoodError,
@@ -87,8 +87,8 @@ class GridDesign:
     def __post_init__(self):
         if _integer(self.n_cols, "n_cols") < 2 or _integer(self.n_rows, "n_rows") < 2:
             raise StudyError("grid design needs at least 2x2 points")
-        if not (self.spacing > 0):
-            raise StudyError("grid design needs a positive spacing")
+        if not (0 < self.spacing < np.inf):
+            raise StudyError(f"spacing must be positive and finite, not {self.spacing!r}")
 
     def to_dict(self) -> dict:
         return {"kind": "grid", **asdict(self)}
@@ -111,8 +111,9 @@ class UniformDesign:
     def __post_init__(self):
         if _integer(self.n, "n") < 2:
             raise StudyError("uniform design needs n >= 2")
-        if not (self.width > 0 and self.height > 0):
-            raise StudyError("uniform design needs positive domain dimensions")
+        for key, value in (("width", self.width), ("height", self.height)):
+            if not (0 < value < np.inf):
+                raise StudyError(f"{key} must be positive and finite, not {value!r}")
 
     def to_dict(self) -> dict:
         return {"kind": "uniform", **asdict(self)}
@@ -146,6 +147,14 @@ def _integer(value, key: str) -> int:
     raise StudyError(f"{key} must be an integer, not {value!r}")
 
 
+def _real(value, key: str) -> float:
+    """``value`` as a float if a number (an int or a float, not a bool), else
+    StudyError naming ``key``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise StudyError(f"{key} must be a number, not {value!r}")
+
+
 def _refuse_unknown_keys(d: dict, known, what: str) -> None:
     unknown = sorted(set(d) - set(known))
     if unknown:
@@ -159,10 +168,10 @@ def design_from_dict(d: dict) -> GridDesign | UniformDesign:
     kind = d.get("kind")
     if kind == "grid":
         _refuse_unknown_keys(d, ["kind", *GridDesign.__dataclass_fields__], "grid design")
-        return GridDesign(d["n_cols"], d["n_rows"], float(d.get("spacing", 1.0)))
+        return GridDesign(d["n_cols"], d["n_rows"], _real(d.get("spacing", 1.0), "spacing"))
     if kind == "uniform":
         _refuse_unknown_keys(d, ["kind", *UniformDesign.__dataclass_fields__], "uniform design")
-        return UniformDesign(d["n"], float(d["width"]), float(d["height"]))
+        return UniformDesign(d["n"], _real(d["width"], "width"), _real(d["height"], "height"))
     raise StudyError(f"unknown design kind {kind!r}")
 
 
@@ -204,6 +213,13 @@ class MethodSpec:
                 raise StudyError(f"window must be [width, height], not {list(self.window)}")
         elif self.offset_step is not None:
             raise StudyError("an offset step needs a window")
+        reals = [(key, getattr(self, key)) for key in ("lag_scale", "truncation", "bandwidth",
+                                                        "tuning")]
+        reals += [("window", side) for side in self.window or ()]
+        if self.offset_step is not None:
+            reals.append(("offset_step", self.offset_step))
+        for key, value in reals:  # checked, not converted: an echo keeps its ints
+            _real(value, key)
         fields = self.__dataclass_fields__
         METHOD_TABLE[self.method].refuse_unread(self.method, [
             name for name in fields if name not in ("method", "label")
@@ -227,38 +243,39 @@ class MethodSpec:
         return WindowSpec(self.window[0], self.window[1], self.offset_step)
 
 
-def _lag_hypothesis(spec: MethodSpec, grid: GridSpec | None) -> tuple[LagSet, ContrastMatrix]:
-    lag_set = default_lag_set(spec.lag_scale, spec.extra_lag_pair, grid)
-    return lag_set, default_contrast(lag_set)
-
-
 # The runners look the tests up by their module-level names on every
-# call, so a wrapper installed on this module sees each call.
+# call, so a wrapper installed on this module sees each call.  The
+# quadratic-form tests build their default contrast from the lag set.
 
-def _run_gsc_g(spec, lags, block, domain, alpha, rngs):
-    return gsc_gridded_tests(block, *lags, spec.window_spec(),
+def _lag_set(spec, block):
+    return default_lag_set(spec.lag_scale, spec.extra_lag_pair, block[0].grid)
+
+
+def _run_gsc_g(spec, block, domain, alpha, rngs):
+    return gsc_gridded_tests(block, _lag_set(spec, block), window=spec.window_spec(),
                              pvalue_mode=spec.pvalue_mode or "finite_sample", domain=domain)
 
 
-def _run_gsc_u(spec, lags, block, domain, alpha, rngs):
+def _run_gsc_u(spec, block, domain, alpha, rngs):
     return gsc_nongridded_tests(
-        block, *lags, KernelSpec(spec.kernel, spec.truncation), spec.bandwidth,
-        spec.window_spec(), pvalue_mode=spec.pvalue_mode, domain=domain)
+        block, _lag_set(spec, block), kernel=KernelSpec(spec.kernel, spec.truncation),
+        bandwidth=spec.bandwidth, window=spec.window_spec(), pvalue_mode=spec.pvalue_mode,
+        domain=domain)
 
 
-def _run_ms(spec, lags, block, domain, alpha, rngs):
+def _run_ms(spec, block, domain, alpha, rngs):
     # each replicate draws its own bootstrap blocks, so it runs alone
-    out = []
+    lag_set, out = _lag_set(spec, block), []
     for dataset, rng in zip(block, rngs):
         try:
-            out.append(ms_test(dataset, *lags, spec.window_spec(), spec.n_boot, spec.tuning,
-                               rng, domain=domain))
+            out.append(ms_test(dataset, lag_set, block=spec.window_spec(), n_boot=spec.n_boot,
+                               tuning=spec.tuning, rng=rng, domain=domain))
         except NUMERICAL_ERRORS as exc:
             out.append(exc)
     return out
 
 
-def _run_lz(spec, lags, block, domain, alpha, rngs):
+def _run_lz(spec, block, domain, alpha, rngs):
     return lz_complete_tests(periodogram(block), alpha)
 
 
@@ -267,10 +284,8 @@ class Method:
     """How the study harness and the CLI run one test: ``min_n`` is the
     sample size below which its reference distribution is unreliable,
     ``reads`` the settings its runner reads (:class:`MethodSpec` fields,
-    and ``seed`` and ``domain`` of ``isotropy test``), and ``hypothesis``
-    builds the (lag set, contrast) of a :class:`MethodSpec` on a dataset's
-    grid (None without lags) for
-    ``run(spec, hypothesis, block, domain, alpha, rngs)``: one outcome per dataset
+    and ``seed`` and ``domain`` of ``isotropy test``), and
+    ``run(spec, block, domain, alpha, rngs)`` gives one outcome per dataset
     of the block (datasets on one location set, a random stream each), a result or
     the :data:`NUMERICAL_ERRORS` instance it failed with; a whole-block failure raises."""
 
@@ -278,8 +293,6 @@ class Method:
     min_n: int
     reads: tuple[str, ...]
     run: Callable[..., list[TestResult | SymmetryTestResult | Exception]]
-    hypothesis: Callable[[MethodSpec, GridSpec | None],
-                         tuple[LagSet, ContrastMatrix] | None] = _lag_hypothesis
 
     def refuse_unread(self, name: str, settings) -> None:
         """Raise StudyError on the first of ``settings`` (names of settings
@@ -302,7 +315,7 @@ METHOD_TABLE = {
     "gsc-u": Method(False, 300, (*_WINDOWED, "offset_step", "kernel", "truncation",
                                  "bandwidth", "pvalue_mode"), _run_gsc_u),
     "ms": Method(False, 300, (*_WINDOWED, "n_boot", "tuning", "seed"), _run_ms),
-    "lz": Method(True, 150, (), _run_lz, hypothesis=lambda spec, grid: None),
+    "lz": Method(True, 150, (), _run_lz),
 }
 
 # Failures of a test on one dataset, as opposed to faults in the code:
@@ -376,12 +389,14 @@ class StudyConfig:
             return cls(
                 design=design_from_dict(d["design"]),
                 methods=tuple(MethodSpec(**m) for m in d["methods"]),
-                effective_ranges=tuple(float(x) for x in get("effective_ranges")),
-                anisotropies=tuple((float(a), float(b)) for a, b in get("anisotropies")),
-                sigma2=float(get("sigma2")),
-                tau2=float(get("tau2")),
+                effective_ranges=tuple(_real(x, "effective_ranges")
+                                       for x in get("effective_ranges")),
+                anisotropies=tuple((_real(a, "anisotropies"), _real(b, "anisotropies"))
+                                   for a, b in get("anisotropies")),
+                sigma2=_real(get("sigma2"), "sigma2"),
+                tau2=_real(get("tau2"), "tau2"),
                 replicates=d["replicates"],
-                alpha=float(get("alpha")),
+                alpha=_real(get("alpha"), "alpha"),
                 master_seed=_integer(get("master_seed"), "master_seed"),
             )
         except KeyError as exc:
@@ -486,8 +501,7 @@ def _run_block(config: StudyConfig, cell_idx: int, ratio: float, angle: float,
                 for rep in reps]
         t0 = time.perf_counter()
         try:
-            outcomes = method.run(m, method.hypothesis(m, grid), block, domain, config.alpha,
-                                  rngs)
+            outcomes = method.run(m, block, domain, config.alpha, rngs)
         except NUMERICAL_ERRORS as exc:
             outcomes = [exc] * len(block)
         seconds = (time.perf_counter() - t0) / len(block)  # the block's time over its rows

@@ -169,8 +169,8 @@ def test_criterion_8_exact_invariants():
     ds = simulate_grf(grid.locations(), cov, rng=RngStream(809), grid=grid)
     pg = periodogram(ds)
     ssd = np.sum((ds.values - ds.values.mean()) ** 2)
-    checks.append(abs(pg.power_all.sum() * (2 * np.pi) ** 2 - ssd) / ssd <= 1e-8)
-    sym = max(abs(pg.power_all[k1 % 18, k2 % 12] - pg.power_all[(-k1) % 18, (-k2) % 12])
+    checks.append(abs(pg.sum() * (2 * np.pi) ** 2 - ssd) / ssd <= 1e-8)
+    sym = max(abs(pg[k1 % 18, k2 % 12] - pg[(-k1) % 18, (-k2) % 12])
               for k1, k2 in [(1, 1), (5, -3), (8, 4), (-2, 5)])
     checks.append(sym <= 1e-10)
     # DFT periodogram equals the direct lag-domain sum on small grids
@@ -178,7 +178,7 @@ def test_criterion_8_exact_invariants():
         small = GridSpec(*dims)
         dsm = simulate_grf(small.locations(), cov, rng=RngStream(810 + dims[0]),
                            grid=small)
-        checks.append(np.max(np.abs(periodogram(dsm).power_all
+        checks.append(np.max(np.abs(periodogram(dsm)
                                     - direct_sum_periodogram(dsm))) <= 1e-8)
     # kernel estimators equal the brute-force oracle
     locs = uniform_locations(50, 6.0, 5.0, RngStream(811))

@@ -362,7 +362,7 @@ class TestLocationMemo:
             random_field_18x12.with_values(values)
 
     def test_with_values_skips_the_location_checks(self, random_field_18x12, monkeypatch):
-        def fail(self, validate):
+        def fail(self):
             raise AssertionError("locations checked again")
 
         monkeypatch.setattr(SpatialDataset, "_check_locations", fail)

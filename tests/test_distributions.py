@@ -129,6 +129,15 @@ class TestCvm:
         assert np.max(np.abs(got - want)) <= 1e-14
         assert list(got[-5:]) == [0.0, 0.0, 1.0, 1.0, 1.0]
 
+    def test_nan_sample_raises(self):
+        # a NaN statistic once read as the clamped p-value 1e-6, a strong rejection
+        with pytest.raises(ValueError, match="NaN"):
+            cvm_test([0.5, np.nan, 2.0], f22_cdf)
+
+    def test_nan_statistic_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            cvm_pvalue(np.nan)
+
     def test_pvalue_close_to_scipy(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

@@ -301,6 +301,15 @@ class TestCli:
     def test_bad_design_exit_1(self):
         assert main(["simulate", "--design", "hex:7"]) == 1
 
+    def test_non_finite_spacing_exit_1(self, capsys):
+        # this once drew on an infinite grid: three numpy warnings, then a data error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--design", "grid:5x5:inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spacing must be positive and finite" in captured.err
+
     def test_ms_with_domain_flag(self, tmp_path):
         data = tmp_path / "u.csv"
         main(["simulate", "--design", "uniform:300:16x10", "--xi", "6",
@@ -535,7 +544,7 @@ def test_cli_study_and_library_agree(method, agreement_csvs, tmp_path):
     assert json.loads(json.dumps(direct.to_dict())) == direct.to_dict()
 
     entry = METHOD_TABLE[method]
-    (ran,) = entry.run(spec, entry.hypothesis(spec, ds.grid), [ds], domain, 0.05, [RngStream(4)])
+    (ran,) = entry.run(spec, [ds], domain, 0.05, [RngStream(4)])
     assert ran.rejects(0.05) == expected["reject"]
 
 

@@ -75,24 +75,23 @@ class TestFiniteSamplePvalue:
         a = np.array([[1.0, -1.0]])
         sigma = np.eye(2)
         ghats = np.array([[np.sqrt(2 * t), 0.0] for t in t_values])
-        weights = np.ones_like(ghats)
-        full_w = np.ones(2)
-        return a, sigma, ghats, weights, full_w
+        scale = np.ones_like(ghats)
+        return a, sigma, ghats, scale
 
     def test_counting_rule(self):
-        a, s, ghats, w, fw = self._craft([1.0, 2.0, 6.0, 7.0])
-        p = finite_sample_pvalue(5.0, ghats, np.zeros(2), a, s, w, fw)
+        a, s, ghats, w = self._craft([1.0, 2.0, 6.0, 7.0])
+        p = finite_sample_pvalue(5.0, ghats, np.zeros(2), a, s, w)
         # subsampling share: 2 of the 4 subblock statistics reach T
         assert p == pytest.approx(0.5)
 
     def test_full_stat_below_all(self):
-        a, s, ghats, w, fw = self._craft([1.0, 2.0, 6.0, 7.0])
-        p = finite_sample_pvalue(0.5, ghats, np.zeros(2), a, s, w, fw)
+        a, s, ghats, w = self._craft([1.0, 2.0, 6.0, 7.0])
+        p = finite_sample_pvalue(0.5, ghats, np.zeros(2), a, s, w)
         assert p == 1.0
 
     def test_full_stat_above_all(self):
-        a, s, ghats, w, fw = self._craft([1.0, 2.0, 6.0, 7.0])
-        p = finite_sample_pvalue(99.0, ghats, np.zeros(2), a, s, w, fw)
+        a, s, ghats, w = self._craft([1.0, 2.0, 6.0, 7.0])
+        p = finite_sample_pvalue(99.0, ghats, np.zeros(2), a, s, w)
         assert p == 0.0
 
     @pytest.mark.parametrize("k,alpha", [(150, 0.05), (20, 0.05), (7, 0.1)])
@@ -100,24 +99,24 @@ class TestFiniteSamplePvalue:
         # p <= alpha exactly when T exceeds the ceil((1-alpha)K)-th order
         # statistic of the T_k; T_k = j^2/2 keeps the statistics exact
         t_values = [j * j / 2 for j in range(1, k + 1)]
-        a, s, ghats, w, fw = self._craft(t_values)
+        a, s, ghats, w = self._craft(t_values)
         order = sorted(t_values)
         m = math.ceil((1 - Fraction(str(alpha))) * k)
         candidates = set(order) | {(x + y) / 2 for x, y in zip(order, order[1:])}
         candidates |= {order[0] / 2, order[-1] + 1.0}
         for t in sorted(candidates):
-            p = finite_sample_pvalue(t, ghats, np.zeros(2), a, s, w, fw)
+            p = finite_sample_pvalue(t, ghats, np.zeros(2), a, s, w)
             assert (p <= alpha) == (t > order[m - 1]), (t, p)
 
     def test_needs_two_windows(self):
-        a, s, ghats, w, fw = self._craft([1.0])
+        a, s, ghats, w = self._craft([1.0])
         with pytest.raises(ValueError):
-            finite_sample_pvalue(1.0, ghats[:1], np.zeros(2), a, s, w[:1], fw)
+            finite_sample_pvalue(1.0, ghats[:1], np.zeros(2), a, s, w[:1])
 
     def test_window_matrix_must_be_2d(self):
-        a, s, ghats, w, fw = self._craft([1.0, 2.0, 6.0])
+        a, s, ghats, w = self._craft([1.0, 2.0, 6.0])
         with pytest.raises(ValueError, match=r"\(K, k\) matrix"):
-            finite_sample_pvalue(1.0, ghats[:, 0], np.zeros(2), a, s, w, fw)
+            finite_sample_pvalue(1.0, ghats[:, 0], np.zeros(2), a, s, w)
 
 
 class TestGscGridded:

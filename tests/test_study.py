@@ -123,8 +123,7 @@ class TestConfigValidation:
             MethodSpec("ms").n_boot, MethodSpec("ms").tuning) == (100, 1.0)
         spec, entry = MethodSpec("gsc-g"), study.METHOD_TABLE["gsc-g"]
         ds = random_field_18x12
-        (ran,) = entry.run(spec, entry.hypothesis(spec, ds.grid), [ds], Rect.from_dataset(ds),
-                           0.05, [RngStream(0)])
+        (ran,) = entry.run(spec, [ds], Rect.from_dataset(ds), 0.05, [RngStream(0)])
         assert ran.pvalue_mode == default(gsc_gridded_test, "pvalue_mode") == "finite_sample"
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -137,6 +136,8 @@ class TestConfigValidation:
         ({"method": "gsc-g", "window": (0, 3)}, "window dimensions must be positive"),
         ({"method": "gsc-u", "lag_scale": 0}, "scale must be positive"),
         ({"method": "gsc-g", "window": (4, 3), "offset_step": -1}, "offset step must be positive"),
+        # the input spelling of a result's label
+        ({"method": "gsc-g", "pvalue_mode": "asymptotic_chi2"}, "unknown p-value mode"),
     ])
     def test_bad_values_rejected_at_construction(self, kwargs, message):
         # each of these used to fail only inside the first replicate
@@ -170,6 +171,19 @@ class TestConfigValidation:
         "master_seed": lambda d: d.update(master_seed=7.5),
         "ratio": lambda d: d.update(anisotropies=[[1.0, 0.0], [float("inf"), 0.0]]),
         "tau2": lambda d: d.update(tau2=float("nan")),
+        # a string once loaded as the number it spells
+        "alpha": lambda d: d.update(alpha="0.05"),
+        "sigma2": lambda d: d.update(sigma2="2"),
+        "effective_ranges": lambda d: d.update(effective_ranges=["3"]),
+        "anisotropies": lambda d: d.update(anisotropies=[["1", "0"]]),
+        "spacing": lambda d: d["design"].update(spacing="2"),
+        # a string setting once failed naming no key
+        "lag_scale": lambda d: d["methods"].append({"method": "gsc-g", "lag_scale": "2"}),
+        # an infinite domain once loaded; NaN was refused naming no key
+        "width": lambda d: d.update(methods=[{"method": "gsc-u"}], design={
+            "kind": "uniform", "n": 300, "width": float("inf"), "height": 10.0}),
+        "height": lambda d: d.update(methods=[{"method": "gsc-u"}], design={
+            "kind": "uniform", "n": 300, "width": 16.0, "height": float("nan")}),
     }
 
     @pytest.mark.parametrize("key", list(WRONG_VALUES))
@@ -315,11 +329,10 @@ class TestFailureHandling:
         domain = Rect(0.0, 0.0, 18.0, 12.0)
         for m, error in zip(config.methods, (DegeneratePeriodogramError, SingularityError)):
             method = study.METHOD_TABLE[m.method]
-            lags = method.hypothesis(m, block[0].grid)
-            outcomes = method.run(m, lags, block, domain, 0.05, [RngStream(0)] * 6)
+            outcomes = method.run(m, block, domain, 0.05, [RngStream(0)] * 6)
             assert isinstance(outcomes[3], error)
             for ds, got in zip(block[:3] + block[4:], outcomes[:3] + outcomes[4:]):
-                (alone,) = method.run(m, lags, [ds], domain, 0.05, [RngStream(0)])
+                (alone,) = method.run(m, [ds], domain, 0.05, [RngStream(0)])
                 assert got.to_dict() == alone.to_dict()
 
 
@@ -439,7 +452,6 @@ class TestLocationWorkOnce:
             fresh = SpatialDataset(ds.locations.copy(), ds.values.copy(), grid=grid)
             for m in methods:
                 method = study.METHOD_TABLE[m.method]
-                lags = method.hypothesis(m, grid)
-                got, want = (method.run(m, lags, [d], domain, 0.05, [RngStream(7)])[0].to_dict()
+                got, want = (method.run(m, [d], domain, 0.05, [RngStream(7)])[0].to_dict()
                              for d in (ds, fresh))
                 assert got == want
