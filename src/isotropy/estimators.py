@@ -50,7 +50,6 @@ class EmptyNeighborhoodError(ValueError):
     """No pair received positive kernel weight at the requested lag."""
 
 
-# The kernel families of KernelSpec.
 KERNEL_FAMILIES = ("epanechnikov", "truncated_gaussian")
 
 
