@@ -90,10 +90,11 @@ def _parse_domain(text: str) -> Rect:
     try:
         x0, y0, wh = text.split(":")
         w, h = wh.lower().split("x")
-        return Rect(float(x0), float(y0), float(w), float(h))
+        sides = float(x0), float(y0), float(w), float(h)
     except ValueError:
         raise CliError(f"cannot parse domain {text!r}; use X0:Y0:WIDTHxHEIGHT",
                        EXIT_USAGE) from None
+    return Rect(*sides)
 
 
 def _cmd_test(args) -> int:

@@ -66,6 +66,8 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not (0 < self.truncation < np.inf):
             raise ValueError("truncation must be positive and finite")
+        if self.family == "epanechnikov" and self.truncation != KernelSpec.truncation:
+            raise ValueError("the epanechnikov kernel has no truncation to choose")
 
     @property
     def support(self) -> float:

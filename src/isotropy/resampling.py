@@ -40,8 +40,9 @@ class Rect:
     height: float
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("domain dimensions must be positive")
+        if not (np.isfinite([self.x0, self.y0]).all() and 0 < self.width < np.inf
+                and 0 < self.height < np.inf):
+            raise ValueError(f"{self} needs a finite origin and a positive, finite size")
 
     @classmethod
     def from_dataset(cls, dataset: SpatialDataset) -> "Rect":

@@ -39,6 +39,7 @@ from .estimators import (
 from .resampling import (
     GbbbResult,
     Rect,
+    ResamplingError,
     SubsampleResult,
     WindowSpec,
     gbbb_variance,
@@ -55,6 +56,7 @@ __all__ = [
     "gsc_nongridded_test",
     "gsc_nongridded_tests",
     "ms_test",
+    "ms_tests",
     "default_grid_window",
     "default_block",
 ]
@@ -172,13 +174,11 @@ def finite_sample_pvalue(
     return float(p) if p.ndim == 0 else p
 
 
-def default_grid_window(dataset: SpatialDataset, domain: Rect | None = None) -> WindowSpec:
+def default_grid_window(dataset: SpatialDataset, domain: Rect) -> WindowSpec:
     """Window for gridded data: points per window below sqrt(n), aspect
     following the domain."""
     if dataset.grid is None:
         raise ValueError("dataset has no grid structure")
-    if domain is None:
-        domain = Rect.from_dataset(dataset)
     s = dataset.grid.spacing
     target = np.sqrt(dataset.n)
     aspect = domain.width / domain.height
@@ -187,18 +187,21 @@ def default_grid_window(dataset: SpatialDataset, domain: Rect | None = None) -> 
     return WindowSpec(w * s, h * s)
 
 
-def default_block(dataset: SpatialDataset, domain: Rect | None = None) -> WindowSpec:
+def default_block(dataset: SpatialDataset, domain: Rect) -> WindowSpec:
     """Window/block for non-gridded data: about ``sqrt(n)`` points per
     block at the observed density, aspect following the domain."""
-    if domain is None:
-        domain = Rect.from_dataset(dataset)
     density = dataset.n / (domain.width * domain.height)
     area = np.sqrt(dataset.n) / density
     aspect = domain.width / domain.height
     return WindowSpec(float(np.sqrt(area * aspect)), float(np.sqrt(area / aspect)))
 
 
-def _resolve_hypothesis(dataset, lag_set, contrast):
+def _resolve_hypothesis(datasets, lag_set, contrast, domain, window, default_window):
+    """The lag set, contrast, domain and window or block of a block of datasets
+    on one location set, each defaulted from the first dataset where None."""
+    dataset = datasets[0]
+    if any(d.locations is not dataset.locations for d in datasets):
+        raise ValueError("the datasets of a block must share one location set")
     if lag_set is None:
         lag_set = default_lag_set(grid=dataset.grid)
     if contrast is None:
@@ -207,7 +210,11 @@ def _resolve_hypothesis(dataset, lag_set, contrast):
         raise ValueError(
             f"contrast matrix has {contrast.k} columns for {lag_set.k} lags"
         )
-    return lag_set, contrast
+    if domain is None:
+        domain = Rect.from_dataset(dataset)
+    if window is None:
+        window = default_window(dataset, domain)
+    return lag_set, contrast, domain, window
 
 
 def _finish(method: str, g: np.ndarray, contrast: ContrastMatrix,
@@ -236,8 +243,6 @@ def _moving_window_tests(method, datasets, lag_set, contrast, config, window, pv
     """A moving-window test on every dataset of a block, its values carried
     as one C-contiguous ``(R, n)`` array on the first dataset's location set."""
     dataset = datasets[0]
-    if any(d.locations is not dataset.locations for d in datasets):
-        raise ValueError("the datasets of a block must share one location set")
     table = pair_table(dataset, lag_set, config, np.stack([d.values for d in datasets]))
     g, _ = table.estimate()
     if not np.all(np.isfinite(g)):
@@ -267,11 +272,8 @@ def gsc_gridded_tests(datasets, lag_set=None, contrast=None, window=None, *,
     dataset = datasets[0]
     if dataset.grid is None:
         raise ValueError("gridded test requires a dataset with grid structure")
-    lag_set, contrast = _resolve_hypothesis(dataset, lag_set, contrast)
-    if domain is None:
-        domain = Rect.from_dataset(dataset)
-    if window is None:
-        window = default_grid_window(dataset, domain)
+    lag_set, contrast, domain, window = _resolve_hypothesis(
+        datasets, lag_set, contrast, domain, window, default_grid_window)
     return _moving_window_tests("gsc-g", datasets, lag_set, contrast, EstimatorConfig(), window,
                                 pvalue_mode, domain, {"window": [window.width, window.height]})
 
@@ -299,14 +301,10 @@ def gsc_nongridded_tests(datasets, lag_set=None, contrast=None,
                          domain=None) -> list[TestResult | Exception]:
     """:func:`gsc_nongridded_test` of every dataset of a block, as
     :func:`gsc_gridded_tests` runs its test."""
-    dataset = datasets[0]
-    lag_set, contrast = _resolve_hypothesis(dataset, lag_set, contrast)
-    if domain is None:
-        domain = Rect.from_dataset(dataset)
-    if window is None:
-        window = default_block(dataset, domain)
+    lag_set, contrast, domain, window = _resolve_hypothesis(
+        datasets, lag_set, contrast, domain, window, default_block)
     if pvalue_mode is None:
-        pvalue_mode = "finite_sample" if dataset.n < 500 else "asymptotic"
+        pvalue_mode = "finite_sample" if datasets[0].n < 500 else "asymptotic"
     config = EstimatorConfig("kernel_semivariogram", kernel, bandwidth)
     return _moving_window_tests(
         "gsc-u", datasets, lag_set, contrast, config, window, pvalue_mode, domain,
@@ -314,17 +312,10 @@ def gsc_nongridded_tests(datasets, lag_set=None, contrast=None,
          "kernel": kernel.family})
 
 
-def ms_test(
-    dataset: SpatialDataset,
-    lag_set: LagSet | None = None,
-    contrast: ContrastMatrix | None = None,
-    block: WindowSpec | None = None,
-    n_boot: int = 100,
-    tuning: float = 1.0,
-    rng: RngStream = RngStream(0),
-    *,
-    domain: Rect | None = None,
-) -> TestResult:
+def ms_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
+            contrast: ContrastMatrix | None = None, block: WindowSpec | None = None,
+            n_boot: int = 100, tuning: float = 1.0, rng: RngStream = RngStream(0), *,
+            domain: Rect | None = None) -> TestResult:
     """Isotropy/symmetry test from kernel covariogram estimates with a
     block-bootstrap variance; p-value always from the asymptotic
     chi-square.
@@ -335,29 +326,36 @@ def ms_test(
     resample.  Resample b draws its blocks from ``rng.substream(b)``;
     the bootstrap reads the pair table of the full-sample estimate, so
     the only pair search over the whole sample is the one behind that
-    estimate (see :func:`gbbb_variance`).
+    estimate (see :func:`gbbb_variance`).  The one-dataset block of
+    :func:`ms_tests`.
     """
-    lag_set, contrast = _resolve_hypothesis(dataset, lag_set, contrast)
-    if domain is None:
-        domain = Rect.from_dataset(dataset)
-    if block is None:
-        block = default_block(dataset, domain)
-    bandwidth = empirical_bandwidth(dataset, tuning)
-    config = EstimatorConfig(
-        kind="kernel_covariogram", kernel=KernelSpec("epanechnikov"),
-        bandwidth=bandwidth,
-    )
-    ghat = estimate_G(dataset, lag_set, config)
-    boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, rng, domain)
-    return single(_finish(
-        "ms", ghat.values[None], contrast, boot, "asymptotic",
-        {
+    return single(ms_tests([dataset], lag_set, contrast, block, n_boot, tuning, rngs=[rng],
+                           domain=domain))
+
+
+def ms_tests(datasets, lag_set=None, contrast=None, block=None, n_boot=100, tuning=1.0, *,
+             rngs, domain=None) -> list[TestResult | Exception]:
+    """:func:`ms_test` of each dataset of a block, resampled with its own stream
+    of ``rngs``: a result, or the ResamplingError of too many failed resamples
+    or the SingularityError of a singular contrast covariance."""
+    lag_set, contrast, domain, block = _resolve_hypothesis(
+        datasets, lag_set, contrast, domain, block, default_block)
+    bandwidth = empirical_bandwidth(datasets[0], tuning)
+    config = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), bandwidth)
+    out = []
+    for dataset, rng in zip(datasets, rngs, strict=True):
+        ghat = estimate_G(dataset, lag_set, config)
+        try:
+            boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, rng, domain)
+        except ResamplingError as exc:
+            out.append(exc)
+            continue
+        out += _finish("ms", ghat.values[None], contrast, boot, "asymptotic", {
             "n": dataset.n,
             "n_boot": boot.n_success,
             "n_failed_resamples": boot.n_failed,
             "trim_fraction": boot.trim_fraction,
             "block": [block.width, block.height],
             "bandwidth": bandwidth,
-        },
-        {},
-    ))
+        }, {})
+    return out

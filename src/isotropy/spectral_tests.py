@@ -159,6 +159,8 @@ def lz_complete_tests(power: np.ndarray, alpha: float = 0.05) -> list:
     DegeneratePeriodogramError of a zero ordinate.  P-values only where read."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must be in (0, 1)")
+    if power.ndim != 3:
+        raise ValueError(f"need a stacked (R, n1, n2) periodogram, not shape {power.shape}")
     m1, m2 = map(_half_count, power.shape[-2:])
     s1 = cvm_statistics(_reflection_ratios(power), f22_cdf)
     ratios = lz_diagonal_ratios(power)

@@ -42,7 +42,7 @@ from .spatial_tests import (
     TestResult,
     gsc_gridded_tests,
     gsc_nongridded_tests,
-    ms_test,
+    ms_tests,
 )
 from .spectral_tests import (
     DegeneratePeriodogramError,
@@ -264,15 +264,8 @@ def _run_gsc_u(spec, block, domain, alpha, rngs):
 
 
 def _run_ms(spec, block, domain, alpha, rngs):
-    # each replicate draws its own bootstrap blocks, so it runs alone
-    lag_set, out = _lag_set(spec, block), []
-    for dataset, rng in zip(block, rngs):
-        try:
-            out.append(ms_test(dataset, lag_set, block=spec.window_spec(), n_boot=spec.n_boot,
-                               tuning=spec.tuning, rng=rng, domain=domain))
-        except NUMERICAL_ERRORS as exc:
-            out.append(exc)
-    return out
+    return ms_tests(block, _lag_set(spec, block), block=spec.window_spec(), n_boot=spec.n_boot,
+                    tuning=spec.tuning, rngs=rngs, domain=domain)
 
 
 def _run_lz(spec, block, domain, alpha, rngs):
@@ -481,11 +474,13 @@ class StudyReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_block(config: StudyConfig, cell_idx: int, ratio: float, angle: float,
-               xi: float, rep_lo: int, rep_hi: int):
+def _run_block(config: StudyConfig, cell_idx: int, rep_lo: int, rep_hi: int):
     """Worker: run all methods on replicates [rep_lo, rep_hi) of one cell.
     A grid design has the same locations in every cell; a uniform design
-    draws them once per cell, and the fields vary over replicates."""
+    draws them once per cell, and the fields vary over replicates.  Returns
+    the fields' digests and, per method label, the block's rejections,
+    failures and seconds; a failure of the whole block fails every replicate."""
+    _, (ratio, angle), xi = config.cells()[cell_idx]
     locations, grid, domain = config.design.sample(
         RngStream(config.master_seed, mix64(_SALT_LOCATIONS, cell_idx)))
     cov = ExponentialCovariance.from_effective_range(xi, config.sigma2, config.tau2)
@@ -494,21 +489,21 @@ def _run_block(config: StudyConfig, cell_idx: int, ratio: float, angle: float,
     reps = range(rep_lo, rep_hi)
     block = [sampler.draw(RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep)),
                           grid=grid) for rep in reps]
-    out = [(hashlib.sha256(ds.values.tobytes()).digest(), {}) for ds in block]
+    digests = [hashlib.sha256(ds.values.tobytes()).digest() for ds in block]
+    outcomes = {}
     for i, m in enumerate(config.methods):
-        method = METHOD_TABLE[m.method]
         rngs = [RngStream(config.master_seed, mix64(_SALT_METHOD, cell_idx, rep, i))
                 for rep in reps]
         t0 = time.perf_counter()
         try:
-            outcomes = method.run(m, block, domain, config.alpha, rngs)
+            rows = METHOD_TABLE[m.method].run(m, block, domain, config.alpha, rngs)
         except NUMERICAL_ERRORS as exc:
-            outcomes = [exc] * len(block)
-        seconds = (time.perf_counter() - t0) / len(block)  # the block's time over its rows
-        for (_, rep_out), outcome in zip(out, outcomes):
-            failed = isinstance(outcome, Exception)
-            rep_out[m.label] = (not failed and outcome.rejects(config.alpha), failed, seconds)
-    return out
+            rows = [exc] * len(block)
+        seconds = time.perf_counter() - t0
+        results = [r for r in rows if not isinstance(r, Exception)]
+        outcomes[m.label] = (sum(r.rejects(config.alpha) for r in results),
+                             len(rows) - len(results), seconds)
+    return digests, outcomes
 
 
 _BLOCK = 20
@@ -521,8 +516,8 @@ def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> Stu
         raise StudyError(f"threads must be at least 1, not {threads}")
     cells = config.cells()
     starts = range(0, config.replicates, _BLOCK)
-    tasks = [(config, cell_idx, ratio, angle, xi, lo, min(lo + _BLOCK, config.replicates))
-             for cell_idx, (ratio, angle), xi in cells for lo in starts]
+    tasks = [(config, cell_idx, lo, min(lo + _BLOCK, config.replicates))
+             for cell_idx, _, _ in cells for lo in starts]
     # both maps return blocks in task order: cell by cell, replicates in order
     blocks = []
     with ExitStack() as stack:
@@ -535,14 +530,10 @@ def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> Stu
     results = []
     for cell_idx, (ratio, angle), xi in cells:
         cell_blocks = blocks[cell_idx * len(starts):(cell_idx + 1) * len(starts)]
-        reps = [rep for out in cell_blocks for rep in out]
-        hasher = hashlib.sha256()
-        for fhash, _ in reps:
-            hasher.update(fhash)
-        cell_hash = hasher.hexdigest()[:16]
+        cell_hash = hashlib.sha256(b"".join(
+            digest for digests, _ in cell_blocks for digest in digests)).hexdigest()[:16]
         for m in config.methods:
-            stats = [r[1][m.label] for r in reps]
-            n_failed = sum(1 for s in stats if s[1])
+            n_reject, n_failed, seconds = map(sum, zip(*(out[m.label] for _, out in cell_blocks)))
             if n_failed > 0.05 * config.replicates:
                 raise StudyError(
                     f"cell ({m.label}, R={ratio}, theta={angle}, xi={xi}): "
@@ -554,9 +545,9 @@ def run_power_study(config: StudyConfig, threads: int = 1, progress=None) -> Stu
                 angle=angle,
                 effective_range=xi,
                 replicates=config.replicates,
-                n_reject=sum(1 for s in stats if s[0]),
+                n_reject=n_reject,
                 n_failed=n_failed,
-                mean_seconds=float(np.mean([s[2] for s in stats])),
+                mean_seconds=seconds / config.replicates,
                 field_hash=cell_hash,
             ))
     return StudyReport(config, tuple(results))

@@ -601,6 +601,23 @@ def test_cli_refuses_non_finite_settings(method, flags, message, agreement_csvs,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", ["nan:0:16x10", "inf:0:16x10", "0:0:infx10"])
+@pytest.mark.parametrize("method", ["gsc-u", "ms"])
+def test_cli_refuses_non_finite_domain(method, domain, agreement_csvs, capsys):
+    # these ended in a numpy traceback, or in a numerical failure (exit 3)
+    assert main(["test", str(agreement_csvs["uniform"]), "--method", method,
+                 "--window", "4x2", "--domain", domain]) == 1
+    assert "needs a finite origin and a positive, finite size" in capsys.readouterr().err
+
+
+def test_cli_refuses_epanechnikov_truncation(agreement_csvs, capsys):
+    # this once printed the statistic of the call without --truncation
+    assert main(["test", str(agreement_csvs["uniform"]), "--method", "gsc-u",
+                 "--kernel", "epanechnikov", "--truncation", "3"]) == 1
+    assert "error: method gsc-u: the epanechnikov kernel has no truncation" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("spacing", ["2", "0.5"])
 def test_cli_default_lags_in_grid_spacings(spacing, tmp_path):
     data = tmp_path / "g.csv"

@@ -49,6 +49,13 @@ def window_points(ds, domain, window):
     return out
 
 
+def test_rect_needs_finite_origin_and_size():
+    # each of these was once accepted, and a test on it failed inside numpy
+    for sides in [(np.nan, 0, 16, 10), (np.inf, 0, 16, 10), (0, 0, np.inf, 10)]:
+        with pytest.raises(ValueError, match="finite origin and a positive, finite size"):
+            Rect(*sides)
+
+
 class TestMovingWindows:
     def test_18x12_with_3x2(self):
         ds = unit_grid_dataset(18, 12)

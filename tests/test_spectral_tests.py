@@ -17,6 +17,7 @@ from isotropy import (
 from isotropy.spectral_tests import (
     DegeneratePeriodogramError,
     _half_count,
+    lz_complete_tests,
     lz_diagonal_ratios,
 )
 
@@ -280,6 +281,11 @@ class TestTwoStage:
         a = lz_complete_test(periodogram(random_field_18x12))
         b = lz_complete_test(periodogram(random_field_18x12))
         assert a == b
+
+    def test_block_function_needs_a_stacked_periodogram(self, random_field_18x12):
+        # one field's (n1, n2) array once ended in an AttributeError
+        with pytest.raises(ValueError, match=r"stacked \(R, n1, n2\).*\(18, 12\)"):
+            lz_complete_tests(periodogram(random_field_18x12))
 
 
 @pytest.mark.parametrize("dims", [(18, 12), (25, 15), (16, 16), (7, 9), (3, 12)])

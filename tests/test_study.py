@@ -25,6 +25,7 @@ from isotropy.spatial_tests import (
     gsc_nongridded_test,
     gsc_nongridded_tests,
     ms_test,
+    ms_tests,
 )
 
 from conftest import study_threads
@@ -138,6 +139,8 @@ class TestConfigValidation:
         ({"method": "gsc-g", "window": (4, 3), "offset_step": -1}, "offset step must be positive"),
         # the input spelling of a result's label
         ({"method": "gsc-g", "pvalue_mode": "asymptotic_chi2"}, "unknown p-value mode"),
+        # a truncation the kernel never reads
+        ({"method": "gsc-u", "kernel": "epanechnikov", "truncation": 3.0}, "no truncation"),
     ])
     def test_bad_values_rejected_at_construction(self, kwargs, message):
         # each of these used to fail only inside the first replicate
@@ -335,6 +338,44 @@ class TestFailureHandling:
                 (alone,) = method.run(m, [ds], domain, 0.05, [RngStream(0)])
                 assert got.to_dict() == alone.to_dict()
 
+    def test_ms_resampling_failure_is_counted(self, monkeypatch):
+        # the fourth bootstrap fails: ms fails that replicate alone
+        from isotropy import spatial_tests
+        from isotropy.grf import GrfSampler
+        from isotropy.resampling import ResamplingError
+
+        draws, calls = [], []
+        real_draw, real_variance = GrfSampler.draw, spatial_tests.gbbb_variance
+
+        def recording(sampler, rng, grid=None):
+            draws.append(real_draw(sampler, rng, grid=grid))
+            return draws[-1]
+
+        def fourth_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise ResamplingError("the fourth bootstrap failed")
+            return real_variance(*args, **kwargs)
+
+        monkeypatch.setattr(GrfSampler, "draw", recording)
+        monkeypatch.setattr(spatial_tests, "gbbb_variance", fourth_fails)
+        m = MethodSpec("ms", window=(4.0, 2.0), n_boot=30)
+        config = StudyConfig(design=UniformDesign(300, 16.0, 10.0), methods=(m,),
+                             effective_ranges=(6.0,), anisotropies=((1.0, 0.0),), replicates=20)
+        (cell,) = run_power_study(config, threads=1).results
+        assert cell.n_failed == 1
+
+        calls.clear()
+        block = [draws[0].with_values(d.values) for d in draws[:6]]
+        rngs = [RngStream(0, r) for r in range(6)]
+        domain, method = Rect(0.0, 0.0, 16.0, 10.0), study.METHOD_TABLE["ms"]
+        outcomes = method.run(m, block, domain, 0.05, rngs)
+        assert isinstance(outcomes[3], ResamplingError)
+        monkeypatch.setattr(spatial_tests, "gbbb_variance", real_variance)
+        for r in (0, 1, 2, 4, 5):
+            (alone,) = method.run(m, [block[r]], domain, 0.05, [rngs[r]])
+            assert outcomes[r].to_dict() == alone.to_dict()
+
 
 def _mixed_block(locations, grid, seed, rows=20):
     """``rows`` fields on one location set, isotropic and anisotropic in turn."""
@@ -385,6 +426,19 @@ class TestBlockRows:
                     lambda ds: gsc_nongridded_test(ds, **kw), size)
 
     @pytest.mark.parametrize("size", [1, 3, 20])
+    def test_ms(self, size):
+        from isotropy import uniform_locations
+
+        design = gvm_a().design
+        block = _mixed_block(uniform_locations(design.n, design.width, design.height,
+                                               RngStream(5)), None, 8)
+        rng_of = {id(ds): RngStream(9, r) for r, ds in enumerate(block)}
+        kw = {"block": WindowSpec(4.0, 2.0), "n_boot": 30,
+              "domain": Rect(0.0, 0.0, design.width, design.height)}
+        self._check(block, lambda b: ms_tests(b, rngs=[rng_of[id(ds)] for ds in b], **kw),
+                    lambda ds: ms_test(ds, rng=rng_of[id(ds)], **kw), size)
+
+    @pytest.mark.parametrize("size", [1, 3, 20])
     @pytest.mark.parametrize("cols, rows", [(18, 12), (25, 15), (16, 16), (7, 9)])
     def test_lz(self, cols, rows, size):
         from isotropy import GridSpec, lz_complete_test, periodogram
@@ -427,8 +481,8 @@ class TestLocationWorkOnce:
         # gvl-a: one classical geometry on 18x12 (lz needs none); gvm-a:
         # the gsc-u kernel and the ms kernel at its empirical bandwidth
         config = get_preset(preset, replicates=20)
-        out = study._run_block(config, 4, 2.0, 0.0, 6.0, 0, 20)
-        assert len(out) == 20
+        digests, _ = study._run_block(config, 4, 0, 20)
+        assert len(digests) == 20
         assert counts == {"_candidate_pairs": pair_geometries, "_Windows.build": 1,
                           "_check_locations": 1}
 
