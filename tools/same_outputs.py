@@ -49,6 +49,10 @@ def _without_timing(table: str) -> str:
     return "".join(out)
 
 
+def _read(path: Path) -> bytes:
+    return path.read_bytes() if path.exists() else b"(missing)"
+
+
 def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
     """Every output of the calls above, by name, from the tree rooted at ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
@@ -70,25 +74,22 @@ def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
             out[f"{name} stdout"] = _without_timing(stdout.decode()).encode()
             out[f"{name} stderr"] = stderr
             for suffix in (".csv", ".config.json"):
-                path = work / f"{name}{suffix}"
-                out[path.name] = path.read_bytes() if path.exists() else b"(missing)"
+                out[f"{name}{suffix}"] = _read(work / f"{name}{suffix}")
     for design in DESIGNS:
         for seed in ("1", "2"):
             for ratio in ("1", "2"):
                 data = f"{design.replace(':', '_')}-s{seed}-r{ratio}.csv"
                 cli("simulate", "--design", design, "--seed", seed, "--ratio", ratio,
                     "--out", data)
-                out[data] = (work / data).read_bytes()
+                out[data] = _read(work / data)
                 for method in METHODS:
                     name = f"{data} {method}"
-                    json_path = work / f"{data}-{method}.json"
                     code, stdout, stderr = cli("test", data, "--method", method,
-                                               "--out", json_path.name)
+                                               "--out", f"{data}-{method}.json")
                     out[f"{name} exit"] = str(code).encode()
                     out[f"{name} stdout"] = stdout
                     out[f"{name} stderr"] = stderr
-                    out[f"{name} json"] = (json_path.read_bytes() if json_path.exists()
-                                           else b"(none)")
+                    out[f"{name} json"] = _read(work / f"{data}-{method}.json")
     return out
 
 
