@@ -124,7 +124,7 @@ def _cmd_test(args) -> int:
     given = {"seed": args.seed != 0, "domain": args.domain is not None}
     method.refuse_unread(args.method, [name for name, is_given in given.items() if is_given])
     domain = _parse_domain(args.domain) if args.domain else Rect.from_dataset(ds)
-    res = single(method.run(spec, [ds], domain, args.alpha, [RngStream(args.seed)]))
+    res = single(method.run(spec, ds, ds.values[None], domain, args.alpha, [RngStream(args.seed)]))
     payload = res.to_dict() | {"alpha": args.alpha}
     payload["diagnostics"] = payload.pop("diagnostics")  # the long entry goes last
     for key, value in payload.items():

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,10 +55,11 @@ class GridSpec:
     spacing: float = 1.0
 
     def __post_init__(self):
-        if self.n_cols < 1 or self.n_rows < 1:
-            raise ValueError("grid dimensions must be positive")
-        if not (self.spacing > 0):
-            raise ValueError("grid spacing must be positive")
+        sides = (self.n_cols, self.n_rows)
+        if not all(isinstance(side, (int, np.integer)) and side >= 1 for side in sides):
+            raise ValueError(f"grid dimensions must be positive integers, not {sides}")
+        if not (0 < self.spacing < np.inf):
+            raise ValueError(f"grid spacing must be positive and finite, not {self.spacing!r}")
 
     @property
     def size(self) -> int:
@@ -261,46 +262,47 @@ class SpatialDataset:
 
     Work that depends only on the locations and grid (the location
     checks, nearest-neighbour distances, pair tables, window layouts) is
-    kept in a memo that every dataset made by :meth:`with_values` shares,
-    so it is done once per location set and lives as long as those
-    datasets.
+    kept in the dataset's memo, so it is done once per dataset.  A study
+    block is one dataset and the ``(R, n)`` values of its replicates
+    (see :meth:`value_rows`).
     """
 
     locations: np.ndarray
     values: np.ndarray
     grid: GridSpec | None = None
-    _memo: dict | None = field(default=None, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         loc = np.atleast_2d(np.asarray(self.locations, dtype=float))
-        val = np.asarray(self.values, dtype=float).ravel()
         if loc.ndim != 2 or loc.shape[1] != 2:
             raise ValueError("locations must be an (n, 2) array")
-        if loc.shape[0] != val.shape[0]:
-            raise ValueError(
-                f"{loc.shape[0]} locations but {val.shape[0]} values"
-            )
         if loc.shape[0] < 1:
             raise ValueError("dataset must contain at least one observation")
-        object.__setattr__(self, "locations", np.ascontiguousarray(loc))
-        if self._memo is None:  # a new location set
-            object.__setattr__(self, "_memo", {})
-            self._check_locations()
-        if not np.all(np.isfinite(val)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "locations", _readonly(self.locations))
-        object.__setattr__(self, "values", _readonly(val))
+        object.__setattr__(self, "locations", _readonly(loc))
+        object.__setattr__(self, "_memo", {})
+        rows = self.value_rows(np.asarray(self.values, dtype=float).reshape(1, -1))
+        object.__setattr__(self, "values", _readonly(rows[0]))
+        self._check_locations()
 
-    def with_values(self, values) -> "SpatialDataset":
-        """A dataset of ``values`` on these locations and grid, sharing
-        their memo; only the values' shape and finiteness are checked."""
-        return replace(self, values=values)
+    def value_rows(self, values=None) -> np.ndarray:
+        """``values``, R >= 1 fields on these locations, as a C-contiguous float ``(R, n)``
+        array (the dataset's own as one row when None); ValueError unless finite and (R, n)."""
+        if values is None:
+            return self.values[None]
+        values = np.ascontiguousarray(values, dtype=float)
+        if values.ndim != 2 or values.shape[0] < 1:
+            raise ValueError(f"values must be an (R, n) array, not shape {values.shape}")
+        if values.shape[1] != self.n:
+            raise ValueError(f"{self.n} locations but {values.shape[1]} values")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        return values
 
     def memo(self, key, build):
-        """``build()`` computed once per location set and kept under
-        ``key``.  ``build`` must depend on the locations and grid alone,
-        and ``key`` must name its arguments; the result is shared by every
-        dataset on these locations, so arrays in it must be read-only."""
+        """``build()`` computed once per dataset and kept under ``key``.
+        ``build`` must depend on the locations and grid alone, and ``key``
+        must name its arguments; the result serves every row of values on
+        these locations, so arrays in it must be read-only."""
         try:
             return self._memo[key]
         except KeyError:
@@ -346,8 +348,8 @@ class SpatialDataset:
             float(self.locations[:, 1].max()),
         )
 
-    def field_matrix(self) -> np.ndarray:
-        """Values arranged as an ``(n_cols, n_rows)`` array (requires grid)."""
+    def field_matrix(self, values=None) -> np.ndarray:
+        """The values as ``(n_cols, n_rows)``; ``values`` (R, n) as ``(R, n_cols, n_rows)``."""
         if self.grid is None:
             raise ValueError("dataset has no grid structure")
         g = self.grid
@@ -359,8 +361,9 @@ class SpatialDataset:
             return cols, rows
 
         cols, rows = self.memo(("cells",), build)
-        out = np.empty((g.n_cols, g.n_rows), dtype=float)
-        out[cols, rows] = self.values
+        values = self.values if values is None else values
+        out = np.empty((*values.shape[:-1], g.n_cols, g.n_rows), dtype=float)
+        out[..., cols, rows] = values
         return out
 
     def take(self, indices: np.ndarray) -> "SpatialDataset":
@@ -380,6 +383,8 @@ class LagSet:
             raise ValueError("lags must be (k, 2)")
         if lags.shape[0] < 2:
             raise ValueError("a lag set needs at least two lags")
+        if not np.all(np.isfinite(lags)):
+            raise ValueError("lags must be finite")
         if np.any(np.all(np.abs(lags) < 1e-12, axis=1)):
             raise ValueError("the zero lag is not allowed in a lag set")
         # lags i < j are duplicates when np.allclose(lags[i], lags[j], atol=1e-12)
@@ -407,6 +412,8 @@ class ContrastMatrix:
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         r, k = m.shape
+        if not np.all(np.isfinite(m)):
+            raise ValueError("contrast entries must be finite")
         if r > k - 1:
             raise ValueError(f"{r} contrasts over {k} lags cannot be independent")
         if np.max(np.abs(m.sum(axis=1))) > 1e-12:

@@ -369,9 +369,10 @@ def pair_table(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig
     return _table(dataset, lag_set.lags, config, values)
 
 
-def estimate_G(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig) -> GHat:
-    """Per-lag estimates at every lag of the set, in order; the result
-    keeps the pair table it was computed from."""
-    table = pair_table(dataset, lag_set, config)
+def estimate_G(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig,
+               values=None) -> GHat:
+    """Per-lag estimates at every lag of the set, in order, of ``values`` (n,), the
+    dataset's own by default; the result keeps the pair table it was computed from."""
+    table = pair_table(dataset, lag_set, config, values)
     values, weights = table.estimate()
     return GHat(values, lag_set, weights=weights, pairs=table)

@@ -183,10 +183,9 @@ def _cholesky_with_jitter(sigma: np.ndarray, sill: float) -> np.ndarray:
 class GrfSampler:
     """Reusable sampler: factors the covariance once, then draws fields.
 
-    Useful for Monte Carlo studies where many replicates share one set of
-    sampling locations: the locations are checked once per grid, and the
-    datasets drawn on one grid share their location memo (see
-    :meth:`SpatialDataset.with_values`).
+    Useful for Monte Carlo studies where many replicates share one set of sampling
+    locations: a study block stacks :meth:`draw_values` into the ``(R, n)`` array that
+    the block functions take with one dataset (see :meth:`SpatialDataset.value_rows`).
     """
 
     def __init__(
@@ -203,18 +202,13 @@ class GrfSampler:
             coords = anisotropic_transform(coords, aniso)
         sigma = covariance_matrix(coords, cov)
         self._factor = _cholesky_with_jitter(sigma, cov.sill)
-        self._drawn: dict[GridSpec | None, SpatialDataset] = {}
 
     def draw_values(self, rng: RngStream) -> np.ndarray:
         z = rng.generator().standard_normal(self.locations.shape[0])
         return self._factor @ z
 
     def draw(self, rng: RngStream, grid: GridSpec | None = None) -> SpatialDataset:
-        values = self.draw_values(rng)
-        first = self._drawn.get(grid)
-        if first is not None:
-            return first.with_values(values)
-        return self._drawn.setdefault(grid, SpatialDataset(self.locations, values, grid=grid))
+        return SpatialDataset(self.locations, self.draw_values(rng), grid=grid)
 
 
 def simulate_grf(
@@ -239,7 +233,7 @@ def uniform_locations(
     """``n`` independent uniform locations on [0, width] x [0, height]."""
     if n < 1:
         raise ValueError("need at least one location")
-    if not (width > 0 and height > 0):
-        raise ValueError("domain dimensions must be positive")
+    if not (0 < width < np.inf and 0 < height < np.inf):
+        raise ValueError("domain dimensions must be positive and finite")
     gen = rng.generator()
     return gen.random((n, 2)) * np.array([width, height])

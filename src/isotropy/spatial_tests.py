@@ -196,12 +196,10 @@ def default_block(dataset: SpatialDataset, domain: Rect) -> WindowSpec:
     return WindowSpec(float(np.sqrt(area * aspect)), float(np.sqrt(area / aspect)))
 
 
-def _resolve_hypothesis(datasets, lag_set, contrast, domain, window, default_window):
-    """The lag set, contrast, domain and window or block of a block of datasets
-    on one location set, each defaulted from the first dataset where None."""
-    dataset = datasets[0]
-    if any(d.locations is not dataset.locations for d in datasets):
-        raise ValueError("the datasets of a block must share one location set")
+def _resolve_hypothesis(dataset, values, lag_set, contrast, domain, window, default_window):
+    """The checked ``(R, n)`` values (:meth:`SpatialDataset.value_rows`), lag set, contrast,
+    domain and window or block of a test on ``dataset``, each but values defaulted from it."""
+    values = dataset.value_rows(values)
     if lag_set is None:
         lag_set = default_lag_set(grid=dataset.grid)
     if contrast is None:
@@ -214,7 +212,7 @@ def _resolve_hypothesis(datasets, lag_set, contrast, domain, window, default_win
         domain = Rect.from_dataset(dataset)
     if window is None:
         window = default_window(dataset, domain)
-    return lag_set, contrast, domain, window
+    return values, lag_set, contrast, domain, window
 
 
 def _finish(method: str, g: np.ndarray, contrast: ContrastMatrix,
@@ -238,12 +236,11 @@ def _finish(method: str, g: np.ndarray, contrast: ContrastMatrix,
         for t_r, p_r, ridged_r, g_r in zip(t, p, ridged, g)]
 
 
-def _moving_window_tests(method, datasets, lag_set, contrast, config, window, pvalue_mode,
-                         domain, tail) -> list[TestResult | SingularityError]:
-    """A moving-window test on every dataset of a block, its values carried
-    as one C-contiguous ``(R, n)`` array on the first dataset's location set."""
-    dataset = datasets[0]
-    table = pair_table(dataset, lag_set, config, np.stack([d.values for d in datasets]))
+def _moving_window_tests(method, dataset, values, lag_set, contrast, config, window,
+                         pvalue_mode, domain, tail) -> list[TestResult | SingularityError]:
+    """A moving-window test on every row of the checked ``(R, n)`` ``values``
+    on ``dataset``'s locations, its window first in the diagnostics ``tail``."""
+    table = pair_table(dataset, lag_set, config, values)
     g, _ = table.estimate()
     if not np.all(np.isfinite(g)):
         raise ValueError("estimates must be finite")
@@ -251,7 +248,8 @@ def _moving_window_tests(method, datasets, lag_set, contrast, config, window, pv
     usable = sub.window_ghats.shape[-2]
     counts = {"n": dataset.n, "n_windows": sub.n_windows, "n_usable_windows": usable,
               "n_discarded_windows": sub.n_windows - usable}
-    return _finish(method, g, contrast, sub, pvalue_mode, counts, tail)
+    return _finish(method, g, contrast, sub, pvalue_mode, counts,
+                   {"window": [window.width, window.height], **tail})
 
 
 def gsc_gridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
@@ -261,21 +259,21 @@ def gsc_gridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
     """Isotropy/symmetry test for gridded data: classical semivariogram
     estimates, moving-window variance, finite-sample p-value by default;
     the one-dataset block of :func:`gsc_gridded_tests`."""
-    return single(gsc_gridded_tests([dataset], lag_set, contrast, window,
+    return single(gsc_gridded_tests(dataset, lag_set, contrast, window,
                                     pvalue_mode=pvalue_mode, domain=domain))
 
 
-def gsc_gridded_tests(datasets, lag_set=None, contrast=None, window=None, *,
-                      pvalue_mode="finite_sample", domain=None) -> list[TestResult | Exception]:
-    """:func:`gsc_gridded_test` of each dataset of a block (datasets on one location
-    set): a result, or the SingularityError of a singular contrast covariance."""
-    dataset = datasets[0]
+def gsc_gridded_tests(dataset, lag_set=None, contrast=None, window=None, *,
+                      pvalue_mode="finite_sample", domain=None,
+                      values=None) -> list[TestResult | Exception]:
+    """:func:`gsc_gridded_test` of each row of ``values`` (R, n), fields on ``dataset``'s
+    locations: a result, or the SingularityError of a singular contrast covariance."""
     if dataset.grid is None:
         raise ValueError("gridded test requires a dataset with grid structure")
-    lag_set, contrast, domain, window = _resolve_hypothesis(
-        datasets, lag_set, contrast, domain, window, default_grid_window)
-    return _moving_window_tests("gsc-g", datasets, lag_set, contrast, EstimatorConfig(), window,
-                                pvalue_mode, domain, {"window": [window.width, window.height]})
+    values, lag_set, contrast, domain, window = _resolve_hypothesis(
+        dataset, values, lag_set, contrast, domain, window, default_grid_window)
+    return _moving_window_tests("gsc-g", dataset, values, lag_set, contrast, EstimatorConfig(),
+                                window, pvalue_mode, domain, {})
 
 
 def gsc_nongridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
@@ -291,25 +289,24 @@ def gsc_nongridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
     and the asymptotic chi-square otherwise.  The one-dataset block of
     :func:`gsc_nongridded_tests`.
     """
-    return single(gsc_nongridded_tests([dataset], lag_set, contrast, kernel, bandwidth, window,
+    return single(gsc_nongridded_tests(dataset, lag_set, contrast, kernel, bandwidth, window,
                                        pvalue_mode=pvalue_mode, domain=domain))
 
 
-def gsc_nongridded_tests(datasets, lag_set=None, contrast=None,
+def gsc_nongridded_tests(dataset, lag_set=None, contrast=None,
                          kernel=KernelSpec("truncated_gaussian", 1.5), bandwidth=0.75,
-                         window=None, *, pvalue_mode=None,
-                         domain=None) -> list[TestResult | Exception]:
-    """:func:`gsc_nongridded_test` of every dataset of a block, as
+                         window=None, *, pvalue_mode=None, domain=None,
+                         values=None) -> list[TestResult | Exception]:
+    """:func:`gsc_nongridded_test` of every row of ``values``, as
     :func:`gsc_gridded_tests` runs its test."""
-    lag_set, contrast, domain, window = _resolve_hypothesis(
-        datasets, lag_set, contrast, domain, window, default_block)
+    values, lag_set, contrast, domain, window = _resolve_hypothesis(
+        dataset, values, lag_set, contrast, domain, window, default_block)
     if pvalue_mode is None:
-        pvalue_mode = "finite_sample" if datasets[0].n < 500 else "asymptotic"
+        pvalue_mode = "finite_sample" if dataset.n < 500 else "asymptotic"
     config = EstimatorConfig("kernel_semivariogram", kernel, bandwidth)
     return _moving_window_tests(
-        "gsc-u", datasets, lag_set, contrast, config, window, pvalue_mode, domain,
-        {"window": [window.width, window.height], "bandwidth": bandwidth,
-         "kernel": kernel.family})
+        "gsc-u", dataset, values, lag_set, contrast, config, window, pvalue_mode, domain,
+        {"bandwidth": bandwidth, "kernel": kernel.family})
 
 
 def ms_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
@@ -329,22 +326,22 @@ def ms_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
     estimate (see :func:`gbbb_variance`).  The one-dataset block of
     :func:`ms_tests`.
     """
-    return single(ms_tests([dataset], lag_set, contrast, block, n_boot, tuning, rngs=[rng],
+    return single(ms_tests(dataset, lag_set, contrast, block, n_boot, tuning, rngs=[rng],
                            domain=domain))
 
 
-def ms_tests(datasets, lag_set=None, contrast=None, block=None, n_boot=100, tuning=1.0, *,
-             rngs, domain=None) -> list[TestResult | Exception]:
-    """:func:`ms_test` of each dataset of a block, resampled with its own stream
-    of ``rngs``: a result, or the ResamplingError of too many failed resamples
-    or the SingularityError of a singular contrast covariance."""
-    lag_set, contrast, domain, block = _resolve_hypothesis(
-        datasets, lag_set, contrast, domain, block, default_block)
-    bandwidth = empirical_bandwidth(datasets[0], tuning)
+def ms_tests(dataset, lag_set=None, contrast=None, block=None, n_boot=100, tuning=1.0, *,
+             rngs, domain=None, values=None) -> list[TestResult | Exception]:
+    """:func:`ms_test` of each row of ``values``, as :func:`gsc_gridded_tests` reads them,
+    resampled with its own stream of ``rngs``: a result, or the ResamplingError of too
+    many failed resamples or the SingularityError of a singular contrast covariance."""
+    values, lag_set, contrast, domain, block = _resolve_hypothesis(
+        dataset, values, lag_set, contrast, domain, block, default_block)
+    bandwidth = empirical_bandwidth(dataset, tuning)
     config = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), bandwidth)
     out = []
-    for dataset, rng in zip(datasets, rngs, strict=True):
-        ghat = estimate_G(dataset, lag_set, config)
+    for row, rng in zip(values, rngs, strict=True):
+        ghat = estimate_G(dataset, lag_set, config, row)
         try:
             boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, rng, domain)
         except ResamplingError as exc:

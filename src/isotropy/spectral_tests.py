@@ -41,7 +41,7 @@ def _half_count(n: int) -> int:
     return (n - 1) // 2
 
 
-def periodogram(dataset: SpatialDataset | list[SpatialDataset]) -> np.ndarray:
+def periodogram(dataset: SpatialDataset, values=None) -> np.ndarray:
     """Moment-based spectral density estimate of a gridded field, as a
     read-only ``(n1, n2)`` array of ordinates at every DFT bin.
 
@@ -51,20 +51,17 @@ def periodogram(dataset: SpatialDataset | list[SpatialDataset]) -> np.ndarray:
     ``power[k1 mod n1, k2 mod n2]`` is the ordinate at the Fourier
     frequency (2 pi k1 / n1, 2 pi k2 / n2), zero and Nyquist bins
     included; the tests read only the bins 1 <= |k_j| <= m_j, with m_j
-    from ``_half_count``.  A list of datasets on one grid gets its
-    estimates stacked, ``(R, n1, n2)``, by one ``fft2``.
+    from ``_half_count``.  ``values`` (R, n), R fields on the dataset's grid (see
+    :meth:`SpatialDataset.value_rows`), get theirs stacked, ``(R, n1, n2)``, by one ``fft2``.
     """
-    datasets = dataset if isinstance(dataset, list) else [dataset]
-    if datasets[0].grid is None:
-        raise ValueError("periodogram requires a complete rectangular grid")
-    f = np.stack([d.field_matrix() for d in datasets])
+    f = dataset.field_matrix(dataset.value_rows(values))  # requires a grid
     n1, n2 = f.shape[1:]
     if _half_count(n1) < 1 or _half_count(n2) < 1:
         raise ValueError(f"grid {n1}x{n2} too small for spectral analysis")
     x = f - f.mean(axis=(1, 2), keepdims=True)
     power = np.abs(np.fft.fft2(x)) ** 2 / ((2 * np.pi) ** 2 * n1 * n2)
     power.setflags(write=False)
-    return power if isinstance(dataset, list) else power[0]
+    return power if values is not None else power[0]
 
 
 def _ordinate_ratios(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import GridSpec, default_lag_set
+from .core import GridSpec, SpatialDataset, default_lag_set
 from .distributions import RngStream, mix64
 from .estimators import (
     EmptyNeighborhoodError,
@@ -247,40 +247,42 @@ class MethodSpec:
 # call, so a wrapper installed on this module sees each call.  The
 # quadratic-form tests build their default contrast from the lag set.
 
-def _lag_set(spec, block):
-    return default_lag_set(spec.lag_scale, spec.extra_lag_pair, block[0].grid)
+def _windowed(spec, dataset, values, domain) -> dict:
+    """The lag set, domain and values that every quadratic-form runner passes."""
+    lag_set = default_lag_set(spec.lag_scale, spec.extra_lag_pair, dataset.grid)
+    return {"lag_set": lag_set, "domain": domain, "values": values}
 
 
-def _run_gsc_g(spec, block, domain, alpha, rngs):
-    return gsc_gridded_tests(block, _lag_set(spec, block), window=spec.window_spec(),
-                             pvalue_mode=spec.pvalue_mode or "finite_sample", domain=domain)
+def _run_gsc_g(spec, dataset, values, domain, alpha, rngs):
+    return gsc_gridded_tests(dataset, window=spec.window_spec(),
+                             pvalue_mode=spec.pvalue_mode or "finite_sample",
+                             **_windowed(spec, dataset, values, domain))
 
 
-def _run_gsc_u(spec, block, domain, alpha, rngs):
+def _run_gsc_u(spec, dataset, values, domain, alpha, rngs):
     return gsc_nongridded_tests(
-        block, _lag_set(spec, block), kernel=KernelSpec(spec.kernel, spec.truncation),
-        bandwidth=spec.bandwidth, window=spec.window_spec(), pvalue_mode=spec.pvalue_mode,
-        domain=domain)
+        dataset, kernel=KernelSpec(spec.kernel, spec.truncation), bandwidth=spec.bandwidth,
+        window=spec.window_spec(), pvalue_mode=spec.pvalue_mode,
+        **_windowed(spec, dataset, values, domain))
 
 
-def _run_ms(spec, block, domain, alpha, rngs):
-    return ms_tests(block, _lag_set(spec, block), block=spec.window_spec(), n_boot=spec.n_boot,
-                    tuning=spec.tuning, rngs=rngs, domain=domain)
+def _run_ms(spec, dataset, values, domain, alpha, rngs):
+    return ms_tests(dataset, block=spec.window_spec(), n_boot=spec.n_boot, tuning=spec.tuning,
+                    rngs=rngs, **_windowed(spec, dataset, values, domain))
 
 
-def _run_lz(spec, block, domain, alpha, rngs):
-    return lz_complete_tests(periodogram(block), alpha)
+def _run_lz(spec, dataset, values, domain, alpha, rngs):
+    return lz_complete_tests(periodogram(dataset, values), alpha)
 
 
 @dataclass(frozen=True)
 class Method:
-    """How the study harness and the CLI run one test: ``min_n`` is the
-    sample size below which its reference distribution is unreliable,
-    ``reads`` the settings its runner reads (:class:`MethodSpec` fields,
-    and ``seed`` and ``domain`` of ``isotropy test``), and
-    ``run(spec, block, domain, alpha, rngs)`` gives one outcome per dataset
-    of the block (datasets on one location set, a random stream each), a result or
-    the :data:`NUMERICAL_ERRORS` instance it failed with; a whole-block failure raises."""
+    """How the study harness and the CLI run one test: ``min_n`` is the sample size
+    below which its reference distribution is unreliable, ``reads`` the settings its
+    runner reads (:class:`MethodSpec` fields, and ``seed`` and ``domain`` of ``isotropy
+    test``), and ``run(spec, dataset, values, domain, alpha, rngs)`` gives one outcome per
+    row of ``values`` (R, n), fields on ``dataset``'s locations with a random stream each:
+    a result or the :data:`NUMERICAL_ERRORS` instance it failed with; a block failure raises."""
 
     needs_grid: bool
     min_n: int
@@ -487,18 +489,19 @@ def _run_block(config: StudyConfig, cell_idx: int, rep_lo: int, rep_hi: int):
     aniso = None if ratio == 1.0 else AnisotropyParams(ratio, angle)
     sampler = GrfSampler(locations, cov, aniso)
     reps = range(rep_lo, rep_hi)
-    block = [sampler.draw(RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep)),
-                          grid=grid) for rep in reps]
-    digests = [hashlib.sha256(ds.values.tobytes()).digest() for ds in block]
+    values = np.stack([sampler.draw_values(
+        RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep))) for rep in reps])
+    dataset = SpatialDataset(locations, values[0], grid=grid)
+    digests = [hashlib.sha256(row.tobytes()).digest() for row in values]
     outcomes = {}
     for i, m in enumerate(config.methods):
         rngs = [RngStream(config.master_seed, mix64(_SALT_METHOD, cell_idx, rep, i))
                 for rep in reps]
         t0 = time.perf_counter()
         try:
-            rows = METHOD_TABLE[m.method].run(m, block, domain, config.alpha, rngs)
+            rows = METHOD_TABLE[m.method].run(m, dataset, values, domain, config.alpha, rngs)
         except NUMERICAL_ERRORS as exc:
-            rows = [exc] * len(block)
+            rows = [exc] * len(values)
         seconds = time.perf_counter() - t0
         results = [r for r in rows if not isinstance(r, Exception)]
         outcomes[m.label] = (sum(r.rejects(config.alpha) for r in results),

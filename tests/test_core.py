@@ -88,6 +88,14 @@ class TestContrastMatrixValidation:
         with pytest.raises(ValueError):
             ContrastMatrix(np.eye(4) - 0.25)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        # a NaN row once ended in "LinAlgError: SVD did not converge"
+        with pytest.raises(ValueError, match="contrast entries must be finite"):
+            ContrastMatrix([[entry, entry]])
+        with pytest.raises(ValueError, match="contrast entries must be finite"):
+            ContrastMatrix([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, entry, -1.0]])
+
 
 class TestEnumerateLagPairs:
     def test_2x2_horizontal(self):
@@ -195,6 +203,30 @@ class TestSpatialDataset:
         with pytest.raises(ValueError):
             LagSet([(1, 0), (1, 0)])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_lag_set_rejects_non_finite_lags(self, entry):
+        # a NaN lag was once accepted, and a test on it ended in NoPairsError
+        with pytest.raises(ValueError, match="lags must be finite"):
+            LagSet([[entry, 0.0], [0.0, 1.0]])
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("cols, rows", [(2.5, 3), (3, 3.0), ("3", 3), (0, 3), (3, -1)])
+    def test_rejects_sides_that_are_not_positive_integers(self, cols, rows):
+        # GridSpec(2.5, 3) once had size 7.5 and 9 locations
+        with pytest.raises(ValueError, match=r"grid dimensions must be positive integers, not \("):
+            GridSpec(cols, rows)
+
+    def test_accepts_numpy_integer_sides(self):
+        assert GridSpec(np.int64(3), np.int32(2)).size == 6
+
+    @pytest.mark.parametrize("spacing", [np.inf, np.nan, 0.0, -1.0])
+    def test_rejects_bad_spacing(self, spacing):
+        # GridSpec(3, 3, inf).locations() once warned and returned
+        # non-finite locations
+        with pytest.raises(ValueError, match="grid spacing must be positive and finite"):
+            GridSpec(3, 3, spacing)
+
 
 def _lattice(spacing, angle=0.0):
     c, s = np.cos(angle), np.sin(angle)
@@ -286,8 +318,8 @@ def _memo_arrays(value):
 
 
 class TestLocationMemo:
-    """Location-only work is kept once per location set and shared only
-    by datasets made with ``with_values``."""
+    """Location-only work is kept once per dataset, and no dataset shares
+    another's memo."""
 
     @staticmethod
     def _scattered(seed=0, n=300):
@@ -305,13 +337,6 @@ class TestLocationMemo:
         domain = Rect(0, 0, 16, 10)
         gsc_nongridded_test(points_ds, domain=domain)
         ms_test(points_ds, block=WindowSpec(4, 2), n_boot=20, domain=domain)
-
-    def test_with_values_shares_the_memo(self, random_field_18x12):
-        ds = random_field_18x12
-        other = ds.with_values(ds.values[::-1])
-        assert other._memo is ds._memo
-        assert other.locations is ds.locations and other.grid == ds.grid
-        np.testing.assert_array_equal(other.values, ds.values[::-1])
 
     def test_memo_not_in_repr_or_comparison(self):
         ds = SpatialDataset([(0, 0), (1, 0)], [1.0, 2.0])
@@ -351,19 +376,31 @@ class TestLocationMemo:
                     a.flat[0] = 0
         assert ("cells",) in random_field_18x12._memo
 
+
+
+class TestValueRows:
+    """``SpatialDataset.value_rows``: the one check of a block's values."""
+
     @pytest.mark.parametrize("values, message", [
-        (np.ones(215), "216 locations but 215 values"),
-        (np.ones(217), "216 locations but 217 values"),
-        (np.r_[np.ones(215), np.nan], "values must be finite"),
-        (np.r_[np.ones(215), np.inf], "values must be finite"),
+        (np.ones((1, 215)), "216 locations but 215 values"),
+        (np.ones((3, 217)), "216 locations but 217 values"),
+        (np.r_[np.ones(215), np.nan][None], "values must be finite"),
+        (np.vstack([np.ones(216), np.r_[np.ones(215), np.inf]]), "values must be finite"),
+        (np.ones(216), r"values must be an \(R, n\) array, not shape \(216,\)"),
+        (np.ones((2, 216, 1)), r"values must be an \(R, n\) array, not shape \(2, 216, 1\)"),
+        (np.ones((0, 216)), r"values must be an \(R, n\) array, not shape \(0, 216\)"),
     ])
-    def test_with_values_checks_the_values(self, random_field_18x12, values, message):
+    def test_value_rows_checks_the_values(self, random_field_18x12, values, message):
         with pytest.raises(ValueError, match=message):
-            random_field_18x12.with_values(values)
+            random_field_18x12.value_rows(values)
 
-    def test_with_values_skips_the_location_checks(self, random_field_18x12, monkeypatch):
-        def fail(self):
-            raise AssertionError("locations checked again")
+    def test_own_values_as_one_row(self, random_field_18x12):
+        rows = random_field_18x12.value_rows()
+        assert rows.shape == (1, 216) and rows.flags.c_contiguous
+        assert rows.tobytes() == random_field_18x12.values.tobytes()
 
-        monkeypatch.setattr(SpatialDataset, "_check_locations", fail)
-        random_field_18x12.with_values(np.zeros(216))
+    def test_rows_become_a_contiguous_float_array(self, random_field_18x12):
+        f_order = np.asfortranarray(np.arange(3 * 216).reshape(3, 216))
+        rows = random_field_18x12.value_rows(f_order)
+        assert rows.dtype == float and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, f_order)

@@ -196,3 +196,9 @@ class TestUniformLocations:
             uniform_locations(0, 16, 10, RngStream(1))
         with pytest.raises(ValueError):
             uniform_locations(5, -1, 10, RngStream(1))
+
+    @pytest.mark.parametrize("width, height", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+    def test_refuses_a_non_finite_domain(self, width, height):
+        # uniform_locations(5, inf, 1.0, rng) once returned infinite x
+        with pytest.raises(ValueError, match="domain dimensions must be positive and finite"):
+            uniform_locations(5, width, height, RngStream(1))

@@ -544,7 +544,7 @@ def test_cli_study_and_library_agree(method, agreement_csvs, tmp_path):
     assert json.loads(json.dumps(direct.to_dict())) == direct.to_dict()
 
     entry = METHOD_TABLE[method]
-    (ran,) = entry.run(spec, [ds], domain, 0.05, [RngStream(4)])
+    (ran,) = entry.run(spec, ds, ds.values[None], domain, 0.05, [RngStream(4)])
     assert ran.rejects(0.05) == expected["reject"]
 
 

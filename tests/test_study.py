@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from isotropy import KernelSpec, Rect, RngStream, study
+from isotropy import GridSpec, KernelSpec, Rect, RngStream, SpatialDataset, study
 from isotropy.resampling import WindowSpec
 from isotropy.study import (
     PRESETS,
@@ -124,7 +124,8 @@ class TestConfigValidation:
             MethodSpec("ms").n_boot, MethodSpec("ms").tuning) == (100, 1.0)
         spec, entry = MethodSpec("gsc-g"), study.METHOD_TABLE["gsc-g"]
         ds = random_field_18x12
-        (ran,) = entry.run(spec, [ds], Rect.from_dataset(ds), 0.05, [RngStream(0)])
+        (ran,) = entry.run(spec, ds, ds.values[None], Rect.from_dataset(ds), 0.05,
+                           [RngStream(0)])
         assert ran.pvalue_mode == default(gsc_gridded_test, "pvalue_mode") == "finite_sample"
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -312,31 +313,32 @@ class TestFailureHandling:
         from isotropy.spatial_tests import SingularityError
 
         draws = []
-        real = GrfSampler.draw
+        real = GrfSampler.draw_values
 
-        def constant_fourth(sampler, rng, grid=None):
-            ds = real(sampler, rng, grid=grid)
-            draws.append(ds)
-            return ds.with_values(np.full(ds.n, 1.5)) if len(draws) == 4 else ds
+        def constant_fourth(sampler, rng):
+            values = real(sampler, rng)
+            draws.append(np.full(values.shape, 1.5) if len(draws) == 3 else values)
+            return draws[-1]
 
-        monkeypatch.setattr(GrfSampler, "draw", constant_fourth)
+        monkeypatch.setattr(GrfSampler, "draw_values", constant_fourth)
         config = self._config()
         report = run_power_study(config, threads=1)
         assert [cell.n_failed for cell in report.results] == [1, 1]
         for cell in report.results:  # a failed replicate counts as a non-rejection
             assert cell.rate == cell.n_reject / 20
 
-        # the block's other rows are bitwise their one-dataset outcomes
-        block = [draws[0].with_values(d.values) for d in draws[:6]]
-        block[3] = block[0].with_values(np.full(block[0].n, 1.5))
+        # the block's other rows are bitwise their one-row outcomes
+        grid = GridSpec(18, 12)
+        values = np.stack(draws[:6])
+        dataset = SpatialDataset(grid.locations(), values[0], grid=grid)
         domain = Rect(0.0, 0.0, 18.0, 12.0)
         for m, error in zip(config.methods, (DegeneratePeriodogramError, SingularityError)):
             method = study.METHOD_TABLE[m.method]
-            outcomes = method.run(m, block, domain, 0.05, [RngStream(0)] * 6)
+            outcomes = method.run(m, dataset, values, domain, 0.05, [RngStream(0)] * 6)
             assert isinstance(outcomes[3], error)
-            for ds, got in zip(block[:3] + block[4:], outcomes[:3] + outcomes[4:]):
-                (alone,) = method.run(m, [ds], domain, 0.05, [RngStream(0)])
-                assert got.to_dict() == alone.to_dict()
+            for r in (0, 1, 2, 4, 5):
+                (alone,) = method.run(m, dataset, values[r:r + 1], domain, 0.05, [RngStream(0)])
+                assert outcomes[r].to_dict() == alone.to_dict()
 
     def test_ms_resampling_failure_is_counted(self, monkeypatch):
         # the fourth bootstrap fails: ms fails that replicate alone
@@ -345,11 +347,11 @@ class TestFailureHandling:
         from isotropy.resampling import ResamplingError
 
         draws, calls = [], []
-        real_draw, real_variance = GrfSampler.draw, spatial_tests.gbbb_variance
+        real_draw, real_variance = GrfSampler.draw_values, spatial_tests.gbbb_variance
 
-        def recording(sampler, rng, grid=None):
-            draws.append(real_draw(sampler, rng, grid=grid))
-            return draws[-1]
+        def recording(sampler, rng):
+            draws.append((sampler.locations, real_draw(sampler, rng)))
+            return draws[-1][1]
 
         def fourth_fails(*args, **kwargs):
             calls.append(None)
@@ -357,7 +359,7 @@ class TestFailureHandling:
                 raise ResamplingError("the fourth bootstrap failed")
             return real_variance(*args, **kwargs)
 
-        monkeypatch.setattr(GrfSampler, "draw", recording)
+        monkeypatch.setattr(GrfSampler, "draw_values", recording)
         monkeypatch.setattr(spatial_tests, "gbbb_variance", fourth_fails)
         m = MethodSpec("ms", window=(4.0, 2.0), n_boot=30)
         config = StudyConfig(design=UniformDesign(300, 16.0, 10.0), methods=(m,),
@@ -366,51 +368,55 @@ class TestFailureHandling:
         assert cell.n_failed == 1
 
         calls.clear()
-        block = [draws[0].with_values(d.values) for d in draws[:6]]
+        values = np.stack([v for _, v in draws[:6]])
+        dataset = SpatialDataset(draws[0][0], values[0])
         rngs = [RngStream(0, r) for r in range(6)]
         domain, method = Rect(0.0, 0.0, 16.0, 10.0), study.METHOD_TABLE["ms"]
-        outcomes = method.run(m, block, domain, 0.05, rngs)
+        outcomes = method.run(m, dataset, values, domain, 0.05, rngs)
         assert isinstance(outcomes[3], ResamplingError)
         monkeypatch.setattr(spatial_tests, "gbbb_variance", real_variance)
         for r in (0, 1, 2, 4, 5):
-            (alone,) = method.run(m, [block[r]], domain, 0.05, [rngs[r]])
+            (alone,) = method.run(m, dataset, values[r:r + 1], domain, 0.05, [rngs[r]])
             assert outcomes[r].to_dict() == alone.to_dict()
 
 
 def _mixed_block(locations, grid, seed, rows=20):
-    """``rows`` fields on one location set, isotropic and anisotropic in turn."""
+    """``rows`` fields on one location set, isotropic and anisotropic in turn:
+    a dataset on the locations and the fields' ``(rows, n)`` values."""
     from isotropy import AnisotropyParams, ExponentialCovariance, GrfSampler
 
-    fields = []
+    values = []
     for r in range(rows):
         ratio, xi = [(1.0, 3.0), (2.0, 6.0), (4.0, 12.0), (1.4142135623730951, 6.0)][r % 4]
         aniso = None if ratio == 1.0 else AnisotropyParams(ratio, 0.3 * r)
         sampler = GrfSampler(locations, ExponentialCovariance.from_effective_range(xi), aniso)
-        fields.append(sampler.draw(RngStream(seed, r), grid=grid))
-    return [fields[0].with_values(ds.values) for ds in fields]
+        values.append(sampler.draw_values(RngStream(seed, r)))
+    return SpatialDataset(locations, values[0], grid=grid), np.stack(values)
 
 
 class TestBlockRows:
-    """A block's outcomes are, row by row, the one-dataset test calls'."""
+    """A block's outcomes are, row by row, the one-dataset test calls' on a
+    new dataset of that row's values."""
 
     @staticmethod
-    def _check(block, run_block, run_one, size):
-        want = [run_one(ds).to_dict() for ds in block]
-        got = [o.to_dict() for lo in range(0, len(block), size)
-               for o in run_block(block[lo:lo + size])]
+    def _check(dataset, values, run_block, run_one, size):
+        """``run_block(rows, lo)`` on slices ``values[lo:lo + size]`` against
+        ``run_one(ds, r)`` on a new dataset of row r."""
+        want = [run_one(SpatialDataset(dataset.locations, row, grid=dataset.grid), r).to_dict()
+                for r, row in enumerate(values)]
+        got = [o.to_dict() for lo in range(0, len(values), size)
+               for o in run_block(values[lo:lo + size], lo)]
         assert got == want
         return want
 
     @pytest.mark.parametrize("size", [1, 3, 20])
     @pytest.mark.parametrize("cols, rows, window", [(18, 12, (4.0, 3.0)), (25, 15, (5.0, 3.0))])
     def test_gsc_g(self, cols, rows, window, size):
-        from isotropy import GridSpec
-
         grid = GridSpec(cols, rows)
-        block = _mixed_block(grid.locations(), grid, cols)
+        dataset, values = _mixed_block(grid.locations(), grid, cols)
         kw = {"window": WindowSpec(*window), "domain": Rect(0.0, 0.0, cols, rows)}
-        self._check(block, lambda b: gsc_gridded_tests(b, **kw),
-                    lambda ds: gsc_gridded_test(ds, **kw), size)
+        self._check(dataset, values, lambda v, lo: gsc_gridded_tests(dataset, values=v, **kw),
+                    lambda ds, r: gsc_gridded_test(ds, **kw), size)
 
     @pytest.mark.parametrize("size", [1, 3, 20])
     @pytest.mark.parametrize("pvalue_mode", ["finite_sample", "asymptotic"])
@@ -418,49 +424,74 @@ class TestBlockRows:
         from isotropy import uniform_locations
 
         design = gvm_a().design
-        block = _mixed_block(uniform_locations(design.n, design.width, design.height,
-                                               RngStream(5)), None, 7)
+        dataset, values = _mixed_block(uniform_locations(design.n, design.width, design.height,
+                                                         RngStream(5)), None, 7)
         kw = {"window": WindowSpec(4.0, 2.0), "pvalue_mode": pvalue_mode,
               "domain": Rect(0.0, 0.0, design.width, design.height)}
-        self._check(block, lambda b: gsc_nongridded_tests(b, **kw),
-                    lambda ds: gsc_nongridded_test(ds, **kw), size)
+        self._check(dataset, values, lambda v, lo: gsc_nongridded_tests(dataset, values=v, **kw),
+                    lambda ds, r: gsc_nongridded_test(ds, **kw), size)
 
     @pytest.mark.parametrize("size", [1, 3, 20])
     def test_ms(self, size):
         from isotropy import uniform_locations
 
         design = gvm_a().design
-        block = _mixed_block(uniform_locations(design.n, design.width, design.height,
-                                               RngStream(5)), None, 8)
-        rng_of = {id(ds): RngStream(9, r) for r, ds in enumerate(block)}
+        dataset, values = _mixed_block(uniform_locations(design.n, design.width, design.height,
+                                                         RngStream(5)), None, 8)
+        rngs = [RngStream(9, r) for r in range(len(values))]
         kw = {"block": WindowSpec(4.0, 2.0), "n_boot": 30,
               "domain": Rect(0.0, 0.0, design.width, design.height)}
-        self._check(block, lambda b: ms_tests(b, rngs=[rng_of[id(ds)] for ds in b], **kw),
-                    lambda ds: ms_test(ds, rng=rng_of[id(ds)], **kw), size)
+        self._check(dataset, values,
+                    lambda v, lo: ms_tests(dataset, rngs=rngs[lo:lo + len(v)], values=v, **kw),
+                    lambda ds, r: ms_test(ds, rng=rngs[r], **kw), size)
 
     @pytest.mark.parametrize("size", [1, 3, 20])
     @pytest.mark.parametrize("cols, rows", [(18, 12), (25, 15), (16, 16), (7, 9)])
     def test_lz(self, cols, rows, size):
-        from isotropy import GridSpec, lz_complete_test, periodogram
+        from isotropy import lz_complete_test, periodogram
         from isotropy.spectral_tests import lz_complete_tests
 
         grid = GridSpec(cols, rows)
-        block = _mixed_block(grid.locations(), grid, 100 + cols)
-        want = self._check(block, lambda b: lz_complete_tests(periodogram(b), 0.05),
-                           lambda ds: lz_complete_test(periodogram(ds), 0.05), size)
+        dataset, values = _mixed_block(grid.locations(), grid, 100 + cols)
+        want = self._check(dataset, values,
+                           lambda v, lo: lz_complete_tests(periodogram(dataset, v), 0.05),
+                           lambda ds, r: lz_complete_test(periodogram(ds), 0.05), size)
         stage2 = [r["stage2_pvalue"] is not None for r in want]
         assert any(stage2) and not all(stage2)  # rows reject at stage 1 and reach stage 2
 
+    @pytest.mark.parametrize("values, message", [
+        (lambda v: v[0], r"not shape \(216,\)"),
+        (lambda v: v[:, :, None], r"not shape \(20, 216, 1\)"),
+        (lambda v: v[:0], r"not shape \(0, 216\)"),
+        (lambda v: v[:, 1:], "216 locations but 215 values"),
+        (lambda v: np.where(np.arange(216) == 7, np.nan, v), "values must be finite"),
+        (lambda v: np.where(np.arange(216) == 7, -np.inf, v), "values must be finite"),
+    ])
+    @pytest.mark.parametrize("function", [
+        "gsc_gridded_tests", "gsc_nongridded_tests", "ms_tests", "periodogram"])
+    def test_refuses_values_not_finite_or_not_r_by_n(self, function, values, message):
+        from isotropy import periodogram
+
+        grid = GridSpec(18, 12)
+        dataset, good = _mixed_block(grid.locations(), grid, 3)
+        run = {"gsc_gridded_tests": lambda v: gsc_gridded_tests(dataset, values=v),
+               "gsc_nongridded_tests": lambda v: gsc_nongridded_tests(dataset, values=v),
+               "ms_tests": lambda v: ms_tests(dataset, rngs=[RngStream(0)] * len(v), values=v),
+               "periodogram": lambda v: periodogram(dataset, v)}[function]
+        with pytest.raises(ValueError, match=message):
+            run(values(good))
+
 
 class TestLocationWorkOnce:
-    """A study block draws every replicate on one location set, and the
-    work that depends only on the locations is done once per block."""
+    """A study block is one dataset and its replicates' ``(R, n)`` values, so
+    the work that depends only on the locations is done once per block."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         from isotropy import core, estimators, resampling
 
-        seen = {"_candidate_pairs": 0, "_Windows.build": 0, "_check_locations": 0}
+        seen = {"_candidate_pairs": 0, "_Windows.build": 0, "_check_locations": 0,
+                "SpatialDataset": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -474,6 +505,8 @@ class TestLocationWorkOnce:
             counting("_Windows.build", resampling._Windows.build)))
         monkeypatch.setattr(core.SpatialDataset, "_check_locations",
                             counting("_check_locations", core.SpatialDataset._check_locations))
+        monkeypatch.setattr(core.SpatialDataset, "__post_init__",
+                            counting("SpatialDataset", core.SpatialDataset.__post_init__))
         return seen
 
     @pytest.mark.parametrize("preset, pair_geometries", [("gvl-a", 1), ("gvm-a", 2)])
@@ -484,7 +517,7 @@ class TestLocationWorkOnce:
         digests, _ = study._run_block(config, 4, 0, 20)
         assert len(digests) == 20
         assert counts == {"_candidate_pairs": pair_geometries, "_Windows.build": 1,
-                          "_check_locations": 1}
+                          "_check_locations": 1, "SpatialDataset": 1}
 
     @pytest.mark.parametrize("design, methods", [
         (GridDesign(18, 12), (MethodSpec("gsc-g", window=(4.0, 3.0)),
@@ -494,18 +527,18 @@ class TestLocationWorkOnce:
                                           MethodSpec("ms", window=(4.0, 2.0), n_boot=30))),
     ])
     def test_shared_memo_gives_the_fresh_dataset_result(self, design, methods):
-        from isotropy import (AnisotropyParams, ExponentialCovariance, GrfSampler,
-                              RngStream, SpatialDataset)
+        # the rows of a block share its dataset's memo
+        from isotropy import AnisotropyParams, ExponentialCovariance, GrfSampler
 
         locations, grid, domain = design.sample(RngStream(5))
         sampler = GrfSampler(locations, ExponentialCovariance.from_effective_range(6.0),
                              AnisotropyParams(2.0, 0.4))
-        drawn = [sampler.draw(RngStream(6, rep), grid=grid) for rep in range(4)]
-        assert all(ds._memo is drawn[0]._memo for ds in drawn)
-        for ds in drawn:
-            fresh = SpatialDataset(ds.locations.copy(), ds.values.copy(), grid=grid)
-            for m in methods:
-                method = study.METHOD_TABLE[m.method]
-                got, want = (method.run(m, [d], domain, 0.05, [RngStream(7)])[0].to_dict()
-                             for d in (ds, fresh))
-                assert got == want
+        values = np.stack([sampler.draw_values(RngStream(6, rep)) for rep in range(4)])
+        dataset = SpatialDataset(locations, values[0], grid=grid)
+        for m in methods:
+            method = study.METHOD_TABLE[m.method]
+            block = method.run(m, dataset, values, domain, 0.05, [RngStream(7)] * 4)
+            for got, row in zip(block, values):
+                fresh = SpatialDataset(locations.copy(), row.copy(), grid=grid)
+                (want,) = method.run(m, fresh, fresh.values[None], domain, 0.05, [RngStream(7)])
+                assert got.to_dict() == want.to_dict()

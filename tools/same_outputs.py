@@ -14,7 +14,9 @@ subprocess on its own ``src`` under ``OPENBLAS_NUM_THREADS=1``:
   designs n=300 (16x10) and n=1,000 (32x20), seeds 1-2, anisotropy
   ratio R = 1 and 2, then ``test FILE --method M --out JSON`` for the
   four methods on each file: the CSV, the JSON, stdout, stderr and the
-  exit code.
+  exit code;
+* on the 18x12 and n=300 files, one more ``test`` call per method with
+  settings other than the defaults (``SETTINGS``), its outputs as above.
 
 Every difference is printed, and the exit code is 1 if there is any.
 A run takes a few minutes; it is not part of the test suite.
@@ -35,6 +37,14 @@ PRESETS = ("gvl-a", "gvl-b", "gvm-a", "gvm-b", "lagset", "blocksize", "bandwidth
 DESIGNS = ("grid:18x12", "grid:25x15", "grid:16x16", "grid:7x9",
            "uniform:300:16x10", "uniform:1000:32x20")
 METHODS = ("gsc-g", "gsc-u", "ms", "lz")
+# one call per method with other settings than the defaults, on these designs' files
+SETTINGS = {
+    "gsc-g": ("--window", "4x3", "--pvalue-mode", "asymptotic"),
+    "gsc-u": ("--window", "4x2", "--bandwidth", "0.65"),
+    "ms": ("--window", "4x2", "--n-boot", "30", "--seed", "5"),
+    "lz": ("--alpha", "0.1"),
+}
+SETTINGS_DESIGNS = ("grid:18x12", "uniform:300:16x10")
 
 
 def _without_timing(table: str) -> str:
@@ -82,14 +92,18 @@ def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
                 cli("simulate", "--design", design, "--seed", seed, "--ratio", ratio,
                     "--out", data)
                 out[data] = _read(work / data)
-                for method in METHODS:
-                    name = f"{data} {method}"
-                    code, stdout, stderr = cli("test", data, "--method", method,
-                                               "--out", f"{data}-{method}.json")
+                calls = [(method, ()) for method in METHODS]
+                if design in SETTINGS_DESIGNS:
+                    calls += SETTINGS.items()
+                for method, settings in calls:
+                    name = " ".join((data, method, *settings))
+                    json_path = f"{data}-{method}{'-set' if settings else ''}.json"
+                    code, stdout, stderr = cli("test", data, "--method", method, *settings,
+                                               "--out", json_path)
                     out[f"{name} exit"] = str(code).encode()
                     out[f"{name} stdout"] = stdout
                     out[f"{name} stderr"] = stderr
-                    out[f"{name} json"] = _read(work / f"{data}-{method}.json")
+                    out[f"{name} json"] = _read(work / json_path)
     return out
 
 
