@@ -377,7 +377,6 @@ class TestLocationMemo:
         assert ("cells",) in random_field_18x12._memo
 
 
-
 class TestValueRows:
     """``SpatialDataset.value_rows``: the one check of a block's values."""
 
