@@ -32,8 +32,11 @@ __all__ = [
 DUPLICATE_TOL = 1e-9
 
 
-def single(outcomes: list):
-    """The outcome of a one-dataset block: its result, or its failure raised."""
+def each_or_one(outcomes: list, stacked: bool):
+    """The outcomes of a test, one per row of its stacked input, as a list
+    if ``stacked``; otherwise its one outcome: its result, or its failure raised."""
+    if stacked:
+        return outcomes
     (outcome,) = outcomes
     if isinstance(outcome, Exception):
         raise outcome
@@ -41,7 +44,8 @@ def single(outcomes: list):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-contiguous float copy of ``a``; the caller's array is left alone."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

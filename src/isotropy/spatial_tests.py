@@ -26,7 +26,7 @@ from .core import (
     SpatialDataset,
     default_contrast,
     default_lag_set,
-    single,
+    each_or_one,
 )
 from .distributions import RngStream, chi2_sf
 from .estimators import (
@@ -52,11 +52,8 @@ __all__ = [
     "quadratic_form",
     "finite_sample_pvalue",
     "gsc_gridded_test",
-    "gsc_gridded_tests",
     "gsc_nongridded_test",
-    "gsc_nongridded_tests",
     "ms_test",
-    "ms_tests",
     "default_grid_window",
     "default_block",
 ]
@@ -254,65 +251,52 @@ def _moving_window_tests(method, dataset, values, lag_set, contrast, config, win
 
 def gsc_gridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
                      contrast: ContrastMatrix | None = None, window: WindowSpec | None = None,
-                     *, pvalue_mode: str = "finite_sample",
-                     domain: Rect | None = None) -> TestResult:
+                     *, pvalue_mode: str = "finite_sample", domain: Rect | None = None,
+                     values=None) -> TestResult | list[TestResult | Exception]:
     """Isotropy/symmetry test for gridded data: classical semivariogram
-    estimates, moving-window variance, finite-sample p-value by default;
-    the one-dataset block of :func:`gsc_gridded_tests`."""
-    return single(gsc_gridded_tests(dataset, lag_set, contrast, window,
-                                    pvalue_mode=pvalue_mode, domain=domain))
+    estimates, moving-window variance, finite-sample p-value by default.
 
-
-def gsc_gridded_tests(dataset, lag_set=None, contrast=None, window=None, *,
-                      pvalue_mode="finite_sample", domain=None,
-                      values=None) -> list[TestResult | Exception]:
-    """:func:`gsc_gridded_test` of each row of ``values`` (R, n), fields on ``dataset``'s
-    locations: a result, or the SingularityError of a singular contrast covariance."""
+    Returns the dataset's result, or raises its failure.  ``values`` (R, n),
+    R fields on ``dataset``'s locations, give one outcome per row instead: a
+    result, or the SingularityError of a singular contrast covariance.
+    """
     if dataset.grid is None:
         raise ValueError("gridded test requires a dataset with grid structure")
-    values, lag_set, contrast, domain, window = _resolve_hypothesis(
+    rows, lag_set, contrast, domain, window = _resolve_hypothesis(
         dataset, values, lag_set, contrast, domain, window, default_grid_window)
-    return _moving_window_tests("gsc-g", dataset, values, lag_set, contrast, EstimatorConfig(),
-                                window, pvalue_mode, domain, {})
+    return each_or_one(_moving_window_tests(
+        "gsc-g", dataset, rows, lag_set, contrast, EstimatorConfig(), window, pvalue_mode,
+        domain, {}), values is not None)
 
 
 def gsc_nongridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
                         contrast: ContrastMatrix | None = None,
                         kernel: KernelSpec = KernelSpec("truncated_gaussian", 1.5),
                         bandwidth: float = 0.75, window: WindowSpec | None = None, *,
-                        pvalue_mode: str | None = None,
-                        domain: Rect | None = None) -> TestResult:
+                        pvalue_mode: str | None = None, domain: Rect | None = None,
+                        values=None) -> TestResult | list[TestResult | Exception]:
     """Isotropy/symmetry test for non-gridded data: kernel semivariogram
     with the same kernel and bandwidth on the full field and on windows.
 
     ``pvalue_mode=None`` picks the finite-sample adjustment below n=500
-    and the asymptotic chi-square otherwise.  The one-dataset block of
-    :func:`gsc_nongridded_tests`.
+    and the asymptotic chi-square otherwise.  ``values`` as
+    :func:`gsc_gridded_test` reads them.
     """
-    return single(gsc_nongridded_tests(dataset, lag_set, contrast, kernel, bandwidth, window,
-                                       pvalue_mode=pvalue_mode, domain=domain))
-
-
-def gsc_nongridded_tests(dataset, lag_set=None, contrast=None,
-                         kernel=KernelSpec("truncated_gaussian", 1.5), bandwidth=0.75,
-                         window=None, *, pvalue_mode=None, domain=None,
-                         values=None) -> list[TestResult | Exception]:
-    """:func:`gsc_nongridded_test` of every row of ``values``, as
-    :func:`gsc_gridded_tests` runs its test."""
-    values, lag_set, contrast, domain, window = _resolve_hypothesis(
+    rows, lag_set, contrast, domain, window = _resolve_hypothesis(
         dataset, values, lag_set, contrast, domain, window, default_block)
     if pvalue_mode is None:
         pvalue_mode = "finite_sample" if dataset.n < 500 else "asymptotic"
     config = EstimatorConfig("kernel_semivariogram", kernel, bandwidth)
-    return _moving_window_tests(
-        "gsc-u", dataset, values, lag_set, contrast, config, window, pvalue_mode, domain,
-        {"bandwidth": bandwidth, "kernel": kernel.family})
+    return each_or_one(_moving_window_tests(
+        "gsc-u", dataset, rows, lag_set, contrast, config, window, pvalue_mode, domain,
+        {"bandwidth": bandwidth, "kernel": kernel.family}), values is not None)
 
 
 def ms_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
             contrast: ContrastMatrix | None = None, block: WindowSpec | None = None,
             n_boot: int = 100, tuning: float = 1.0, rng: RngStream = RngStream(0), *,
-            domain: Rect | None = None) -> TestResult:
+            domain: Rect | None = None,
+            values=None) -> TestResult | list[TestResult | Exception]:
     """Isotropy/symmetry test from kernel covariogram estimates with a
     block-bootstrap variance; p-value always from the asymptotic
     chi-square.
@@ -323,27 +307,25 @@ def ms_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
     resample.  Resample b draws its blocks from ``rng.substream(b)``;
     the bootstrap reads the pair table of the full-sample estimate, so
     the only pair search over the whole sample is the one behind that
-    estimate (see :func:`gbbb_variance`).  The one-dataset block of
-    :func:`ms_tests`.
+    estimate (see :func:`gbbb_variance`).
+
+    ``values`` as :func:`gsc_gridded_test` reads them, with ``rng`` one
+    stream per row; a row's failure is the ResamplingError of too many
+    failed resamples or the SingularityError of a singular contrast
+    covariance.
     """
-    return single(ms_tests(dataset, lag_set, contrast, block, n_boot, tuning, rngs=[rng],
-                           domain=domain))
-
-
-def ms_tests(dataset, lag_set=None, contrast=None, block=None, n_boot=100, tuning=1.0, *,
-             rngs, domain=None, values=None) -> list[TestResult | Exception]:
-    """:func:`ms_test` of each row of ``values``, as :func:`gsc_gridded_tests` reads them,
-    resampled with its own stream of ``rngs``: a result, or the ResamplingError of too
-    many failed resamples or the SingularityError of a singular contrast covariance."""
-    values, lag_set, contrast, domain, block = _resolve_hypothesis(
+    rows, lag_set, contrast, domain, block = _resolve_hypothesis(
         dataset, values, lag_set, contrast, domain, block, default_block)
+    rngs = [rng] if isinstance(rng, RngStream) else list(rng)
+    if len(rngs) != len(rows):
+        raise ValueError(f"{len(rows)} rows of values but {len(rngs)} random streams")
     bandwidth = empirical_bandwidth(dataset, tuning)
     config = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), bandwidth)
     out = []
-    for row, rng in zip(values, rngs, strict=True):
+    for row, stream in zip(rows, rngs):
         ghat = estimate_G(dataset, lag_set, config, row)
         try:
-            boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, rng, domain)
+            boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, stream, domain)
         except ResamplingError as exc:
             out.append(exc)
             continue
@@ -355,4 +337,4 @@ def ms_tests(dataset, lag_set=None, contrast=None, block=None, n_boot=100, tunin
             "block": [block.width, block.height],
             "bandwidth": bandwidth,
         }, {})
-    return out
+    return each_or_one(out, values is not None)

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import SpatialDataset, single
+from .core import SpatialDataset, each_or_one
 from .distributions import cvm_pvalue, cvm_statistics, cvm_test, f22_cdf
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "periodogram",
     "lz_reflection_test",
     "lz_complete_test",
-    "lz_complete_tests",
 ]
 
 MIN_RATIO_PAIRS = 5
@@ -93,8 +92,10 @@ def lz_reflection_test(power: np.ndarray) -> tuple[float, float]:
     Forms the ratios I(w1, w2) / I(-w1, w2) over the quarter-plane
     k1, k2 >= 1 (each reflection-tied pair used once; the remaining
     quadrants are copies by the real-transform symmetry) and tests them
-    against the F(2,2) law.
+    against the F(2,2) law.  ``power`` is one ``(n1, n2)`` periodogram.
     """
+    if power.ndim != 2:
+        raise ValueError(f"need one (n1, n2) periodogram, not shape {power.shape}")
     return cvm_test(_reflection_ratios(power), f22_cdf)
 
 
@@ -141,23 +142,27 @@ class SymmetryTestResult:
         return {"method": "lz", **asdict(self)}
 
 
-def lz_complete_test(power: np.ndarray, alpha: float = 0.05) -> SymmetryTestResult:
+def lz_complete_test(power: np.ndarray, alpha: float = 0.05
+                     ) -> SymmetryTestResult | list[SymmetryTestResult | Exception]:
     """Two-stage test of complete symmetry at overall level ``alpha``.
 
     Stage 1 tests reflection symmetry at alpha/2; only if it does not
     reject, stage 2 tests the diagonal symmetry at alpha/2.  Rejection
     at either stage rejects complete symmetry.
+
+    Returns the result of an ``(n1, n2)`` periodogram, or raises its
+    DegeneratePeriodogramError.  A stacked ``(R, n1, n2)`` periodogram
+    (:func:`periodogram` of R fields) gives one outcome per row instead: a
+    result, or the DegeneratePeriodogramError of a zero ordinate.  P-values
+    only where read.
     """
-    return single(lz_complete_tests(power[None], alpha))
-
-
-def lz_complete_tests(power: np.ndarray, alpha: float = 0.05) -> list:
-    """:func:`lz_complete_test` per row of a stacked periodogram: a result, or the
-    DegeneratePeriodogramError of a zero ordinate.  P-values only where read."""
     if not (0 < alpha < 1):
         raise ValueError("alpha must be in (0, 1)")
-    if power.ndim != 3:
-        raise ValueError(f"need a stacked (R, n1, n2) periodogram, not shape {power.shape}")
+    if power.ndim not in (2, 3):
+        raise ValueError(f"need an (n1, n2) or stacked (R, n1, n2) periodogram, "
+                         f"not shape {power.shape}")
+    stacked = power.ndim == 3
+    power = power if stacked else power[None]
     m1, m2 = map(_half_count, power.shape[-2:])
     s1 = cvm_statistics(_reflection_ratios(power), f22_cdf)
     ratios = lz_diagonal_ratios(power)
@@ -176,4 +181,4 @@ def lz_complete_tests(power: np.ndarray, alpha: float = 0.05) -> list:
             alpha, w1, p1, w2 if stage2 else None, p2,
             bool(p1 <= alpha / 2 or (stage2 and p2 <= alpha / 2)),
             {"n_reflection_ratios": m1 * m2, "n_diagonal_ratios": 0 if p1 <= alpha / 2 else n2}))
-    return out
+    return each_or_one(out, stacked)

@@ -40,14 +40,14 @@ from .spatial_tests import (
     PVALUE_MODES,
     SingularityError,
     TestResult,
-    gsc_gridded_tests,
-    gsc_nongridded_tests,
-    ms_tests,
+    gsc_gridded_test,
+    gsc_nongridded_test,
+    ms_test,
 )
 from .spectral_tests import (
     DegeneratePeriodogramError,
     SymmetryTestResult,
-    lz_complete_tests,
+    lz_complete_test,
     periodogram,
 )
 
@@ -253,26 +253,26 @@ def _windowed(spec, dataset, values, domain) -> dict:
     return {"lag_set": lag_set, "domain": domain, "values": values}
 
 
-def _run_gsc_g(spec, dataset, values, domain, alpha, rngs):
-    return gsc_gridded_tests(dataset, window=spec.window_spec(),
-                             pvalue_mode=spec.pvalue_mode or "finite_sample",
-                             **_windowed(spec, dataset, values, domain))
+def _run_gsc_g(spec, dataset, values, domain, alpha, rng):
+    return gsc_gridded_test(dataset, window=spec.window_spec(),
+                            pvalue_mode=spec.pvalue_mode or "finite_sample",
+                            **_windowed(spec, dataset, values, domain))
 
 
-def _run_gsc_u(spec, dataset, values, domain, alpha, rngs):
-    return gsc_nongridded_tests(
+def _run_gsc_u(spec, dataset, values, domain, alpha, rng):
+    return gsc_nongridded_test(
         dataset, kernel=KernelSpec(spec.kernel, spec.truncation), bandwidth=spec.bandwidth,
         window=spec.window_spec(), pvalue_mode=spec.pvalue_mode,
         **_windowed(spec, dataset, values, domain))
 
 
-def _run_ms(spec, dataset, values, domain, alpha, rngs):
-    return ms_tests(dataset, block=spec.window_spec(), n_boot=spec.n_boot, tuning=spec.tuning,
-                    rngs=rngs, **_windowed(spec, dataset, values, domain))
+def _run_ms(spec, dataset, values, domain, alpha, rng):
+    return ms_test(dataset, block=spec.window_spec(), n_boot=spec.n_boot, tuning=spec.tuning,
+                   rng=rng, **_windowed(spec, dataset, values, domain))
 
 
-def _run_lz(spec, dataset, values, domain, alpha, rngs):
-    return lz_complete_tests(periodogram(dataset, values), alpha)
+def _run_lz(spec, dataset, values, domain, alpha, rng):
+    return lz_complete_test(periodogram(dataset, values), alpha)
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,16 @@ class Method:
     """How the study harness and the CLI run one test: ``min_n`` is the sample size
     below which its reference distribution is unreliable, ``reads`` the settings its
     runner reads (:class:`MethodSpec` fields, and ``seed`` and ``domain`` of ``isotropy
-    test``), and ``run(spec, dataset, values, domain, alpha, rngs)`` gives one outcome per
-    row of ``values`` (R, n), fields on ``dataset``'s locations with a random stream each:
-    a result or the :data:`NUMERICAL_ERRORS` instance it failed with; a block failure raises."""
+    test``), and ``run(spec, dataset, values, domain, alpha, rng)`` calls the test as its
+    function takes ``values``: None gives the dataset's result with the random stream
+    ``rng``, or raises its failure; ``values`` (R, n), fields on ``dataset``'s locations
+    with a stream each in ``rng``, give one outcome per row, a result or the
+    :data:`NUMERICAL_ERRORS` instance it failed with; a block failure raises."""
 
     needs_grid: bool
     min_n: int
     reads: tuple[str, ...]
-    run: Callable[..., list[TestResult | SymmetryTestResult | Exception]]
+    run: Callable[..., TestResult | SymmetryTestResult | list]
 
     def refuse_unread(self, name: str, settings) -> None:
         """Raise StudyError on the first of ``settings`` (names of settings
@@ -354,7 +356,11 @@ class StudyConfig:
             raise StudyError(f"invalid config value: {exc}") from None
         if not self.methods:
             raise StudyError("at least one method is required")
+        labels = set()
         for m in self.methods:
+            if m.label in labels:  # a block keys its counts by label
+                raise StudyError(f"two methods are labelled {m.label!r}")
+            labels.add(m.label)
             if METHOD_TABLE[m.method].needs_grid and not isinstance(self.design, GridDesign):
                 raise StudyError(f"method {m.label} requires a grid design")
 

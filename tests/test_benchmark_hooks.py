@@ -20,7 +20,10 @@ from isotropy import (
     subsample_variance,
     uniform_locations,
 )
+from isotropy.cli import main
 from isotropy.estimators import EstimatorConfig, KernelSpec, pair_table
+from isotropy.io import write_dataset_csv
+from isotropy.study import GridDesign, MethodSpec, StudyConfig, UniformDesign, run_power_study
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -69,3 +72,31 @@ def test_counters_read_real_results():
                          WindowSpec(4, 2), 20, RngStream(4), Rect(0, 0, 16, 10))
     assert COUNTERS["resampling.gbbb_variance"](boot) == (20, boot.n_success)
     assert _two_ints(COUNTERS["resampling.gbbb_variance"](boot))
+
+
+def test_test_spans_see_study_blocks_and_cli_calls(tmp_path):
+    # the studies and the CLI once ran functions the tracer does not wrap,
+    # so every test span read 0 calls
+    data = tmp_path / "grid.csv"
+    g = GridSpec(18, 12)
+    write_dataset_csv(simulate_grf(g.locations(), ExponentialCovariance.from_effective_range(6.0),
+                                   rng=RngStream(1), grid=g), data)
+    one_cell = {"effective_ranges": (6.0,), "anisotropies": ((1.0, 0.0),), "replicates": 20}
+    module = _load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        run_power_study(StudyConfig(GridDesign(18, 12), (MethodSpec("gsc-g"), MethodSpec("lz")),
+                                    **one_cell))
+        run_power_study(StudyConfig(UniformDesign(300, 16.0, 10.0),
+                                    (MethodSpec("gsc-u"), MethodSpec("ms", n_boot=10)),
+                                    **one_cell))
+        assert main(["test", str(data), "--method", "gsc-g"]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"]
+             for name, row in module.summarize(tracer.names, tracer.arrays()).items()}
+    assert {name: calls.get(name, 0) for name in (*module.TEST_SPANS,
+                                                  "spectral_tests.lz_complete_test")} == {
+        "spatial_tests.gsc_gridded_test": 2, "spatial_tests.gsc_nongridded_test": 1,
+        "spatial_tests.ms_test": 1, "spectral_tests.lz_complete_test": 1}

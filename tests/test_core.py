@@ -191,6 +191,25 @@ class TestSpatialDataset:
         with pytest.raises(ValueError):
             ds.locations[0, 0] = 9.0
 
+    def test_owns_its_arrays(self):
+        # the dataset once kept a view of the caller's values
+        locs, v = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), np.arange(3.0)
+        ds = SpatialDataset(locs, v)
+        v[0] = 9.0
+        locs[0, 0] = 5.0
+        assert ds.values.tolist() == [0.0, 1.0, 2.0]
+        assert ds.locations[0].tolist() == [0.0, 0.0]
+
+    def test_leaves_the_callers_locations_writeable(self):
+        # the caller's locations once became read-only, also when the constructor raised
+        locs = np.array([(0.0, 0.0), (1.0, 0.0)])
+        SpatialDataset(locs, [1.0, 2.0])
+        assert locs.flags.writeable
+        duplicate = np.array([(0.0, 0.0), (0.0, 0.0)])
+        with pytest.raises(ValueError, match="duplicate"):
+            SpatialDataset(duplicate, [1.0, 2.0])
+        assert duplicate.flags.writeable
+
     def test_field_matrix_layout(self, grid_2x2):
         f = grid_2x2.field_matrix()
         # columns index x, rows index y

@@ -245,6 +245,13 @@ class TestMsTest:
                           rng=RngStream(64), domain=Rect(0, 0, 16, 10))
             assert res.statistic == pytest.approx(base.statistic, rel=1e-8)
 
+    @pytest.mark.parametrize("rng, count", [
+        (RngStream(0), 1), ([RngStream(0)] * 2, 2), ([RngStream(r) for r in range(4)], 4)])
+    def test_needs_one_stream_per_row(self, uniform_ds, rng, count):
+        values = np.stack([uniform_ds.values] * 3)
+        with pytest.raises(ValueError, match=f"3 rows of values but {count} random streams"):
+            ms_test(uniform_ds, block=WindowSpec(4, 2), n_boot=20, rng=rng, values=values)
+
     def test_works_on_gridded_data_too(self, random_field_18x12):
         res = ms_test(random_field_18x12, block=WindowSpec(4, 2), n_boot=30,
                       rng=RngStream(65))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,7 +19,6 @@ from isotropy import (
 from isotropy.spectral_tests import (
     DegeneratePeriodogramError,
     _half_count,
-    lz_complete_tests,
     lz_diagonal_ratios,
 )
 
@@ -191,6 +192,12 @@ class TestReflectionStage:
         with pytest.raises(DegeneratePeriodogramError):
             lz_reflection_test(power)
 
+    def test_refuses_a_stacked_periodogram(self, random_field_18x12):
+        power = np.stack([periodogram(random_field_18x12)] * 3)
+        with pytest.raises(ValueError, match=r"one \(n1, n2\) periodogram, not shape "
+                                             r"\(3, 18, 12\)"):
+            lz_reflection_test(power)
+
     def test_too_few_pairs(self):
         g = GridSpec(4, 4)
         ds = SpatialDataset(g.locations(), RngStream(3).generator().standard_normal(16),
@@ -283,9 +290,12 @@ class TestTwoStage:
         assert a == b
 
     def test_block_function_needs_a_stacked_periodogram(self, random_field_18x12):
-        # one field's (n1, n2) array once ended in an AttributeError
-        with pytest.raises(ValueError, match=r"stacked \(R, n1, n2\).*\(18, 12\)"):
-            lz_complete_tests(periodogram(random_field_18x12))
+        # a periodogram that is neither one field's (n1, n2) nor stacked (R, n1, n2)
+        power = periodogram(random_field_18x12)
+        for wrong in (power[0], power[None, None]):
+            with pytest.raises(ValueError, match=r"stacked \(R, n1, n2\).*not shape " +
+                               re.escape(str(wrong.shape))):
+                lz_complete_test(wrong)
 
 
 @pytest.mark.parametrize("dims", [(18, 12), (25, 15), (16, 16), (7, 9), (3, 12)])

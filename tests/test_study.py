@@ -19,14 +19,7 @@ from isotropy.study import (
     gvm_a,
     run_power_study,
 )
-from isotropy.spatial_tests import (
-    gsc_gridded_test,
-    gsc_gridded_tests,
-    gsc_nongridded_test,
-    gsc_nongridded_tests,
-    ms_test,
-    ms_tests,
-)
+from isotropy.spatial_tests import gsc_gridded_test, gsc_nongridded_test, ms_test
 
 from conftest import study_threads
 
@@ -225,6 +218,16 @@ class TestConfigValidation:
         with pytest.raises(StudyError, match=f"unknown {where} key '{key}'"):
             StudyConfig.from_json(json.dumps(d))
 
+    def test_duplicate_labels_refused(self):
+        # both CSV rows once held the counts of the method listed last
+        methods = (MethodSpec("gsc-g", label="x"), MethodSpec("lz", label="x"))
+        with pytest.raises(StudyError, match="two methods are labelled 'x'"):
+            StudyConfig(design=GridDesign(18, 12), methods=methods, replicates=2)
+        d = {"design": {"kind": "grid", "n_cols": 18, "n_rows": 12}, "replicates": 2,
+             "methods": [{"method": "gsc-g"}, {"method": "gsc-g", "pvalue_mode": "asymptotic"}]}
+        with pytest.raises(StudyError, match="two methods are labelled 'gsc-g'"):
+            StudyConfig.from_json(json.dumps(d))
+
     def test_config_must_be_an_object(self):
         with pytest.raises(StudyError, match="JSON object"):
             StudyConfig.from_json("[1]")
@@ -301,7 +304,7 @@ class TestFailureHandling:
         def broken(pgram, alpha):
             raise TypeError("bug in the test")
 
-        monkeypatch.setattr(study, "lz_complete_tests", broken)
+        monkeypatch.setattr(study, "lz_complete_test", broken)
         with pytest.raises(TypeError, match="bug in the test"):
             run_power_study(self._config(), threads=1)
 
@@ -415,7 +418,7 @@ class TestBlockRows:
         grid = GridSpec(cols, rows)
         dataset, values = _mixed_block(grid.locations(), grid, cols)
         kw = {"window": WindowSpec(*window), "domain": Rect(0.0, 0.0, cols, rows)}
-        self._check(dataset, values, lambda v, lo: gsc_gridded_tests(dataset, values=v, **kw),
+        self._check(dataset, values, lambda v, lo: gsc_gridded_test(dataset, values=v, **kw),
                     lambda ds, r: gsc_gridded_test(ds, **kw), size)
 
     @pytest.mark.parametrize("size", [1, 3, 20])
@@ -428,7 +431,7 @@ class TestBlockRows:
                                                          RngStream(5)), None, 7)
         kw = {"window": WindowSpec(4.0, 2.0), "pvalue_mode": pvalue_mode,
               "domain": Rect(0.0, 0.0, design.width, design.height)}
-        self._check(dataset, values, lambda v, lo: gsc_nongridded_tests(dataset, values=v, **kw),
+        self._check(dataset, values, lambda v, lo: gsc_nongridded_test(dataset, values=v, **kw),
                     lambda ds, r: gsc_nongridded_test(ds, **kw), size)
 
     @pytest.mark.parametrize("size", [1, 3, 20])
@@ -442,19 +445,18 @@ class TestBlockRows:
         kw = {"block": WindowSpec(4.0, 2.0), "n_boot": 30,
               "domain": Rect(0.0, 0.0, design.width, design.height)}
         self._check(dataset, values,
-                    lambda v, lo: ms_tests(dataset, rngs=rngs[lo:lo + len(v)], values=v, **kw),
+                    lambda v, lo: ms_test(dataset, rng=rngs[lo:lo + len(v)], values=v, **kw),
                     lambda ds, r: ms_test(ds, rng=rngs[r], **kw), size)
 
     @pytest.mark.parametrize("size", [1, 3, 20])
     @pytest.mark.parametrize("cols, rows", [(18, 12), (25, 15), (16, 16), (7, 9)])
     def test_lz(self, cols, rows, size):
         from isotropy import lz_complete_test, periodogram
-        from isotropy.spectral_tests import lz_complete_tests
 
         grid = GridSpec(cols, rows)
         dataset, values = _mixed_block(grid.locations(), grid, 100 + cols)
         want = self._check(dataset, values,
-                           lambda v, lo: lz_complete_tests(periodogram(dataset, v), 0.05),
+                           lambda v, lo: lz_complete_test(periodogram(dataset, v), 0.05),
                            lambda ds, r: lz_complete_test(periodogram(ds), 0.05), size)
         stage2 = [r["stage2_pvalue"] is not None for r in want]
         assert any(stage2) and not all(stage2)  # rows reject at stage 1 and reach stage 2
@@ -474,9 +476,9 @@ class TestBlockRows:
 
         grid = GridSpec(18, 12)
         dataset, good = _mixed_block(grid.locations(), grid, 3)
-        run = {"gsc_gridded_tests": lambda v: gsc_gridded_tests(dataset, values=v),
-               "gsc_nongridded_tests": lambda v: gsc_nongridded_tests(dataset, values=v),
-               "ms_tests": lambda v: ms_tests(dataset, rngs=[RngStream(0)] * len(v), values=v),
+        run = {"gsc_gridded_tests": lambda v: gsc_gridded_test(dataset, values=v),
+               "gsc_nongridded_tests": lambda v: gsc_nongridded_test(dataset, values=v),
+               "ms_tests": lambda v: ms_test(dataset, rng=[RngStream(0)] * len(v), values=v),
                "periodogram": lambda v: periodogram(dataset, v)}[function]
         with pytest.raises(ValueError, match=message):
             run(values(good))
