@@ -72,7 +72,7 @@ def _window(args) -> tuple[float, float] | None:
 def _cmd_simulate(args) -> int:
     design = parse_design(args.design)
     cov = _covariance(args)
-    aniso = None if args.ratio == 1.0 else AnisotropyParams(args.ratio, args.angle)
+    aniso = AnisotropyParams(args.ratio, args.angle)
     rng = RngStream(args.seed)
     locations, grid, _ = design.sample(rng.substream(1))
     ds = GrfSampler(locations, cov, aniso).draw(rng.substream(2), grid=grid)
@@ -173,7 +173,7 @@ def _cmd_diagnose(args) -> int:
         lines += [f"{d:.6g},{c:.9g},{g:.9g},{n}" for d, c, g, n in rows]
     else:
         cov = _covariance(args)
-        aniso = None if args.ratio == 1.0 else AnisotropyParams(args.ratio, args.angle)
+        aniso = AnisotropyParams(args.ratio, args.angle)
         levels = tuple(float(v) for v in args.levels.split(","))
         rows = diagnostics.equicorrelation_contours(cov, aniso, levels)
         lines = ["level,x,y"]

@@ -1,8 +1,8 @@
 """CSV ingestion and emission for spatial datasets.
 
-Input format: header ``x,y,value``, one observation per row, UTF-8,
-decimal points.  Ingestion auto-detects complete rectangular grids and
-attaches the grid structure.
+Input format: header ``x,y,value``, one observation per row, UTF-8
+(a leading byte-order mark is skipped), decimal points.  Ingestion
+auto-detects complete rectangular grids and attaches the grid structure.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def read_dataset_csv(path) -> SpatialDataset:
     when the locations lie on a complete lattice."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # as spreadsheets write it, with a BOM
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     data = _plain_table(text)

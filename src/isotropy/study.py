@@ -15,7 +15,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 
@@ -87,11 +87,7 @@ class GridDesign:
     def __post_init__(self):
         if _integer(self.n_cols, "n_cols") < 2 or _integer(self.n_rows, "n_rows") < 2:
             raise StudyError("grid design needs at least 2x2 points")
-        if not (0 < self.spacing < np.inf):
-            raise StudyError(f"spacing must be positive and finite, not {self.spacing!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": "grid", **asdict(self)}
+        _store_reals(self, "spacing", positive=True)
 
     def sample(self, rng: RngStream) -> tuple[np.ndarray, GridSpec, Rect]:
         """(locations, grid, domain); a grid is fixed, so ``rng`` is unused."""
@@ -111,12 +107,7 @@ class UniformDesign:
     def __post_init__(self):
         if _integer(self.n, "n") < 2:
             raise StudyError("uniform design needs n >= 2")
-        for key, value in (("width", self.width), ("height", self.height)):
-            if not (0 < value < np.inf):
-                raise StudyError(f"{key} must be positive and finite, not {value!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": "uniform", **asdict(self)}
+        _store_reals(self, "width", "height", positive=True)
 
     def sample(self, rng: RngStream) -> tuple[np.ndarray, None, Rect]:
         """(locations drawn from ``rng``, no grid, domain)."""
@@ -140,6 +131,9 @@ def parse_design(text: str) -> GridDesign | UniformDesign:
                      "uniform:N:WIDTHxHEIGHT")
 
 
+DESIGN_KINDS = {"grid": GridDesign, "uniform": UniformDesign}
+
+
 def _integer(value, key: str) -> int:
     """``value`` if an int (not a float, bool or string), else StudyError naming ``key``."""
     if type(value) is int:
@@ -148,17 +142,39 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str) -> float:
-    """``value`` as a float if a number (an int or a float, not a bool), else
-    StudyError naming ``key``."""
+    """``value`` as a float if an int or a float (not a bool), else StudyError naming ``key``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise StudyError(f"{key} must be a number, not {value!r}")
 
 
-def _refuse_unknown_keys(d: dict, known, what: str) -> None:
-    unknown = sorted(set(d) - set(known))
+def _reals(values, key: str, item=_real) -> tuple:
+    """A non-empty list ``values`` as a tuple of ``item(value, key)``, else StudyError."""
+    if not isinstance(values, (list, tuple)):
+        raise StudyError(f"{key} must be a list, not {values!r}")
+    if not values:
+        raise StudyError(f"{key} list must be non-empty")
+    return tuple(item(value, key) for value in values)
+
+
+def _store_reals(obj, *keys: str, positive: bool = False) -> None:
+    """Store the fields ``keys`` of ``obj`` as floats; if ``positive``, positive and finite."""
+    for key in keys:
+        value = _real(getattr(obj, key), key)
+        if positive and not (0 < value < np.inf):
+            raise StudyError(f"{key} must be positive and finite, not {value!r}")
+        object.__setattr__(obj, key, value)
+
+
+def _checked_keys(cls, d: dict, what: str) -> dict:
+    """``d``, if it names every field of ``cls`` without a default and no other key."""
+    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
     if unknown:
         raise StudyError(f"unknown {what} key {', '.join(map(repr, unknown))}")
+    for key, field in cls.__dataclass_fields__.items():
+        if key not in d and field.default is MISSING:
+            raise StudyError(f"config missing required key {key!r}")
+    return d
 
 
 def design_from_dict(d: dict) -> GridDesign | UniformDesign:
@@ -166,13 +182,10 @@ def design_from_dict(d: dict) -> GridDesign | UniformDesign:
     if not isinstance(d, dict):
         raise StudyError(f"design must be a JSON object, not {d!r}")
     kind = d.get("kind")
-    if kind == "grid":
-        _refuse_unknown_keys(d, ["kind", *GridDesign.__dataclass_fields__], "grid design")
-        return GridDesign(d["n_cols"], d["n_rows"], _real(d.get("spacing", 1.0), "spacing"))
-    if kind == "uniform":
-        _refuse_unknown_keys(d, ["kind", *UniformDesign.__dataclass_fields__], "uniform design")
-        return UniformDesign(d["n"], _real(d["width"], "width"), _real(d["height"], "height"))
-    raise StudyError(f"unknown design kind {kind!r}")
+    if not isinstance(kind, str) or kind not in DESIGN_KINDS:
+        raise StudyError(f"unknown design kind {kind!r}")
+    fields = {key: value for key, value in d.items() if key != "kind"}
+    return DESIGN_KINDS[kind](**_checked_keys(DESIGN_KINDS[kind], fields, f"{kind} design"))
 
 
 @dataclass(frozen=True)
@@ -205,21 +218,21 @@ class MethodSpec:
                 f"unknown method {self.method!r}; expected one of {tuple(METHOD_TABLE)}")
         if not self.label:
             object.__setattr__(self, "label", self.method)
+        if any(c in str(self.label) for c in ',"\r\n'):  # a CSV field, and never quoted
+            raise StudyError(f"label {self.label!r} holds a comma, double quote or line break")
         if not isinstance(self.extra_lag_pair, bool):
             raise StudyError(f"extra_lag_pair must be true or false, not {self.extra_lag_pair!r}")
+        # numbers are checked, not converted: an echo keeps its ints
         if self.window is not None:
             object.__setattr__(self, "window", tuple(self.window))
-            if len(self.window) != 2:
+            if len(_reals(self.window, "window")) != 2:
                 raise StudyError(f"window must be [width, height], not {list(self.window)}")
         elif self.offset_step is not None:
             raise StudyError("an offset step needs a window")
-        reals = [(key, getattr(self, key)) for key in ("lag_scale", "truncation", "bandwidth",
-                                                        "tuning")]
-        reals += [("window", side) for side in self.window or ()]
+        for key in ("lag_scale", "truncation", "bandwidth", "tuning"):
+            _real(getattr(self, key), key)
         if self.offset_step is not None:
-            reals.append(("offset_step", self.offset_step))
-        for key, value in reals:  # checked, not converted: an echo keeps its ints
-            _real(value, key)
+            _real(self.offset_step, "offset_step")
         fields = self.__dataclass_fields__
         METHOD_TABLE[self.method].refuse_unread(self.method, [
             name for name in fields if name not in ("method", "label")
@@ -344,8 +357,12 @@ class StudyConfig:
     master_seed: int = 20260810
 
     def __post_init__(self):
+        _integer(self.master_seed, "master_seed")
         if _integer(self.replicates, "replicates") < 1:
             raise StudyError("replicates must be positive")
+        _store_reals(self, "sigma2", "tau2", "alpha")
+        for key, item in (("effective_ranges", _real), ("anisotropies", _reals)):
+            object.__setattr__(self, key, _reals(getattr(self, key), key, item))
         if not (0 < self.alpha < 1):
             raise StudyError("alpha must be in (0, 1)")
         try:  # the field checks of every cell, before any field is drawn
@@ -370,7 +387,8 @@ class StudyConfig:
         return [(idx, aniso, xi) for idx, (aniso, xi) in enumerate(pairs)]
 
     def to_json(self) -> str:
-        d = asdict(self) | {"design": self.design.to_dict()}
+        d = asdict(self)
+        d["design"]["kind"] = {cls: kind for kind, cls in DESIGN_KINDS.items()}[type(self.design)]
         return json.dumps(d, indent=2, sort_keys=True)
 
     @classmethod
@@ -381,27 +399,10 @@ class StudyConfig:
             raise StudyError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise StudyError(f"config must be a JSON object, not {type(d).__name__}")
-
-        def get(key):  # the value, or the field's default when absent
-            return d.get(key, cls.__dataclass_fields__[key].default)
-
         try:
-            _refuse_unknown_keys(d, cls.__dataclass_fields__, "config")
-            return cls(
-                design=design_from_dict(d["design"]),
-                methods=tuple(MethodSpec(**m) for m in d["methods"]),
-                effective_ranges=tuple(_real(x, "effective_ranges")
-                                       for x in get("effective_ranges")),
-                anisotropies=tuple((_real(a, "anisotropies"), _real(b, "anisotropies"))
-                                   for a, b in get("anisotropies")),
-                sigma2=_real(get("sigma2"), "sigma2"),
-                tau2=_real(get("tau2"), "tau2"),
-                replicates=d["replicates"],
-                alpha=_real(get("alpha"), "alpha"),
-                master_seed=_integer(get("master_seed"), "master_seed"),
-            )
-        except KeyError as exc:
-            raise StudyError(f"config missing required key {exc}") from exc
+            return cls(**_checked_keys(cls, d, "config") | {
+                "design": design_from_dict(d["design"]),
+                "methods": tuple(MethodSpec(**m) for m in d["methods"])})
         except (TypeError, ValueError) as exc:
             raise StudyError(f"invalid config value: {exc}") from exc
 
@@ -492,8 +493,7 @@ def _run_block(config: StudyConfig, cell_idx: int, rep_lo: int, rep_hi: int):
     locations, grid, domain = config.design.sample(
         RngStream(config.master_seed, mix64(_SALT_LOCATIONS, cell_idx)))
     cov = ExponentialCovariance.from_effective_range(xi, config.sigma2, config.tau2)
-    aniso = None if ratio == 1.0 else AnisotropyParams(ratio, angle)
-    sampler = GrfSampler(locations, cov, aniso)
+    sampler = GrfSampler(locations, cov, AnisotropyParams(ratio, angle))
     reps = range(rep_lo, rep_hi)
     values = np.stack([sampler.draw_values(
         RngStream(config.master_seed, mix64(_SALT_FIELD, cell_idx, rep))) for rep in reps])

@@ -31,7 +31,13 @@ from isotropy import (
     uniform_locations,
 )
 from isotropy.cli import main
-from isotropy.io import DataFormatError, detect_grid, read_dataset_csv, write_dataset_csv
+from isotropy.io import (
+    DataFormatError,
+    detect_grid,
+    format_dataset_csv,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 from isotropy.study import METHOD_TABLE, MethodSpec
 
 
@@ -130,6 +136,22 @@ class TestCsvRoundTrip:
         rows = [f"{x!r},{k * spacing!r},{x + k}" for k in range(4) for x in xs]
         p.write_text("x,y,value\n" + "\n".join(rows) + "\n")
         assert read_dataset_csv(p).grid == grid
+
+    @pytest.mark.parametrize("header", ["x,y,value", '"x",y,value'],
+                             ids=["plain", "quoted"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        # spreadsheets write one; it once made the header unreadable
+        g = GridSpec(6, 5)
+        ds = SpatialDataset(g.locations(), RngStream(8).generator().standard_normal(30), grid=g)
+        text = header + format_dataset_csv(ds).removeprefix("x,y,value")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        a, b = read_dataset_csv(plain), read_dataset_csv(marked)
+        assert a.locations.tobytes() == b.locations.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.grid == b.grid == g
 
 
 def _oracle(path, text):
@@ -237,8 +259,8 @@ class TestReaderRules:
         path = csv_dir / f"data-{next(self._names)}.csv"
         path.write_text(text, encoding="utf-8", newline="")
         # the reader's text, as the format defines it: UTF-8 with universal
-        # newlines
-        expected = _oracle(path, path.read_text(encoding="utf-8"))
+        # newlines, a leading byte-order mark skipped
+        expected = _oracle(path, path.read_text(encoding="utf-8-sig"))
         got, caught = self._read(path)
         if isinstance(expected, str):
             assert isinstance(got, DataFormatError) and str(got) == expected
@@ -392,6 +414,8 @@ class TestCli:
         (["--tau2", "nan"], "tau2"),
         (["--xi", "inf"], "xi"),
         (["--phi", "0.5", "--tau2", "inf"], "tau2"),
+        # at ratio 1 the angle was never checked
+        (["--angle", "nan"], "angle"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_non_finite_field_parameters_exit_1(self, command, flags, name, capsys):
         assert main(command + flags) == 1
@@ -455,6 +479,15 @@ class TestCli:
         cfg.write_text('{"design": 1, "methods": [{"method": "lz"}], "replicates": 2}')
         assert main(["study", "--config", str(cfg)]) == 1
         assert "design must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["effective_ranges", "anisotropies"])
+    def test_study_config_refuses_an_empty_list(self, tmp_path, capsys, key):
+        # this once ran no cell and ended in a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"design": {"kind": "grid", "n_cols": 6, "n_rows": 5},
+                                   "methods": [{"method": "lz"}], "replicates": 2, key: []}))
+        assert main(["study", "--config", str(cfg)]) == 1
+        assert f"error: {key} list must be non-empty" in capsys.readouterr().err
 
     def test_study_needs_preset_or_config(self):
         assert main(["study"]) == 1

@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +183,9 @@ class TestConfigValidation:
             "kind": "uniform", "n": 300, "width": float("inf"), "height": 10.0}),
         "height": lambda d: d.update(methods=[{"method": "gsc-u"}], design={
             "kind": "uniform", "n": 300, "width": 16.0, "height": float("nan")}),
+        # an empty list once loaded, and the study ended in a traceback
+        "effective_ranges list": lambda d: d.update(effective_ranges=[]),
+        "anisotropies list": lambda d: d.update(anisotropies=[]),
     }
 
     @pytest.mark.parametrize("key", list(WRONG_VALUES))
@@ -190,6 +195,52 @@ class TestConfigValidation:
         StudyConfig.from_json(json.dumps(d))
         self.WRONG_VALUES[key](d)
         with pytest.raises(StudyError, match=f"{key} must be"):
+            StudyConfig.from_json(json.dumps(d))
+
+    # a config built in Python is checked as a config file is; each of these
+    # once passed its constructor, or failed later naming no key
+    @pytest.mark.parametrize("target, key, value", [
+        pytest.param(target, key, value, id=f"{key}={value!r}") for target, key, value in [
+            ("config", "master_seed", 7.5),
+            ("config", "master_seed", "7"),
+            ("config", "sigma2", True),
+            ("grid", "spacing", True),
+            ("grid", "spacing", "2"),
+            ("config", "alpha", "0.05"),
+            ("config", "effective_ranges", ("3",)),
+            ("config", "effective_ranges", ()),
+            ("config", "anisotropies", ((2.0, "0"),)),
+            ("config", "anisotropies", ()),
+            ("uniform", "width", float("inf")),  # refused before, by the constructor alone
+            ("uniform", "height", True),
+        ]])
+    def test_constructors_refuse_what_the_loader_refuses(self, target, key, value):
+        valid = {"config": gvl_a(replicates=2), "grid": GridDesign(18, 12),
+                 "uniform": UniformDesign(300, 16.0, 10.0)}[target]
+        with pytest.raises(StudyError, match=key):
+            dataclasses.replace(valid, **{key: value})
+
+    def test_constructors_convert_what_the_loader_converted(self):
+        # ints and lists, as a config file may give them, are stored as floats
+        # and tuples, so a config equals the one loaded from its echo
+        config = StudyConfig(GridDesign(6, 5, 2), (MethodSpec("lz", label="x"),),
+                             effective_ranges=[3, 6], anisotropies=[[2, 0]], sigma2=2,
+                             tau2=0, replicates=2, alpha=1 / 8)
+        assert config.design.spacing == 2.0 and type(config.design.spacing) is float
+        assert config.effective_ranges == (3.0, 6.0) and config.anisotropies == ((2.0, 0.0),)
+        assert all(type(v) is float for v in (*config.effective_ranges, *config.anisotropies[0],
+                                              config.sigma2, config.tau2))
+        assert StudyConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_labels_that_would_break_the_report_refused(self, label):
+        # "a,b" once wrote an 11-field row under the 10-field CSV header
+        message = re.escape(f"label {label!r} holds a comma, double quote or line break")
+        with pytest.raises(StudyError, match=message):
+            MethodSpec("lz", label=label)
+        d = {"design": {"kind": "grid", "n_cols": 18, "n_rows": 12}, "replicates": 2,
+             "methods": [{"method": "lz", "label": label}]}
+        with pytest.raises(StudyError, match=message):
             StudyConfig.from_json(json.dumps(d))
 
     def test_bad_alpha(self):

@@ -10,6 +10,9 @@ subprocess on its own ``src`` under ``OPENBLAS_NUM_THREADS=1``:
 * ``study --preset P --replicates 20 --threads T --out report.csv`` for
   every preset and T = 1 and 2: the CSV report, the config echo, and
   the printed table without its "mean seconds per test" lines;
+* ``study --config ECHO --out report.csv`` for every preset, with the
+  config echo its ``--threads 1`` run wrote: the exit code, the CSV
+  report and the config echo, so that the loader is compared too;
 * ``simulate`` on grids 18x12, 25x15, 16x16 and 7x9 and on uniform
   designs n=300 (16x10) and n=1,000 (32x20), seeds 1-2, anisotropy
   ratio R = 1 and 2, then ``test FILE --method M --out JSON`` for the
@@ -85,6 +88,12 @@ def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
             out[f"{name} stderr"] = stderr
             for suffix in (".csv", ".config.json"):
                 out[f"{name}{suffix}"] = _read(work / f"{name}{suffix}")
+        name = f"study-{preset}-config"
+        code, _, _ = cli("study", "--config", f"study-{preset}-t1.config.json",
+                         "--out", f"{name}.csv")
+        out[f"{name} exit"] = str(code).encode()
+        for suffix in (".csv", ".config.json"):
+            out[f"{name}{suffix}"] = _read(work / f"{name}{suffix}")
     for design in DESIGNS:
         for seed in ("1", "2"):
             for ratio in ("1", "2"):
