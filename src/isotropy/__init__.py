@@ -14,7 +14,6 @@ from .core import (
 from .distributions import RngStream, chi2_sf, cvm_test, f22_cdf, mix64
 from .estimators import (
     EstimatorConfig,
-    GHat,
     KernelSpec,
     classical_semivariogram,
     empirical_bandwidth,

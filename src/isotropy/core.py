@@ -323,7 +323,10 @@ class SpatialDataset:
         if not np.all(np.isfinite(self.locations)):
             raise ValueError("locations must be finite")
         if self.grid is not None:
-            grid_cells(self.locations, self.grid)
+            cells = grid_cells(self.locations, self.grid)
+            for a in cells:
+                a.setflags(write=False)
+            self._memo[("cells",)] = cells
         # points in distinct cells, each within 1e-6 spacings of its lattice
         # point, are at least spacing * (1 - 2e-6) apart
         spaced = self.grid is not None and self.grid.spacing * (1 - 2e-6) >= DUPLICATE_TOL
@@ -357,14 +360,7 @@ class SpatialDataset:
         if self.grid is None:
             raise ValueError("dataset has no grid structure")
         g = self.grid
-
-        def build():
-            cols, rows = grid_cells(self.locations, g)
-            cols.setflags(write=False)
-            rows.setflags(write=False)
-            return cols, rows
-
-        cols, rows = self.memo(("cells",), build)
+        cols, rows = self._memo[("cells",)]  # found by the location checks
         values = self.values if values is None else values
         out = np.empty((*values.shape[:-1], g.n_cols, g.n_rows), dtype=float)
         out[..., cols, rows] = values

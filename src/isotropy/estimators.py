@@ -12,7 +12,7 @@ makes estimates at ``h`` and ``-h`` agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -23,7 +23,6 @@ from .core import LagSet, SpatialDataset, lag_match_tol, pairs_within
 __all__ = [
     "KernelSpec",
     "EstimatorConfig",
-    "GHat",
     "PairTable",
     "NoPairsError",
     "EmptyNeighborhoodError",
@@ -204,41 +203,6 @@ class PairTable:
         return values[..., 0, :], totals[0]
 
 
-@dataclass(frozen=True)
-class GHat:
-    """Vector of per-lag point estimates, in lag-set order.
-
-    ``weights`` records the effective sample behind each estimate (exact
-    pair count for the classical estimator, total kernel weight for the
-    smoothed ones).  It is reported to the caller; no isotropy test reads it.
-    The moving-window variance derives its own scale from ``pairs``:
-    pair counts for the classical estimator and point counts for the
-    kernel ones (see :func:`isotropy.resampling.subsample_variance`).
-    ``pairs`` is the pair table the estimates came from, which moving
-    windows and bootstrap resamples reuse.
-    """
-
-    values: np.ndarray
-    lag_set: LagSet
-    weights: np.ndarray
-    pairs: PairTable = field(repr=False, compare=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.lag_set.k,):
-            raise ValueError("one estimate per lag is required")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("estimates must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        w = np.asarray(self.weights, dtype=float).copy()
-        if w.shape != v.shape or np.any(w <= 0):
-            raise ValueError("weights must be positive, one per lag")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
 def _candidate_pairs(dataset: SpatialDataset, reach: float):
     """Ordered pairs (i != j) within L-inf distance ``reach``, as
     displacement and value-index arrays."""
@@ -302,6 +266,9 @@ def _table(dataset: SpatialDataset, lags, config: EstimatorConfig, values=None) 
     they are found once per location set; ``values`` (the dataset's own by
     default) are filled in."""
     values = dataset.values if values is None else values
+    if config.kind == "kernel_covariogram" and np.ndim(values) != 1:
+        raise ValueError(f"the covariogram takes one field's (n,) values, "
+                         f"not shape {np.shape(values)}")
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     if config.kind == "classical_semivariogram":
         kernel, width = None, lag_match_tol(dataset.grid)
@@ -370,9 +337,15 @@ def pair_table(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig
 
 
 def estimate_G(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig,
-               values=None) -> GHat:
-    """Per-lag estimates at every lag of the set, in order, of ``values`` (n,), the
-    dataset's own by default; the result keeps the pair table it was computed from."""
+               values=None) -> tuple[np.ndarray, np.ndarray, PairTable]:
+    """The full-sample estimate of every quadratic-form test: per-lag estimates
+    ``g`` in lag-set order, ``(k,)`` for one field's ``values`` (the dataset's own
+    by default) and ``(R, k)`` for ``(R, n)`` values; ``weights`` (k,), the
+    effective sample behind each (pair counts for the classical estimator, total
+    kernel weights otherwise); and the pair table they came from, which moving
+    windows and bootstrap resamples reuse."""
     table = pair_table(dataset, lag_set, config, values)
-    values, weights = table.estimate()
-    return GHat(values, lag_set, weights=weights, pairs=table)
+    g, weights = table.estimate()
+    if not np.all(np.isfinite(g)):
+        raise ValueError("estimates must be finite")
+    return g, weights, table

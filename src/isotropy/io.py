@@ -46,7 +46,7 @@ def read_dataset_csv(path) -> SpatialDataset:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")  # as spreadsheets write it, with a BOM
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     data = _plain_table(text)
     if data is None:

@@ -230,8 +230,8 @@ def subsample_variance(
 ) -> SubsampleResult:
     """Moving-window estimate of Var(G_hat) at full-sample scale.
 
-    ``table`` is the pair table of the full-sample estimate
-    (``GHat.pairs``).  Every window re-estimates the lag-set vector from
+    ``table`` is the pair table :func:`estimate_G` returns with the
+    full-sample estimate.  Every window re-estimates the lag-set vector from
     it, over the pairs with both points inside the window, with
     :meth:`PairTable.subset_estimates`; no pair is searched again.
     Window deviations from the window mean are standardized by
@@ -497,7 +497,7 @@ def gbbb_variance(
     Resample b draws its blocks from ``rng.substream(b)`` as
     :func:`gbbb_resample` does, and its estimate is the kernel estimate
     on that resample.  The estimates are formed from ``table``, the pair
-    table of the full-sample estimate (``GHat.pairs``), a pass of
+    table :func:`estimate_G` returns with the full-sample estimate, a pass of
     resamples at a time: pairs inside one drawn block are read from the
     table, only pairs whose points lie in different regions are searched,
     and each resample is finished by :meth:`PairTable.subset_estimates`,

@@ -34,7 +34,6 @@ from .estimators import (
     KernelSpec,
     empirical_bandwidth,
     estimate_G,
-    pair_table,
 )
 from .resampling import (
     GbbbResult,
@@ -237,10 +236,7 @@ def _moving_window_tests(method, dataset, values, lag_set, contrast, config, win
                          pvalue_mode, domain, tail) -> list[TestResult | SingularityError]:
     """A moving-window test on every row of the checked ``(R, n)`` ``values``
     on ``dataset``'s locations, its window first in the diagnostics ``tail``."""
-    table = pair_table(dataset, lag_set, config, values)
-    g, _ = table.estimate()
-    if not np.all(np.isfinite(g)):
-        raise ValueError("estimates must be finite")
+    g, _, table = estimate_G(dataset, lag_set, config, values)
     sub = subsample_variance(dataset, table, window, domain)
     usable = sub.window_ghats.shape[-2]
     counts = {"n": dataset.n, "n_windows": sub.n_windows, "n_usable_windows": usable,
@@ -323,13 +319,13 @@ def ms_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
     config = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), bandwidth)
     out = []
     for row, stream in zip(rows, rngs):
-        ghat = estimate_G(dataset, lag_set, config, row)
+        g, _, table = estimate_G(dataset, lag_set, config, row)
         try:
-            boot = gbbb_variance(dataset, ghat.pairs, block, n_boot, stream, domain)
+            boot = gbbb_variance(dataset, table, block, n_boot, stream, domain)
         except ResamplingError as exc:
             out.append(exc)
             continue
-        out += _finish("ms", ghat.values[None], contrast, boot, "asymptotic", {
+        out += _finish("ms", g[None], contrast, boot, "asymptotic", {
             "n": dataset.n,
             "n_boot": boot.n_success,
             "n_failed_resamples": boot.n_failed,

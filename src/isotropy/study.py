@@ -224,9 +224,9 @@ class MethodSpec:
             raise StudyError(f"extra_lag_pair must be true or false, not {self.extra_lag_pair!r}")
         # numbers are checked, not converted: an echo keeps its ints
         if self.window is not None:
-            object.__setattr__(self, "window", tuple(self.window))
             if len(_reals(self.window, "window")) != 2:
                 raise StudyError(f"window must be [width, height], not {list(self.window)}")
+            object.__setattr__(self, "window", tuple(self.window))
         elif self.offset_step is not None:
             raise StudyError("an offset step needs a window")
         for key in ("lag_scale", "truncation", "bandwidth", "tuning"):
@@ -363,6 +363,9 @@ class StudyConfig:
         _store_reals(self, "sigma2", "tau2", "alpha")
         for key, item in (("effective_ranges", _real), ("anisotropies", _reals)):
             object.__setattr__(self, key, _reals(getattr(self, key), key, item))
+        for pair in self.anisotropies:
+            if len(pair) != 2:
+                raise StudyError(f"anisotropies pair must be [ratio, angle], not {list(pair)}")
         if not (0 < self.alpha < 1):
             raise StudyError("alpha must be in (0, 1)")
         try:  # the field checks of every cell, before any field is drawn

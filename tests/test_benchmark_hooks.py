@@ -100,3 +100,5 @@ def test_test_spans_see_study_blocks_and_cli_calls(tmp_path):
                                                   "spectral_tests.lz_complete_test")} == {
         "spatial_tests.gsc_gridded_test": 2, "spatial_tests.gsc_nongridded_test": 1,
         "spatial_tests.ms_test": 1, "spectral_tests.lz_complete_test": 1}
+    # one full-sample estimate per gsc-g block, CLI call and gsc-u block, and per ms row
+    assert calls["estimators.estimate_G"] == 23

@@ -16,7 +16,7 @@ from isotropy import (
     default_lag_set,
     enumerate_lag_pairs,
 )
-from isotropy.core import DUPLICATE_TOL, neighbour_distances, pairs_within
+from isotropy.core import DUPLICATE_TOL, grid_cells, neighbour_distances, pairs_within
 
 
 def brute_force_pairs(dataset, lag, tol=1e-9):
@@ -372,9 +372,9 @@ class TestLocationMemo:
                  self._scattered(seed=1), points_ds.take(np.arange(250))]
         memos = [grid_ds._memo, points_ds._memo] + [d._memo for d in fresh]
         assert len({id(m) for m in memos}) == len(memos)
-        # a new dataset, even on equal coordinates, starts empty: its
-        # location checks keep nothing
-        assert [set(d._memo) for d in fresh] == [set(), set(), set()]
+        # a new dataset, even on equal coordinates, starts with only what its
+        # location checks found: the cells of a grid dataset
+        assert [set(d._memo) for d in fresh] == [{("cells",)}, set(), set()]
         for m in memos[:2]:
             held = {id(a) for v in m.values() for a in _memo_arrays(v)}
             for d in fresh:
@@ -394,6 +394,19 @@ class TestLocationMemo:
                 with pytest.raises(ValueError):
                     a.flat[0] = 0
         assert ("cells",) in random_field_18x12._memo
+
+    def test_grid_cells_found_once(self, monkeypatch):
+        # the location checks and field_matrix each ran grid_cells
+        from isotropy import core, periodogram
+
+        calls = []
+        monkeypatch.setattr(core, "grid_cells",
+                            lambda *args: calls.append(1) or grid_cells(*args))
+        g = GridSpec(8, 6)
+        ds = SpatialDataset(g.locations(), np.arange(48.0) % 7, grid=g)
+        periodogram(ds)
+        periodogram(ds, np.stack([ds.values, -ds.values]))
+        assert len(calls) == 1
 
 
 class TestValueRows:

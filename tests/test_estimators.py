@@ -183,9 +183,9 @@ class TestEmpiricalBandwidth:
 
 class TestEstimateG:
     def test_classical_order(self, grid_2x2):
-        ghat = estimate_G(grid_2x2, LagSet([(1, 0), (1, 1)]), EstimatorConfig())
-        assert ghat.values.tolist() == [1.25, 8.0]
-        assert ghat.weights.tolist() == [2.0, 1.0]
+        g, weights, _ = estimate_G(grid_2x2, LagSet([(1, 0), (1, 1)]), EstimatorConfig())
+        assert g.tolist() == [1.25, 8.0]
+        assert weights.tolist() == [2.0, 1.0]
 
     def test_isotropy_balance_at_matched_norms(self):
         # on an isotropic field, estimates at (1,0) and (0,1) agree within noise
@@ -194,19 +194,27 @@ class TestEstimateG:
 
         cov = ExponentialCovariance.from_effective_range(4.0)
         ds = simulate_grf(g.locations(), cov, rng=RngStream(14, 0), grid=g)
-        ghat = estimate_G(ds, default_lag_set(), EstimatorConfig())
-        assert abs(ghat.values[0] - ghat.values[1]) < 0.25
-        assert abs(ghat.values[2] - ghat.values[3]) < 0.25
+        g, _, _ = estimate_G(ds, default_lag_set(), EstimatorConfig())
+        assert abs(g[0] - g[1]) < 0.25
+        assert abs(g[2] - g[3]) < 0.25
 
     def test_deterministic(self, scattered_50):
         cfg = EstimatorConfig("kernel_semivariogram", KernelSpec("epanechnikov"), 0.8)
-        a = estimate_G(scattered_50, default_lag_set(), cfg)
-        b = estimate_G(scattered_50, default_lag_set(), cfg)
-        assert np.array_equal(a.values, b.values)
+        a, _, _ = estimate_G(scattered_50, default_lag_set(), cfg)
+        b, _, _ = estimate_G(scattered_50, default_lag_set(), cfg)
+        assert np.array_equal(a, b)
 
     def test_error_carries_lag_identity(self, grid_2x2):
         with pytest.raises(NoPairsError, match=r"\(9.0, 0.0\)"):
             estimate_G(grid_2x2, LagSet([(9.0, 0.0), (0.0, 1.0)]), EstimatorConfig())
+
+    def test_covariogram_refuses_stacked_values(self, scattered_50):
+        # stacked values once ended in a numpy broadcasting error
+        cfg = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 0.8)
+        rows = np.stack([scattered_50.values, -scattered_50.values])
+        for call in (pair_table, estimate_G):
+            with pytest.raises(ValueError, match=r"one field's \(n,\) values, not shape \(2, 50\)"):
+                call(scattered_50, default_lag_set(), cfg, rows)
 
     def test_kernel_needs_bandwidth(self):
         with pytest.raises(ValueError, match="bandwidth"):
@@ -272,8 +280,8 @@ class TestSubsetEstimates:
         lags = LagSet([(0.5, 0.0), (3.0, 0.0)])
         table = pair_table(ds, lags, cfg)
         assert not np.any(table.lag == 0) and table.self_weights[0] > 0
-        ghat = estimate_G(ds, lags, cfg)
+        g, weights, _ = estimate_G(ds, lags, cfg)
         want, want_totals = dense_estimate(ds, lags.lags, cfg)
-        np.testing.assert_allclose(ghat.values, want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(ghat.weights, want_totals, rtol=1e-12, atol=0)
-        assert ghat.values[0] == pytest.approx(ds.values.var(), rel=1e-12)
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(weights, want_totals, rtol=1e-12, atol=0)
+        assert g[0] == pytest.approx(ds.values.var(), rel=1e-12)

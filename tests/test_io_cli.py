@@ -320,6 +320,13 @@ class TestCli:
     def test_missing_file_exit_2(self):
         assert main(["test", "definitely-not-here.csv", "--method", "gsc-g"]) == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        # a codec error once exited 1 naming no file
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x,y,value\n0,0,1\n1,0,2\n0,1,\xff\n1,1,4\n")
+        assert main(["test", str(bad), "--method", "gsc-u"]) == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_bad_design_exit_1(self):
         assert main(["simulate", "--design", "hex:7"]) == 1
 

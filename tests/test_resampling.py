@@ -215,7 +215,7 @@ class TestWindowOracle:
             assert res.window_ghats.shape[0] < res.n_windows
         cfg = ORACLE_CASES["covariogram-lag0"][2]
         assert np.all(estimate_G(ORACLE_CASES["covariogram-lag0"][0](), default_lag_set(),
-                                 cfg).pairs.self_weights > 0)
+                                 cfg)[2].self_weights > 0)
 
 
 def _classical(ds):
@@ -556,6 +556,7 @@ class TestWindowCost:
         gsc_gridded_test(unit_grid_dataset(18, 12, seed=3))
         assert counts["take"] == 0
         assert counts["_candidate_pairs"] == 1
+        assert counts["estimate_G"] == 1
         assert counts["enumerate_lag_pairs"] == 0
 
     def test_nongridded_test_lists_candidates_once(self, counts):
@@ -564,6 +565,7 @@ class TestWindowCost:
         gsc_nongridded_test(_scattered(300, 16.0, 10.0, 21), domain=Rect(0, 0, 16, 10))
         assert counts["take"] == 0
         assert counts["_candidate_pairs"] == 1
+        assert counts["estimate_G"] == 1
 
     def test_ms_bootstrap_reads_the_full_sample_table(self, counts):
         # one pair search and one estimate for the whole test; no resample

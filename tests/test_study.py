@@ -131,6 +131,7 @@ class TestConfigValidation:
         ({"method": "gsc-u", "kernel": "box"}, "unknown kernel family"),
         ({"method": "gsc-u", "truncation": 0}, "truncation must be positive"),
         ({"method": "gsc-g", "window": (0, 3)}, "window dimensions must be positive"),
+        ({"method": "gsc-g", "window": 5}, "window must be a list, not 5"),
         ({"method": "gsc-u", "lag_scale": 0}, "scale must be positive"),
         ({"method": "gsc-g", "window": (4, 3), "offset_step": -1}, "offset step must be positive"),
         # the input spelling of a result's label
@@ -186,6 +187,8 @@ class TestConfigValidation:
         # an empty list once loaded, and the study ended in a traceback
         "effective_ranges list": lambda d: d.update(effective_ranges=[]),
         "anisotropies list": lambda d: d.update(anisotropies=[]),
+        # a pair of the wrong length once failed naming no key
+        "anisotropies pair": lambda d: d.update(anisotropies=[[1.0]]),
     }
 
     @pytest.mark.parametrize("key", list(WRONG_VALUES))
@@ -211,6 +214,8 @@ class TestConfigValidation:
             ("config", "effective_ranges", ()),
             ("config", "anisotropies", ((2.0, "0"),)),
             ("config", "anisotropies", ()),
+            ("config", "anisotropies", ((1.0, 0.0, 3.0),)),
+            ("config", "anisotropies", ((1.0,),)),
             ("uniform", "width", float("inf")),  # refused before, by the constructor alone
             ("uniform", "height", True),
         ]])
