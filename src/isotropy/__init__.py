@@ -15,11 +15,8 @@ from .distributions import RngStream, chi2_sf, cvm_test, f22_cdf, mix64
 from .estimators import (
     EstimatorConfig,
     KernelSpec,
-    classical_semivariogram,
     empirical_bandwidth,
     estimate_G,
-    kernel_covariogram,
-    kernel_semivariogram,
 )
 from .grf import (
     AnisotropyParams,
@@ -28,7 +25,6 @@ from .grf import (
     anisotropic_transform,
     covariance_matrix,
     phi_from_effective_range,
-    simulate_grf,
     uniform_locations,
 )
 from .resampling import (
@@ -49,7 +45,6 @@ from .spatial_tests import (
 from .spectral_tests import (
     SymmetryTestResult,
     lz_complete_test,
-    lz_reflection_test,
     periodogram,
 )
 

@@ -15,7 +15,6 @@ __all__ = [
     "mix64",
     "chi2_sf",
     "f22_cdf",
-    "cvm_statistic",
     "cvm_pvalue",
     "cvm_test",
     "cvm_statistics",
@@ -101,16 +100,6 @@ def f22_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def cvm_statistic(u_sorted: np.ndarray) -> float:
-    """Computational form of the one-sample CvM statistic from sorted
-    probability-integral transforms; an array of statistics for the rows of
-    a C-contiguous ``(R, n)`` array."""
-    n = u_sorted.shape[-1]
-    i = np.arange(1, n + 1)
-    w = 1.0 / (12 * n) + np.sum((u_sorted - (2 * i - 1) / (2 * n)) ** 2, axis=-1)
-    return float(w) if w.ndim == 0 else w
-
-
 # The limiting CvM null distribution by its Bessel-function series
 # (Anderson-Darling 1952, eq. 1.3).  With y = 4k + 1 and q = y^2 / (16x),
 # term k is exp(log G(k+1/2) - log G(k+1) + log(y)/2 - 2q) * kve(1/4, q), and
@@ -179,8 +168,9 @@ def cvm_test(
 
 def cvm_statistics(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]):
     """The CvM statistic of each row of ``samples`` (..., m) under ``cdf``, a
-    float for one sample; NaN for a row holding NaN.  Rows are summed
-    C-contiguous, so each gets the bits of a lone sample."""
+    float for one sample; NaN for a row holding NaN.  Computational form
+    1/(12m) + sum_i (u_(i) - (2i - 1)/(2m))^2 over the sorted transforms u_(i);
+    rows are summed C-contiguous, so each gets the bits of a lone sample."""
     x = np.sort(np.ascontiguousarray(samples), axis=-1)
     if x.shape[-1] == 0:
         raise ValueError("CvM test requires a nonempty sample")
@@ -190,4 +180,7 @@ def cvm_statistics(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray])
     u = np.clip(u, 0.0, 1.0)
     # cdf may be non-monotone only through float noise; keep order consistent
     u.sort(axis=-1)
-    return cvm_statistic(u)
+    n = u.shape[-1]
+    i = np.arange(1, n + 1)
+    w = 1.0 / (12 * n) + np.sum((u - (2 * i - 1) / (2 * n)) ** 2, axis=-1)
+    return float(w) if w.ndim == 0 else w

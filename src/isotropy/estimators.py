@@ -26,9 +26,6 @@ __all__ = [
     "PairTable",
     "NoPairsError",
     "EmptyNeighborhoodError",
-    "classical_semivariogram",
-    "kernel_semivariogram",
-    "kernel_covariogram",
     "empirical_bandwidth",
     "kernel_reach",
     "lag_entries",
@@ -284,34 +281,6 @@ def _table(dataset: SpatialDataset, lags, config: EstimatorConfig, values=None) 
     self_weights = kernel.weight(-lags[:, 0] / width) * kernel.weight(-lags[:, 1] / width)
     return PairTable(config.kind, lags, *entries, values - values.mean(), kernel, width,
                      self_weights)
-
-
-def classical_semivariogram(dataset: SpatialDataset, lag: tuple[float, float]) -> float:
-    """Moment estimator: half the mean squared difference over the pairs
-    separated by exactly (within :func:`lag_match_tol`) the given lag."""
-    return float(_table(dataset, lag, EstimatorConfig()).estimate()[0][0])
-
-
-def kernel_semivariogram(
-    dataset: SpatialDataset,
-    lag: tuple[float, float],
-    kernel: KernelSpec = KernelSpec(),
-    bandwidth: float = 1.0,
-) -> float:
-    """Nadaraya-Watson smoothed semivariogram at one lag."""
-    config = EstimatorConfig("kernel_semivariogram", kernel, bandwidth)
-    return float(_table(dataset, lag, config).estimate()[0][0])
-
-
-def kernel_covariogram(
-    dataset: SpatialDataset,
-    lag: tuple[float, float],
-    kernel: KernelSpec = KernelSpec(),
-    bandwidth: float = 1.0,
-) -> float:
-    """Nadaraya-Watson smoothed covariogram at one lag (globally demeaned)."""
-    config = EstimatorConfig("kernel_covariogram", kernel, bandwidth)
-    return float(_table(dataset, lag, config).estimate()[0][0])
 
 
 def empirical_bandwidth(dataset: SpatialDataset, tuning: float = 1.0) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "anisotropic_transform",
     "covariance_matrix",
     "GrfSampler",
-    "simulate_grf",
     "uniform_locations",
 ]
 
@@ -64,11 +63,6 @@ class ExponentialCovariance:
 
     def correlation(self, h):
         return self(h) / self.sill
-
-    def semivariogram(self, h):
-        h = np.asarray(h, dtype=float)
-        out = np.where(h > 0, self.sill - self.sigma2 * np.exp(-self.phi * h), 0.0)
-        return float(out) if out.ndim == 0 else out
 
     def effective_range(self) -> float:
         """Distance at which the model correlation drops to 0.05."""
@@ -208,29 +202,15 @@ class GrfSampler:
         return self._factor @ z
 
     def draw(self, rng: RngStream, grid: GridSpec | None = None) -> SpatialDataset:
+        """One draw of the field, MVN(0, Sigma) of the (anisotropy-transformed)
+        locations, attached to the original ones; deterministic given ``rng``."""
         return SpatialDataset(self.locations, self.draw_values(rng), grid=grid)
-
-
-def simulate_grf(
-    locations: np.ndarray,
-    cov: ExponentialCovariance,
-    aniso: AnisotropyParams | None = None,
-    rng: RngStream = RngStream(0),
-    grid: GridSpec | None = None,
-) -> SpatialDataset:
-    """One draw of the field at the given locations.
-
-    The draw is a sample from MVN(0, Sigma) with Sigma built from the
-    (possibly anisotropy-transformed) locations; values are attached to
-    the original coordinates.  Deterministic given ``rng``.
-    """
-    return GrfSampler(locations, cov, aniso).draw(rng, grid=grid)
 
 
 def uniform_locations(
     n: int, width: float, height: float, rng: RngStream
 ) -> np.ndarray:
-    """``n`` independent uniform locations on [0, width] x [0, height]."""
+    """``n`` independent uniform locations on [0, width) x [0, height)."""
     if n < 1:
         raise ValueError("need at least one location")
     if not (0 < width < np.inf and 0 < height < np.inf):

@@ -247,10 +247,11 @@ def _moving_window_tests(method, dataset, values, lag_set, contrast, config, win
 
 def gsc_gridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
                      contrast: ContrastMatrix | None = None, window: WindowSpec | None = None,
-                     *, pvalue_mode: str = "finite_sample", domain: Rect | None = None,
+                     *, pvalue_mode: str | None = None, domain: Rect | None = None,
                      values=None) -> TestResult | list[TestResult | Exception]:
     """Isotropy/symmetry test for gridded data: classical semivariogram
-    estimates, moving-window variance, finite-sample p-value by default.
+    estimates, moving-window variance, and the finite-sample p-value unless
+    ``pvalue_mode`` is given.
 
     Returns the dataset's result, or raises its failure.  ``values`` (R, n),
     R fields on ``dataset``'s locations, give one outcome per row instead: a
@@ -260,6 +261,8 @@ def gsc_gridded_test(dataset: SpatialDataset, lag_set: LagSet | None = None,
         raise ValueError("gridded test requires a dataset with grid structure")
     rows, lag_set, contrast, domain, window = _resolve_hypothesis(
         dataset, values, lag_set, contrast, domain, window, default_grid_window)
+    if pvalue_mode is None:
+        pvalue_mode = "finite_sample"
     return each_or_one(_moving_window_tests(
         "gsc-g", dataset, rows, lag_set, contrast, EstimatorConfig(), window, pvalue_mode,
         domain, {}), values is not None)

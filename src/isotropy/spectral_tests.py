@@ -16,13 +16,12 @@ from typing import Any
 import numpy as np
 
 from .core import SpatialDataset, each_or_one
-from .distributions import cvm_pvalue, cvm_statistics, cvm_test, f22_cdf
+from .distributions import cvm_pvalue, cvm_statistics, f22_cdf
 
 __all__ = [
     "SymmetryTestResult",
     "DegeneratePeriodogramError",
     "periodogram",
-    "lz_reflection_test",
     "lz_complete_test",
 ]
 
@@ -64,11 +63,9 @@ def periodogram(dataset: SpatialDataset, values=None) -> np.ndarray:
 
 
 def _ordinate_ratios(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """``top / bottom`` along the last axis.  A zero ordinate marks a
-    degenerate field: a lone sample raises, a row of a stack becomes NaN."""
+    """``top / bottom`` along the last axis; a zero ordinate marks a
+    degenerate field, whose row of ratios becomes NaN."""
     zero = ((top == 0) | (bottom == 0)).any(axis=-1)
-    if zero.ndim == 0 and zero:
-        raise DegeneratePeriodogramError(_DEGENERATE)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = top / bottom
     ratios[zero] = np.nan
@@ -76,7 +73,10 @@ def _ordinate_ratios(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
 
 
 def _reflection_ratios(power: np.ndarray) -> np.ndarray:
-    """:func:`lz_reflection_test`'s ratios per periodogram of ``power`` (..., n1, n2)."""
+    """Stage 1's ratios I(w1, w2) / I(-w1, w2) over the quarter-plane
+    k1, k2 >= 1, one row per periodogram of ``power`` (..., n1, n2); each
+    reflection-tied pair is used once, the remaining quadrants being copies
+    by the real-transform symmetry."""
     m1, m2 = map(_half_count, power.shape[-2:])
     if m1 * m2 < MIN_RATIO_PAIRS:
         raise ValueError(f"only {m1 * m2} frequency pairs; need {MIN_RATIO_PAIRS}")
@@ -84,19 +84,6 @@ def _reflection_ratios(power: np.ndarray) -> np.ndarray:
     rows = power.shape[:-2]
     return _ordinate_ratios(power[..., k1, k2].reshape(*rows, -1),
                             power[..., -k1, k2].reshape(*rows, -1))
-
-
-def lz_reflection_test(power: np.ndarray) -> tuple[float, float]:
-    """Test of reflection (axial) symmetry.
-
-    Forms the ratios I(w1, w2) / I(-w1, w2) over the quarter-plane
-    k1, k2 >= 1 (each reflection-tied pair used once; the remaining
-    quadrants are copies by the real-transform symmetry) and tests them
-    against the F(2,2) law.  ``power`` is one ``(n1, n2)`` periodogram.
-    """
-    if power.ndim != 2:
-        raise ValueError(f"need one (n1, n2) periodogram, not shape {power.shape}")
-    return cvm_test(_reflection_ratios(power), f22_cdf)
 
 
 def lz_diagonal_ratios(power: np.ndarray) -> np.ndarray:
@@ -126,10 +113,6 @@ class SymmetryTestResult:
     stage2_pvalue: float | None
     reject: bool
     diagnostics: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def stage2_reached(self) -> bool:
-        return self.stage2_pvalue is not None
 
     def rejects(self, alpha: float) -> bool:
         """The decision; only ``self.alpha``, the stages' level, is answered."""

@@ -267,8 +267,7 @@ def _windowed(spec, dataset, values, domain) -> dict:
 
 
 def _run_gsc_g(spec, dataset, values, domain, alpha, rng):
-    return gsc_gridded_test(dataset, window=spec.window_spec(),
-                            pvalue_mode=spec.pvalue_mode or "finite_sample",
+    return gsc_gridded_test(dataset, window=spec.window_spec(), pvalue_mode=spec.pvalue_mode,
                             **_windowed(spec, dataset, values, domain))
 
 

@@ -21,11 +21,11 @@ def grid_2x2():
 
 @pytest.fixture
 def random_field_18x12():
-    from isotropy import ExponentialCovariance, simulate_grf
+    from isotropy import ExponentialCovariance, GrfSampler
 
     g = GridSpec(18, 12)
     cov = ExponentialCovariance.from_effective_range(6.0)
-    return simulate_grf(g.locations(), cov, rng=RngStream(424242), grid=g)
+    return GrfSampler(g.locations(), cov).draw(RngStream(424242), grid=g)
 
 
 # ---------------------------------------------------------------------------

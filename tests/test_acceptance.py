@@ -23,21 +23,20 @@ from isotropy import (
     EstimatorConfig,
     ExponentialCovariance,
     GridSpec,
+    GrfSampler,
     KernelSpec,
+    LagSet,
     RngStream,
     SpatialDataset,
     chi2_sf,
     cvm_test,
     default_contrast,
     default_lag_set,
-    kernel_covariogram,
-    kernel_semivariogram,
+    estimate_G,
     periodogram,
     quadratic_form,
-    simulate_grf,
     uniform_locations,
 )
-from isotropy.estimators import classical_semivariogram
 from isotropy.study import bandwidth_study, gvl_a, gvm_a, run_power_study
 
 from conftest import record_criterion, study_threads
@@ -166,7 +165,7 @@ def test_criterion_8_exact_invariants():
     # periodogram invariants on a simulated field
     grid = GridSpec(18, 12)
     cov = ExponentialCovariance.from_effective_range(6.0)
-    ds = simulate_grf(grid.locations(), cov, rng=RngStream(809), grid=grid)
+    ds = GrfSampler(grid.locations(), cov).draw(RngStream(809), grid=grid)
     pg = periodogram(ds)
     ssd = np.sum((ds.values - ds.values.mean()) ** 2)
     checks.append(abs(pg.sum() * (2 * np.pi) ** 2 - ssd) / ssd <= 1e-8)
@@ -176,24 +175,22 @@ def test_criterion_8_exact_invariants():
     # DFT periodogram equals the direct lag-domain sum on small grids
     for dims in ((12, 12), (9, 7)):
         small = GridSpec(*dims)
-        dsm = simulate_grf(small.locations(), cov, rng=RngStream(810 + dims[0]),
-                           grid=small)
+        dsm = GrfSampler(small.locations(), cov).draw(RngStream(810 + dims[0]), grid=small)
         checks.append(np.max(np.abs(periodogram(dsm)
                                     - direct_sum_periodogram(dsm))) <= 1e-8)
     # kernel estimators equal the brute-force oracle
     locs = uniform_locations(50, 6.0, 5.0, RngStream(811))
     dsk = SpatialDataset(locs, RngStream(812).generator().standard_normal(50))
+    lags = LagSet([(1.0, 0.0), (-1.0, 1.0)])
     for kern in (KernelSpec("epanechnikov"), KernelSpec("truncated_gaussian", 1.5)):
-        for lag in ((1.0, 0.0), (-1.0, 1.0)):
-            for kind, estimator in (("kernel_semivariogram", kernel_semivariogram),
-                                    ("kernel_covariogram", kernel_covariogram)):
-                want = dense_estimate(dsk, [lag], EstimatorConfig(kind, kern, 0.8))[0][0]
-                checks.append(abs(estimator(dsk, lag, kern, 0.8) - want) <= 1e-10)
+        for kind in ("kernel_semivariogram", "kernel_covariogram"):
+            config = EstimatorConfig(kind, kern, 0.8)
+            got, want = estimate_G(dsk, lags, config)[0], dense_estimate(dsk, lags.lags, config)[0]
+            checks.extend(np.abs(got - want) <= 1e-10)
     # classical hand examples
     hand = SpatialDataset([(0, 0), (1, 0), (0, 1), (1, 1)], [1.0, 2.0, 3.0, 5.0],
                           grid=GridSpec(2, 2))
-    checks.append(classical_semivariogram(hand, (1, 0)) == 1.25)
-    checks.append(classical_semivariogram(hand, (1, 1)) == 8.0)
+    checks.extend(estimate_G(hand, LagSet([(1, 0), (1, 1)]), EstimatorConfig())[0] == [1.25, 8.0])
     record_criterion(8, "exact algebraic invariants vs independent oracles",
                      all(checks), f"{sum(checks)}/{len(checks)} checks")
 

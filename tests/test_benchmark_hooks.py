@@ -11,12 +11,12 @@ import pytest
 from isotropy import (
     ExponentialCovariance,
     GridSpec,
+    GrfSampler,
     Rect,
     RngStream,
     WindowSpec,
     default_lag_set,
     gbbb_variance,
-    simulate_grf,
     subsample_variance,
     uniform_locations,
 )
@@ -58,15 +58,15 @@ def test_counters_read_real_results():
     assert set(COUNTERS) == {"resampling.subsample_variance", "resampling.gbbb_variance"}
     cov = ExponentialCovariance.from_effective_range(6.0)
     g = GridSpec(18, 12)
-    grid_ds = simulate_grf(g.locations(), cov, rng=RngStream(1), grid=g)
+    grid_ds = GrfSampler(g.locations(), cov).draw(RngStream(1), grid=g)
     sub = subsample_variance(grid_ds, pair_table(grid_ds, default_lag_set(), EstimatorConfig()),
                              WindowSpec(4, 3))
     assert COUNTERS["resampling.subsample_variance"](sub) == (
         sub.n_windows, sub.window_ghats.shape[0])
     assert _two_ints(COUNTERS["resampling.subsample_variance"](sub))
 
-    points = simulate_grf(uniform_locations(300, 16.0, 10.0, RngStream(2)), cov,
-                          rng=RngStream(3))
+    points = GrfSampler(uniform_locations(300, 16.0, 10.0, RngStream(2)), cov).draw(
+        RngStream(3))
     config = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"), 0.6)
     boot = gbbb_variance(points, pair_table(points, default_lag_set(), config),
                          WindowSpec(4, 2), 20, RngStream(4), Rect(0, 0, 16, 10))
@@ -79,8 +79,8 @@ def test_test_spans_see_study_blocks_and_cli_calls(tmp_path):
     # so every test span read 0 calls
     data = tmp_path / "grid.csv"
     g = GridSpec(18, 12)
-    write_dataset_csv(simulate_grf(g.locations(), ExponentialCovariance.from_effective_range(6.0),
-                                   rng=RngStream(1), grid=g), data)
+    write_dataset_csv(GrfSampler(g.locations(), ExponentialCovariance.from_effective_range(6.0))
+                      .draw(RngStream(1), grid=g), data)
     one_cell = {"effective_ranges": (6.0,), "anisotropies": ((1.0, 0.0),), "replicates": 20}
     module = _load_tracer()
     tracer = module.Tracer()

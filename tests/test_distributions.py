@@ -10,7 +10,7 @@ from isotropy.distributions import (
     RngStream,
     chi2_sf,
     cvm_pvalue,
-    cvm_statistic,
+    cvm_statistics,
     cvm_test,
     f22_cdf,
     mix64,
@@ -111,7 +111,7 @@ class TestCvm:
         for _ in range(20):
             n = rng.integers(1, 40)
             u = np.sort(rng.random(n))
-            assert cvm_statistic(u) >= 1 / (12 * n) - 1e-15
+            assert cvm_statistics(u, lambda v: v) >= 1 / (12 * n) - 1e-15
 
     def test_limit_cdf_anchor_points(self):
         # classical critical values of the limiting null distribution

@@ -10,13 +10,10 @@ from isotropy import (
     LagSet,
     RngStream,
     SpatialDataset,
-    classical_semivariogram,
     default_lag_set,
     empirical_bandwidth,
     enumerate_lag_pairs,
     estimate_G,
-    kernel_covariogram,
-    kernel_semivariogram,
     uniform_locations,
 )
 from isotropy.estimators import EmptyNeighborhoodError, NoPairsError, pair_table
@@ -31,28 +28,31 @@ def scattered_50():
     return SpatialDataset(locs, gen.standard_normal(50))
 
 
+def g_at(dataset, lags, config):
+    """``estimate_G``'s per-lag estimates at ``lags``, two or more."""
+    return estimate_G(dataset, LagSet(lags), config)[0]
+
+
 class TestClassical:
     def test_hand_example_horizontal(self, grid_2x2):
-        assert classical_semivariogram(grid_2x2, (1, 0)) == 1.25
+        assert g_at(grid_2x2, [(1, 0), (0, 1)], EstimatorConfig())[0] == 1.25
 
     def test_hand_example_diagonal(self, grid_2x2):
-        assert classical_semivariogram(grid_2x2, (1, 1)) == 8.0
+        assert g_at(grid_2x2, [(1, 1), (-1, 1)], EstimatorConfig())[0] == 8.0
 
     def test_constant_field(self):
         g = GridSpec(4, 4)
         ds = SpatialDataset(g.locations(), np.full(16, 3.3), grid=g)
-        for lag in default_lag_set():
-            assert classical_semivariogram(ds, lag) == 0.0
+        assert g_at(ds, default_lag_set().lags, EstimatorConfig()).tolist() == [0.0] * 4
 
     def test_symmetric_in_lag_sign(self, random_field_18x12):
         for lag in [(1, 0), (2, 1), (-1, 3)]:
-            a = classical_semivariogram(random_field_18x12, lag)
-            b = classical_semivariogram(random_field_18x12, (-lag[0], -lag[1]))
+            a, b = g_at(random_field_18x12, [lag, (-lag[0], -lag[1])], EstimatorConfig())
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_no_pairs_error_names_lag(self, grid_2x2):
         with pytest.raises(NoPairsError, match="7"):
-            classical_semivariogram(grid_2x2, (7, 0))
+            g_at(grid_2x2, [(7, 0), (1, 0)], EstimatorConfig())
 
 
 class TestSharedPairSearch:
@@ -85,43 +85,51 @@ class TestSharedPairSearch:
         assert table.w.tolist() == [1.0] * len(table.lag)
 
 
+SEMI = "kernel_semivariogram"
+COV = "kernel_covariogram"
+
+
 class TestKernelEstimators:
     def test_small_bandwidth_recovers_classical(self, grid_2x2):
-        got = kernel_semivariogram(grid_2x2, (1, 0), KernelSpec("epanechnikov"), 1e-6)
-        assert got == pytest.approx(1.25, abs=1e-12)
+        cfg = EstimatorConfig(SEMI, KernelSpec("epanechnikov"), 1e-6)
+        got = g_at(grid_2x2, [(1, 0), (1, 1)], cfg)
+        assert got[0] == pytest.approx(1.25, abs=1e-12)
+        assert got[1] == pytest.approx(8.0, abs=1e-12)
 
     def test_constant_field_zero(self):
         g = GridSpec(5, 4)
         ds = SpatialDataset(g.locations(), np.full(20, 2.0), grid=g)
-        assert kernel_semivariogram(ds, (1, 0), bandwidth=0.8) == 0.0
-        assert kernel_covariogram(ds, (1, 0), bandwidth=0.8) == pytest.approx(0.0, abs=1e-30)
+        lags = [(1, 0), (0, 1)]
+        assert g_at(ds, lags, EstimatorConfig(SEMI, bandwidth=0.8)).tolist() == [0.0, 0.0]
+        assert g_at(ds, lags, EstimatorConfig(COV, bandwidth=0.8)) == pytest.approx(
+            [0.0, 0.0], abs=1e-30)
 
     def test_covariogram_at_zero_lag_is_variance(self, scattered_50):
-        got = kernel_covariogram(scattered_50, (0, 0), KernelSpec("epanechnikov"), 1e-6)
-        assert got == pytest.approx(scattered_50.values.var(), rel=1e-12)
+        # a lag set holds no zero lag; within 1e-7 of it, at bandwidth 1e-6,
+        # only the self-pairs carry weight
+        got = g_at(scattered_50, [(1e-7, 0), (0, 1e-7)],
+                   EstimatorConfig(COV, KernelSpec("epanechnikov"), 1e-6))
+        assert got == pytest.approx([scattered_50.values.var()] * 2, rel=1e-12)
 
     @pytest.mark.parametrize("kernel", [KernelSpec("epanechnikov"),
                                         KernelSpec("truncated_gaussian", 1.5)])
     @pytest.mark.parametrize("lag", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 1.0)])
     def test_matches_brute_force_oracle(self, scattered_50, kernel, lag):
+        lags = [lag, (-lag[1], lag[0])]  # the lag and its quarter turn
         for bw in (0.5, 0.9):
-            a = kernel_semivariogram(scattered_50, lag, kernel, bw)
-            b = dense_estimate(scattered_50, [lag],
-                               EstimatorConfig("kernel_semivariogram", kernel, bw))[0][0]
-            assert a == pytest.approx(b, abs=1e-10)
-            c = kernel_covariogram(scattered_50, lag, kernel, bw)
-            d = dense_estimate(scattered_50, [lag],
-                               EstimatorConfig("kernel_covariogram", kernel, bw))[0][0]
-            assert c == pytest.approx(d, abs=1e-10)
+            for kind in (SEMI, COV):
+                cfg = EstimatorConfig(kind, kernel, bw)
+                assert g_at(scattered_50, lags, cfg) == pytest.approx(
+                    dense_estimate(scattered_50, lags, cfg)[0], abs=1e-10)
 
     def test_lag_sign_symmetry(self, scattered_50):
-        a = kernel_semivariogram(scattered_50, (0.7, -0.2), bandwidth=0.6)
-        b = kernel_semivariogram(scattered_50, (-0.7, 0.2), bandwidth=0.6)
+        a, b = g_at(scattered_50, [(0.7, -0.2), (-0.7, 0.2)], EstimatorConfig(SEMI, bandwidth=0.6))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_zero_weight_raises(self, grid_2x2):
         with pytest.raises(EmptyNeighborhoodError, match="bandwidth"):
-            kernel_semivariogram(grid_2x2, (0.5, 0.5), KernelSpec("epanechnikov"), 0.05)
+            g_at(grid_2x2, [(0.5, 0.5), (1, 0)],
+                 EstimatorConfig(SEMI, KernelSpec("epanechnikov"), 0.05))
 
     def test_kernel_supports(self):
         epa = KernelSpec("epanechnikov")
@@ -134,27 +142,26 @@ class TestKernelEstimators:
 
 
 class TestInvariances:
+    LAGS = [(1, 0), (1, 1)]
+
     def test_value_scaling_is_quadratic(self, scattered_50, random_field_18x12):
         c = 3.7
         scaled = SpatialDataset(scattered_50.locations, c * scattered_50.values)
         grid_scaled = SpatialDataset(
             random_field_18x12.locations, c * random_field_18x12.values,
             grid=random_field_18x12.grid)
-        for lag in [(1, 0), (1, 1)]:
-            assert classical_semivariogram(grid_scaled, lag) == pytest.approx(
-                c**2 * classical_semivariogram(random_field_18x12, lag), rel=1e-12)
-            assert kernel_semivariogram(scaled, lag, bandwidth=0.7) == pytest.approx(
-                c**2 * kernel_semivariogram(scattered_50, lag, bandwidth=0.7), rel=1e-12)
-            assert kernel_covariogram(scaled, lag, bandwidth=0.7) == pytest.approx(
-                c**2 * kernel_covariogram(scattered_50, lag, bandwidth=0.7), rel=1e-12)
+        for base, other, cfg in ((random_field_18x12, grid_scaled, EstimatorConfig()),
+                                 (scattered_50, scaled, EstimatorConfig(SEMI, bandwidth=0.7)),
+                                 (scattered_50, scaled, EstimatorConfig(COV, bandwidth=0.7))):
+            assert g_at(other, self.LAGS, cfg) == pytest.approx(
+                c**2 * g_at(base, self.LAGS, cfg), rel=1e-12)
 
     def test_value_translation_invariance(self, scattered_50):
         shifted = SpatialDataset(scattered_50.locations, scattered_50.values + 11.0)
-        for lag in [(1, 0), (1, 1)]:
-            assert kernel_semivariogram(shifted, lag, bandwidth=0.7) == pytest.approx(
-                kernel_semivariogram(scattered_50, lag, bandwidth=0.7), rel=1e-12)
-            assert kernel_covariogram(shifted, lag, bandwidth=0.7) == pytest.approx(
-                kernel_covariogram(scattered_50, lag, bandwidth=0.7), abs=1e-12)
+        for kind, tol in ((SEMI, {"rel": 1e-12}), (COV, {"abs": 1e-12})):
+            cfg = EstimatorConfig(kind, bandwidth=0.7)
+            assert g_at(shifted, self.LAGS, cfg) == pytest.approx(
+                g_at(scattered_50, self.LAGS, cfg), **tol)
 
 
 class TestEmpiricalBandwidth:
@@ -190,10 +197,10 @@ class TestEstimateG:
     def test_isotropy_balance_at_matched_norms(self):
         # on an isotropic field, estimates at (1,0) and (0,1) agree within noise
         g = GridSpec(40, 40)
-        from isotropy import ExponentialCovariance, simulate_grf
+        from isotropy import ExponentialCovariance, GrfSampler
 
         cov = ExponentialCovariance.from_effective_range(4.0)
-        ds = simulate_grf(g.locations(), cov, rng=RngStream(14, 0), grid=g)
+        ds = GrfSampler(g.locations(), cov).draw(RngStream(14, 0), grid=g)
         g, _, _ = estimate_G(ds, default_lag_set(), EstimatorConfig())
         assert abs(g[0] - g[1]) < 0.25
         assert abs(g[2] - g[3]) < 0.25

@@ -13,7 +13,6 @@ from isotropy import (
     anisotropic_transform,
     covariance_matrix,
     phi_from_effective_range,
-    simulate_grf,
     uniform_locations,
 )
 from isotropy.grf import FactorizationError, _cholesky_with_jitter
@@ -126,15 +125,15 @@ class TestSimulation:
     def test_deterministic(self):
         g = GridSpec(6, 5)
         cov = ExponentialCovariance.from_effective_range(3.0)
-        a = simulate_grf(g.locations(), cov, rng=RngStream(9, 1))
-        b = simulate_grf(g.locations(), cov, rng=RngStream(9, 1))
+        a = GrfSampler(g.locations(), cov).draw(RngStream(9, 1))
+        b = GrfSampler(g.locations(), cov).draw(RngStream(9, 1))
         assert np.array_equal(a.values, b.values)
 
     def test_unit_ratio_equals_isotropic(self):
         g = GridSpec(6, 5)
         cov = ExponentialCovariance.from_effective_range(3.0)
-        iso = simulate_grf(g.locations(), cov, None, RngStream(9, 2))
-        rot = simulate_grf(g.locations(), cov, AnisotropyParams(1.0, 1.1), RngStream(9, 2))
+        iso = GrfSampler(g.locations(), cov, None).draw(RngStream(9, 2))
+        rot = GrfSampler(g.locations(), cov, AnisotropyParams(1.0, 1.1)).draw(RngStream(9, 2))
         assert np.array_equal(iso.values, rot.values)
 
     def test_factor_residual(self):
@@ -163,15 +162,15 @@ class TestSimulation:
         # large sparse field: sample variance approaches the sill
         cov = ExponentialCovariance.from_effective_range(6.0, sigma2=0.8, tau2=0.2)
         locs = uniform_locations(2000, 220.0, 220.0, RngStream(31, 0))
-        ds = simulate_grf(locs, cov, rng=RngStream(31, 1))
+        ds = GrfSampler(locs, cov).draw(RngStream(31, 1))
         assert ds.values.var() == pytest.approx(cov.sill, rel=0.05)
 
     def test_anisotropic_field_attached_to_original_locations(self):
         g = GridSpec(5, 4)
-        ds = simulate_grf(
+        ds = GrfSampler(
             g.locations(), ExponentialCovariance.from_effective_range(3.0),
-            AnisotropyParams(2.0, 0.4), RngStream(2, 2), grid=g,
-        )
+            AnisotropyParams(2.0, 0.4),
+        ).draw(RngStream(2, 2), grid=g)
         assert np.array_equal(ds.locations, g.locations())
 
 

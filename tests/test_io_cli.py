@@ -505,7 +505,7 @@ class TestCli:
                      "--seed", "1", "--out", str(data)]) == 0
         sym = lz_complete_test(periodogram(read_dataset_csv(data)))
         # stage 2 decides, and its p-value is not the clamped floor
-        assert sym.stage2_reached and sym.stage2_pvalue > 1e-6
+        assert sym.stage2_pvalue is not None and sym.stage2_pvalue > 1e-6
         out = tmp_path / "lz.json"
         assert main(["test", str(data), "--method", "lz", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())

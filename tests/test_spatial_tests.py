@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isotropy import (
+    AnisotropyParams,
     ContrastMatrix,
     ExponentialCovariance,
     GridSpec,
@@ -16,16 +17,19 @@ from isotropy import (
     WindowSpec,
     default_contrast,
     default_lag_set,
+    empirical_bandwidth,
+    estimate_G,
     finite_sample_pvalue,
     gsc_gridded_test,
     gsc_nongridded_test,
     ms_test,
     quadratic_form,
-    simulate_grf,
     uniform_locations,
 )
+from isotropy import resampling
 from isotropy.distributions import mix64
-from isotropy.estimators import KernelSpec
+from isotropy.estimators import EstimatorConfig, KernelSpec
+from isotropy.spatial_tests import PVALUE_MODES
 
 
 class TestQuadraticForm:
@@ -185,7 +189,7 @@ class TestGscGridded:
 def uniform_ds():
     locs = uniform_locations(300, 16.0, 10.0, RngStream(50))
     cov = ExponentialCovariance.from_effective_range(6.0)
-    return simulate_grf(locs, cov, rng=RngStream(51))
+    return GrfSampler(locs, cov).draw(RngStream(51))
 
 
 class TestGscNonGridded:
@@ -203,7 +207,7 @@ class TestGscNonGridded:
     def test_mode_switch_at_500(self):
         locs = uniform_locations(600, 20.0, 16.0, RngStream(52))
         cov = ExponentialCovariance.from_effective_range(3.0)
-        ds = simulate_grf(locs, cov, rng=RngStream(53))
+        ds = GrfSampler(locs, cov).draw(RngStream(53))
         res = gsc_nongridded_test(ds, bandwidth=0.75, window=WindowSpec(4, 2),
                                   domain=Rect(0, 0, 20, 16))
         assert res.pvalue_mode == "asymptotic_chi2"
@@ -273,3 +277,104 @@ class TestCustomSymmetryContrast:
         contrast = ContrastMatrix([[1.0, -1.0]])
         with pytest.raises(ValueError, match="columns"):
             gsc_gridded_test(random_field_18x12, lags, contrast, WindowSpec(3, 2))
+
+
+# Exact symmetries.  Reflecting an axis, or transposing with the window
+# transposed, maps the default lags onto themselves up to sign and order and
+# the window layout onto itself, so each test's T moves only by rounding:
+# within 1e-12 relative, with the same p-value and decision (a finite-sample
+# p-value could move only if a window statistic lay within 1e-12 of T).
+
+def mirrored(ds, axis, extent, grid=None):
+    """``ds`` with coordinate ``axis`` reflected, c -> extent - c."""
+    loc = ds.locations.copy()
+    loc[:, axis] = extent - loc[:, axis]
+    return SpatialDataset(loc, ds.values, grid=grid)
+
+
+def transposed(ds, grid=None):
+    return SpatialDataset(ds.locations[:, ::-1], ds.values, grid=grid)
+
+
+def assert_same_outcome(base, other):
+    assert other.statistic == pytest.approx(base.statistic, rel=1e-12)
+    assert other.p_value == pytest.approx(base.p_value, rel=1e-9)
+    assert other.rejects(0.05) == base.rejects(0.05)
+
+
+ANISO = AnisotropyParams(2.0, 0.5)
+BOX = Rect(0, 0, 16, 10)
+
+
+def anisotropic_grid_field(n_cols, n_rows, seed):
+    g = GridSpec(n_cols, n_rows)
+    cov = ExponentialCovariance.from_effective_range(6.0)
+    return GrfSampler(g.locations(), cov, ANISO).draw(RngStream(1800, seed), grid=g)
+
+
+def anisotropic_uniform_field(seed):
+    locs = uniform_locations(300, 16.0, 10.0, RngStream(1810, seed))
+    cov = ExponentialCovariance.from_effective_range(6.0)
+    return GrfSampler(locs, cov, ANISO).draw(RngStream(1820, seed))
+
+
+class TestExactSymmetries:
+    @pytest.mark.parametrize("dims, window", [((18, 12), (4, 3)), ((16, 16), (4, 4))])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gsc_gridded(self, dims, window, seed):
+        n1, n2 = dims
+        ds = anisotropic_grid_field(n1, n2, seed)
+        w, wt = WindowSpec(*window), WindowSpec(*window[::-1])
+        cases = [(mirrored(ds, 0, n1 - 1, ds.grid), w), (mirrored(ds, 1, n2 - 1, ds.grid), w),
+                 (transposed(ds, GridSpec(n2, n1)), wt)]
+        for mode in PVALUE_MODES:
+            base = gsc_gridded_test(ds, window=w, pvalue_mode=mode)
+            for other, win in cases:
+                assert_same_outcome(base, gsc_gridded_test(other, window=win, pvalue_mode=mode))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gsc_nongridded(self, seed):
+        ds = anisotropic_uniform_field(seed)
+        base = gsc_nongridded_test(ds, window=WindowSpec(4, 2), domain=BOX)
+        shuffled = np.random.default_rng(seed).permutation(ds.n)
+        for other, window, domain in (
+                (mirrored(ds, 0, 16.0), WindowSpec(4, 2), BOX),
+                (mirrored(ds, 1, 10.0), WindowSpec(4, 2), BOX),
+                (transposed(ds), WindowSpec(2, 4), Rect(0, 0, 10, 16)),
+                (SpatialDataset(ds.locations[shuffled], ds.values[shuffled]), WindowSpec(4, 2),
+                 BOX)):
+            assert_same_outcome(base, gsc_nongridded_test(other, window=window, domain=domain))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ms_with_mirrored_blocks(self, monkeypatch, axis, seed):
+        ds = anisotropic_uniform_field(seed)
+        other = mirrored(ds, axis, (16.0, 10.0)[axis])
+        # the full-sample estimate: the reflection swaps lags (1,1) and (-1,1)
+        cfg = EstimatorConfig("kernel_covariogram", KernelSpec("epanechnikov"),
+                              empirical_bandwidth(ds))
+        assert empirical_bandwidth(other) == pytest.approx(cfg.bandwidth, rel=1e-12)
+        g, _, _ = estimate_G(ds, default_lag_set(), cfg)
+        assert estimate_G(other, default_lag_set(), cfg)[0][[0, 1, 3, 2]] == pytest.approx(
+            g, rel=1e-12)
+        block = WindowSpec(4, 2)
+        base = ms_test(ds, block=block, n_boot=40, rng=RngStream(1830, seed), domain=BOX)
+        # each drawn origin reflected (u -> x0 + W - w - u) and handed to the
+        # mirror region, so every resample of the reflected data is the
+        # reflection of the original's; the 4x2 blocks tile the box
+        regions, trim = resampling._partition_regions(BOX, block)
+        assert trim == 0
+        shape = (np.unique(regions[:, 0]).size, np.unique(regions[:, 1]).size)
+        draw = resampling._draw_blocks
+
+        def mirrored_draw(domain, blk, n_regions, gen):
+            origins = np.array(draw(domain, blk, n_regions, gen))
+            lo = (domain.x0, domain.y0)[axis]
+            room = (domain.width - blk.width, domain.height - blk.height)[axis]
+            origins[axis] = 2 * lo + room - origins[axis]
+            return tuple(np.flip(origins.reshape(2, *shape), axis + 1).reshape(2, -1))
+
+        monkeypatch.setattr(resampling, "_draw_blocks", mirrored_draw)
+        res = ms_test(other, block=block, n_boot=40, rng=RngStream(1830, seed), domain=BOX)
+        assert_same_outcome(base, res)
+        assert res.diagnostics["n_boot"] == base.diagnostics["n_boot"]

@@ -5,20 +5,22 @@ import pytest
 from scipy import stats
 
 from isotropy import (
+    AnisotropyParams,
     ExponentialCovariance,
     GridSpec,
+    GrfSampler,
     RngStream,
     SpatialDataset,
     cvm_test,
     f22_cdf,
     lz_complete_test,
-    lz_reflection_test,
     periodogram,
-    simulate_grf,
 )
+from isotropy.distributions import cvm_statistics
 from isotropy.spectral_tests import (
     DegeneratePeriodogramError,
     _half_count,
+    _reflection_ratios,
     lz_diagonal_ratios,
 )
 
@@ -56,15 +58,13 @@ def noise_pgram(n1, n2, seed=5):
 
 def bins_read(n1, n2, stage):
     """The (row, col) bins of an n1 x n2 power array whose zeroing makes
-    ``stage`` raise, i.e. the bins its ratio sample reads."""
+    ``stage``'s ratio sample NaN, i.e. the bins that sample reads."""
     out = set()
     for a in range(n1):
         for b in range(n2):
             power = np.ones((n1, n2))
             power[a, b] = 0.0
-            try:
-                stage(power)
-            except DegeneratePeriodogramError:
+            if np.isnan(stage(power)).any():
                 out.add((a, b))
     return out
 
@@ -108,7 +108,7 @@ class TestFourierFrequencies:
         # stage 1 reads rows +-1..8 of columns 1..5; stage 2 the
         # off-diagonal bins of the 5x5 quarter; neither a zero nor a
         # Nyquist row or column
-        stage1 = bins_read(18, 12, lz_reflection_test)
+        stage1 = bins_read(18, 12, _reflection_ratios)
         stage2 = bins_read(18, 12, lz_diagonal_ratios)
         assert stage1 == {(a, b) for a in retained(18) for b in range(1, 6)}
         assert stage2 <= stage1
@@ -146,7 +146,7 @@ class TestPeriodogram:
         for dims, seed in [((8, 6), 1), ((12, 12), 2), ((9, 7), 3)]:
             g = GridSpec(*dims)
             cov = ExponentialCovariance.from_effective_range(3.0)
-            ds = simulate_grf(g.locations(), cov, rng=RngStream(900 + seed), grid=g)
+            ds = GrfSampler(g.locations(), cov).draw(RngStream(900 + seed), grid=g)
             pg = periodogram(ds)
             oracle = direct_sum_periodogram(ds)
             assert oracle.shape == pg.shape
@@ -179,7 +179,7 @@ class TestReflectionStage:
         a = 1.0 + np.cos(2 * np.pi * np.arange(n1) / n1) ** 2
         b = 2.0 + np.sin(2 * np.pi * np.arange(n2) / n2) ** 2
         power = np.outer(a, b)
-        stat, p = lz_reflection_test(power)
+        stat = lz_complete_test(power).stage1_statistic
         # all probability transforms collapse to F(2,2) cdf at 1 = 0.5
         n = 8 * 5
         i = np.arange(1, n + 1)
@@ -190,20 +190,14 @@ class TestReflectionStage:
         power = np.ones((18, 12))
         power[1, 1] = 0.0
         with pytest.raises(DegeneratePeriodogramError):
-            lz_reflection_test(power)
-
-    def test_refuses_a_stacked_periodogram(self, random_field_18x12):
-        power = np.stack([periodogram(random_field_18x12)] * 3)
-        with pytest.raises(ValueError, match=r"one \(n1, n2\) periodogram, not shape "
-                                             r"\(3, 18, 12\)"):
-            lz_reflection_test(power)
+            lz_complete_test(power)
 
     def test_too_few_pairs(self):
         g = GridSpec(4, 4)
         ds = SpatialDataset(g.locations(), RngStream(3).generator().standard_normal(16),
                             grid=g)
         with pytest.raises(ValueError, match="frequency pairs"):
-            lz_reflection_test(periodogram(ds))
+            lz_complete_test(periodogram(ds))
 
     def test_isotropic_size_at_quarter_level(self):
         # reflection stage alone, 500 isotropic fields, alpha = 0.025
@@ -217,8 +211,7 @@ class TestReflectionStage:
         reps = 500
         for r in range(reps):
             ds = sampler.draw(RngStream(4040, mix64(1, r)), grid=g)
-            _, p = lz_reflection_test(periodogram(ds))
-            rej += p <= 0.025
+            rej += lz_complete_test(periodogram(ds)).stage1_pvalue <= 0.025
         assert rej / reps <= 0.08
 
     def test_ratio_calibration_under_f22(self):
@@ -264,19 +257,19 @@ class TestTwoStage:
                 power[(-k1) % n1, (-k2) % n2] = 50.0
                 power[k1, (-k2) % n2] = 1e-4
         res = lz_complete_test(power, alpha=0.05)
-        assert res.reject and not res.stage2_reached
+        assert res.reject and res.stage2_pvalue is None
         assert res.stage1_pvalue <= 0.025
 
     def test_stage2_runs_when_stage1_accepts(self, random_field_18x12):
         res = lz_complete_test(periodogram(random_field_18x12), alpha=0.05)
         if res.stage1_pvalue > 0.025:
-            assert res.stage2_reached
+            assert res.stage2_pvalue is not None
             assert res.diagnostics["n_diagonal_ratios"] == 10
         assert res.diagnostics["n_reflection_ratios"] == 40
 
     def test_overall_level_uses_half_alpha(self, random_field_18x12):
         res = lz_complete_test(periodogram(random_field_18x12), alpha=0.05)
-        if res.stage2_reached:
+        if res.stage2_pvalue is not None:
             expected = res.stage2_pvalue <= 0.025
             assert res.reject == expected
 
@@ -302,6 +295,88 @@ class TestTwoStage:
 def test_ratio_samples_match_signed_index_loops(dims):
     power = noise_pgram(*dims, seed=77)
     stage1, stage2 = loop_ratio_samples(power)
-    assert lz_reflection_test(power) == cvm_test(stage1, f22_cdf)
+    res = lz_complete_test(power)
+    assert (res.stage1_statistic, res.stage1_pvalue) == cvm_test(stage1, f22_cdf)
     got = lz_diagonal_ratios(power)
     assert got.shape == stage2.shape and np.array_equal(got, stage2)
+
+
+def lz_field(n1, n2, seed, aniso=None):
+    g = GridSpec(n1, n2)
+    cov = ExponentialCovariance.from_effective_range(6.0)
+    return GrfSampler(g.locations(), cov, aniso).draw(RngStream(1840, seed), grid=g)
+
+
+def stage_statistics(power):
+    """Both stages' CvM statistics, the second whether or not stage 1 rejects."""
+    return cvm_statistics(_reflection_ratios(power), f22_cdf), \
+        cvm_statistics(lz_diagonal_ratios(power), f22_cdf)
+
+
+def assert_same_lz(base, other):
+    assert other.stage1_statistic == pytest.approx(base.stage1_statistic, rel=1e-12)
+    assert other.stage1_pvalue == pytest.approx(base.stage1_pvalue, rel=1e-9)
+    assert (other.stage2_pvalue is None) == (base.stage2_pvalue is None)
+    if base.stage2_pvalue is not None:
+        assert other.stage2_statistic == pytest.approx(base.stage2_statistic, rel=1e-12)
+        assert other.stage2_pvalue == pytest.approx(base.stage2_pvalue, rel=1e-9)
+    assert other.reject == base.reject
+
+
+class TestExactSymmetries:
+    """Transposing the grid, or turning it half a turn, maps both stages' ratio
+    samples onto themselves (a ratio at most to its reciprocal, which leaves
+    the CvM statistic under F(2,2) unchanged), so the outcome moves only by
+    rounding.  Reflecting one axis keeps stage 1 alone: the periodogram is
+    reflected, I'(k1, k2) = I(-k1, k2), and stage 2 reads the first quadrant
+    only, so it then reads the ordinates of the second."""
+
+    @pytest.mark.parametrize("dims", [(18, 12), (16, 16)])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_transposition_and_half_turn(self, dims, seed):
+        n1, n2 = dims
+        ds = lz_field(n1, n2, seed, AnisotropyParams(2.0, 0.5))
+        base = lz_complete_test(periodogram(ds))
+        loc = ds.locations
+        half_turn = np.column_stack([n1 - 1 - loc[:, 0], n2 - 1 - loc[:, 1]])
+        for other in (SpatialDataset(loc[:, ::-1], ds.values, grid=GridSpec(n2, n1)),
+                      SpatialDataset(half_turn, ds.values, grid=ds.grid)):
+            assert_same_lz(base, lz_complete_test(periodogram(other)))
+
+    @pytest.mark.parametrize("dims", [(18, 12), (16, 16)])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_reflection_of_one_axis(self, dims, seed):
+        n1, n2 = dims
+        ds = lz_field(n1, n2, seed, AnisotropyParams(2.0, 0.5))
+        power = periodogram(ds)
+        base = lz_complete_test(power)
+        reflected_power = power[(-np.arange(n1)) % n1]  # I(-k1, k2)
+        for axis, extent in ((0, n1 - 1), (1, n2 - 1)):
+            loc = ds.locations.copy()
+            loc[:, axis] = extent - loc[:, axis]
+            other = periodogram(SpatialDataset(loc, ds.values, grid=ds.grid))
+            np.testing.assert_allclose(other, reflected_power, rtol=1e-12, atol=1e-15)
+            res = lz_complete_test(other)
+            assert res.stage1_statistic == pytest.approx(base.stage1_statistic, rel=1e-12)
+            assert res.stage1_pvalue == pytest.approx(base.stage1_pvalue, rel=1e-9)
+            assert stage_statistics(other)[1] == pytest.approx(
+                stage_statistics(reflected_power)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(18, 12), (25, 15), (16, 16)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_additive_trend_leaves_lz_unchanged(dims, seed):
+    # the DFT of f(x) + g(y) lies in the k1 = 0 row and the k2 = 0 column,
+    # which neither stage reads; gsc-g's semivariogram sees the trend
+    from isotropy import gsc_gridded_test
+
+    ds = lz_field(*dims, seed)
+    x, y = ds.locations[:, 0], ds.locations[:, 1]
+    trended = SpatialDataset(ds.locations, ds.values + 0.5 * x + 0.3 * np.sin(y) + 0.02 * y**2,
+                             grid=ds.grid)
+    base, other = periodogram(ds), periodogram(trended)
+    for a, b in zip(stage_statistics(base), stage_statistics(other)):
+        assert b == pytest.approx(a, rel=1e-12)
+    assert_same_lz(lz_complete_test(base), lz_complete_test(other))
+    t, t_trend = gsc_gridded_test(ds).statistic, gsc_gridded_test(trended).statistic
+    assert t_trend != pytest.approx(t, rel=0.01)

@@ -121,7 +121,9 @@ class TestConfigValidation:
         ds = random_field_18x12
         (ran,) = entry.run(spec, ds, ds.values[None], Rect.from_dataset(ds), 0.05,
                            [RngStream(0)])
-        assert ran.pvalue_mode == default(gsc_gridded_test, "pvalue_mode") == "finite_sample"
+        # both leave the mode to gsc_gridded_test, whose default is set there alone
+        assert default(gsc_gridded_test, "pvalue_mode") is spec.pvalue_mode is None
+        assert ran.pvalue_mode == gsc_gridded_test(ds).pvalue_mode == "finite_sample"
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"method": "gsc-g", "pvalue_mode": "foo"}, "unknown p-value mode"),

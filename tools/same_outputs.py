@@ -19,7 +19,10 @@ subprocess on its own ``src`` under ``OPENBLAS_NUM_THREADS=1``:
   four methods on each file: the CSV, the JSON, stdout, stderr and the
   exit code;
 * on the 18x12 and n=300 files, one more ``test`` call per method with
-  settings other than the defaults (``SETTINGS``), its outputs as above.
+  settings other than the defaults (``SETTINGS``), its outputs as above;
+* ``diagnose directional --data FILE`` on each simulated CSV, and
+  ``diagnose contours`` at R = 1 and at R = 2 with angle 0.785
+  (``CONTOURS``): stdout, stderr and the exit code.
 
 Every difference is printed, and the exit code is 1 if there is any.
 A run takes a few minutes; it is not part of the test suite.
@@ -48,6 +51,7 @@ SETTINGS = {
     "lz": ("--alpha", "0.1"),
 }
 SETTINGS_DESIGNS = ("grid:18x12", "uniform:300:16x10")
+CONTOURS = (("--ratio", "1"), ("--ratio", "2", "--angle", "0.785"))
 
 
 def _without_timing(table: str) -> str:
@@ -78,6 +82,13 @@ def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
         return run.returncode, run.stdout, run.stderr.replace(str(tree).encode(), b"TREE")
 
     out = {}
+
+    def record(name, *args):
+        code, stdout, stderr = cli(*args)
+        out[f"{name} exit"] = str(code).encode()
+        out[f"{name} stdout"] = stdout
+        out[f"{name} stderr"] = stderr
+
     for preset in PRESETS:
         for threads in ("1", "2"):
             name = f"study-{preset}-t{threads}"
@@ -101,18 +112,17 @@ def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
                 cli("simulate", "--design", design, "--seed", seed, "--ratio", ratio,
                     "--out", data)
                 out[data] = _read(work / data)
+                record(f"{data} diagnose directional", "diagnose", "directional", "--data", data)
                 calls = [(method, ()) for method in METHODS]
                 if design in SETTINGS_DESIGNS:
                     calls += SETTINGS.items()
                 for method, settings in calls:
                     name = " ".join((data, method, *settings))
                     json_path = f"{data}-{method}{'-set' if settings else ''}.json"
-                    code, stdout, stderr = cli("test", data, "--method", method, *settings,
-                                               "--out", json_path)
-                    out[f"{name} exit"] = str(code).encode()
-                    out[f"{name} stdout"] = stdout
-                    out[f"{name} stderr"] = stderr
+                    record(name, "test", data, "--method", method, *settings, "--out", json_path)
                     out[f"{name} json"] = _read(work / json_path)
+    for settings in CONTOURS:
+        record(" ".join(("diagnose contours", *settings)), "diagnose", "contours", *settings)
     return out
 
 
