@@ -309,8 +309,8 @@ def lz_field(n1, n2, seed, aniso=None):
 
 def stage_statistics(power):
     """Both stages' CvM statistics, the second whether or not stage 1 rejects."""
-    return cvm_statistics(_reflection_ratios(power), f22_cdf), \
-        cvm_statistics(lz_diagonal_ratios(power), f22_cdf)
+    return (cvm_statistics(_reflection_ratios(power), f22_cdf),
+            cvm_statistics(lz_diagonal_ratios(power), f22_cdf))
 
 
 def assert_same_lz(base, other):
