@@ -359,15 +359,20 @@ class _BlockBootstrap:
 
     A pair with both points in one drawn block is a translated pair of the
     original sample, so its weight and response are read from the table
-    for every block that holds both its points.  Only pairs whose points
-    lie in different regions are searched and kernel-weighted: every
-    region is split into cells at least a third of ``reach`` or 1.5 kernel
-    half-widths wide, whichever is less (or one cell when the region is
-    narrower), and a point is paired only with the points of cells in
-    other regions whose displacements can reach the kernel support of some
-    lag.  Values are centered at the full sample's mean; each resample is
-    finished by
-    :meth:`PairTable.subset_estimates`, as moving windows are.
+    for every block that holds both its points; those entries are stored
+    by first point, with what a pass reads of them gathered once.  Only
+    pairs whose points lie in different regions are searched and
+    kernel-weighted: every region is split into cells at least a third of
+    ``reach`` or 1.5 kernel half-widths wide, whichever is less (or one
+    cell when the region is narrower), and a point is paired only with the
+    points of cells in other regions whose displacements can reach the
+    kernel support of some lag.  Cell keys are ``column * ny + row``, so
+    those neighbour cells are kept as runs of consecutive keys, each read
+    as one range of a pass's points sorted by cell.  Each candidate pair
+    is matched once, in one orientation, against the lags and their
+    negations.  Values are centered at the full sample's mean; each
+    resample is finished by :meth:`PairTable.subset_estimates`, as moving
+    windows are.
     """
 
     def __init__(self, dataset: SpatialDataset, table: PairTable,
@@ -379,15 +384,20 @@ class _BlockBootstrap:
         self.x_order = np.argsort(self.loc[:, 0], kind="stable")
         self.x_sorted = self.loc[self.x_order, 0]
         self.point_cols = table.point_columns()
-        # table entries by first point
-        self.by_i = np.argsort(table.i, kind="stable")
+        # table entries by first point: j's coordinates, the lag and the
+        # entry columns, gathered once
+        by_i = np.argsort(table.i, kind="stable")
         self.i_start = np.concatenate(
             [[0], np.cumsum(np.bincount(table.i, minlength=dataset.n))])
+        j = table.j[by_i]
+        self.entry_xj, self.entry_yj = self.loc[j, 0], self.loc[j, 1]
+        self.entry_lag = table.lag[by_i]
+        self.entry_cols = [c[by_i] for c in table.entry_columns]
         # cells aligned to regions, narrow enough that few cell pairs only
         # graze a lag's support (a third of the reach, or 1.5 kernel
         # half-widths for long lags); for each cell, the cells of other
         # regions that can reach a lag's support, on one side (each cell
-        # pair listed once)
+        # pair listed once), as runs of consecutive cells
         width = min(self.reach / 3, 1.5 * table.bandwidth * table.kernel.support)
         (self.cx, self.cw, kx), (self.cy, self.ch, ky) = (
             _cell_split(block.width, self.reach, width),
@@ -404,8 +414,13 @@ class _BlockBootstrap:
         cross = ((ox < nx) & (oy >= 0) & (oy < ny)
                  & ((ox // self.cx != gx.ravel()[:, None] // self.cx)
                     | (oy // self.cy != gy.ravel()[:, None] // self.cy)))
-        self.nb_start = np.concatenate([[0], np.cumsum(cross.sum(axis=1))])
-        self.nb_cell = (ox * ny + oy)[cross]
+        owner, nb_cell = np.nonzero(cross)[0], (ox * ny + oy)[cross]
+        new = np.ones(nb_cell.size, dtype=bool)
+        new[1:] = (owner[1:] != owner[:-1]) | (nb_cell[1:] != nb_cell[:-1] + 1)
+        self.run_cell = nb_cell[new]
+        self.run_len = np.diff(np.append(np.flatnonzero(new), new.size))
+        self.run_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(owner[new], minlength=self.n_cells))])
 
     def estimates(self, u: np.ndarray, v: np.ndarray):
         """``(G, k)`` estimates of the resamples whose block origins are the
@@ -442,18 +457,19 @@ class _BlockBootstrap:
         """Bins (resample * k + lag) and columns of the table entries
         whose two points share a drawn block."""
         owner, at = _expand(self.i_start[p], np.diff(self.i_start)[p])
-        e, blk = self.by_i[at], row[owner]
-        xj, yj = self.loc[self.table.j[e], 0], self.loc[self.table.j[e], 1]
+        blk, xj, yj = row[owner], self.entry_xj[at], self.entry_yj[at]
         inside = ((xj >= u[blk]) & (xj < u[blk] + self.block.width)
                   & (yj >= v[blk]) & (yj < v[blk] + self.block.height))
-        e = e[inside]
-        return (g[owner[inside]] * self.k + self.table.lag[e],
-                [c[e] for c in self.table.entry_columns])
+        at = at[inside]
+        return (g[owner[inside]] * self.k + self.entry_lag[at],
+                [c[at] for c in self.entry_cols])
 
     def _cross_pairs(self, u, v, row, p, g, n_reg):
         """Bins and columns of the pairs of resample points in different
-        regions, searched between region-aligned cells and weighted in
-        both orientations."""
+        regions, searched between region-aligned cells, each run of
+        consecutive neighbour cells read as one range of points.  Each
+        candidate is matched once against the lags and their negations; an
+        entry at a negated lag is that lag with the two points swapped."""
         r = row % n_reg
         x, y = self.loc[p, 0] - u[row], self.loc[p, 1] - v[row]  # offsets in the block
         cell = ((self.ix[r] * self.cx + np.clip((x // self.cw).astype(np.intp), 0, self.cx - 1))
@@ -461,26 +477,27 @@ class _BlockBootstrap:
                 + np.clip((y // self.ch).astype(np.intp), 0, self.cy - 1))
         key = g * self.n_cells + cell
         order = np.argsort(key, kind="stable")
-        count = np.bincount(key, minlength=u.size // n_reg * self.n_cells)
-        first = np.cumsum(count) - count
-        a, at = _expand(self.nb_start[cell], np.diff(self.nb_start)[cell])
-        nkey = g[a] * self.n_cells + self.nb_cell[at]
-        run, at = _expand(first[nkey], count[nkey])
+        edge = np.concatenate(
+            [[0], np.cumsum(np.bincount(key, minlength=u.size // n_reg * self.n_cells))])
+        a, at = _expand(self.run_start[cell], np.diff(self.run_start)[cell])
+        lo = g[a] * self.n_cells + self.run_cell[at]
+        start = edge[lo]
+        run, at = _expand(start, edge[lo + self.run_len[at]] - start)
         a, b = a[run], order[at]
         # resample coordinates, placed as gbbb_resample places them
         rx = self.loc[p, 0] + (self.regions[r, 0] - u[row])
         ry = self.loc[p, 1] + (self.regions[r, 1] - v[row])
-        dx = rx[b] - rx[a]
-        near = np.abs(dx) <= self.reach
-        a, b, dx = a[near], b[near], dx[near]
-        dy = ry[b] - ry[a]
-        near = np.abs(dy) <= self.reach
+        dx, dy = rx[b] - rx[a], ry[b] - ry[a]
+        near = np.flatnonzero(np.maximum(np.abs(dx), np.abs(dy)) <= self.reach)
         a, b, dx, dy = a[near], b[near], dx[near], dy[near]
         t = self.table
-        lag, at, w = lag_entries(np.concatenate([dx, -dx]), np.concatenate([dy, -dy]),
-                                 t.lags, t.kernel, t.bandwidth)
-        first_pt, second_pt = np.concatenate([a, b])[at], np.concatenate([b, a])[at]
-        return (g[first_pt] * self.k + lag,
+        lag, at, w = lag_entries(dx, dy, np.concatenate([t.lags, -t.lags]),
+                                 t.kernel, t.bandwidth)
+        # entries sorted by lag: the forward ones first, then the swapped
+        s = np.searchsorted(lag, self.k)
+        first_pt = np.concatenate([a[at[:s]], b[at[s:]]])
+        second_pt = np.concatenate([b[at[:s]], a[at[s:]]])
+        return (g[first_pt] * self.k + lag % self.k,
                 t.columns(w, t.values[p[first_pt]], t.values[p[second_pt]]))
 
 
@@ -515,9 +532,9 @@ def gbbb_variance(
     regions, trim = _partition_regions(domain, block)
     boot = _BlockBootstrap(dataset, table, block, domain, regions)
     per_pass = max(1, _PASS_POINTS // dataset.n)
-    ghats = []
+    gen, ghats = rng.generator(), []
     for start in range(0, n_boot, per_pass):
-        draws = [_draw_blocks(domain, block, regions.shape[0], rng.substream(b).generator())
+        draws = [_draw_blocks(domain, block, regions.shape[0], rng.substream(b).rekey(gen))
                  for b in range(start, min(start + per_pass, n_boot))]
         values, ok = boot.estimates(np.array([d[0] for d in draws]),
                                     np.array([d[1] for d in draws]))

@@ -181,6 +181,19 @@ class TestRngStream:
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
+    def test_rekeyed_generator_draws_the_substream(self):
+        # one generator, re-keyed in any order after partial draws (a 32-bit
+        # draw leaves half a word buffered), draws each substream's stream
+        rng = RngStream(2024, 5)
+        gen = rng.generator()
+        for b in (3, 0, 7, 3, 1):
+            gen.integers(0, 10, size=3, dtype=np.uint32)
+            got = rng.substream(b).rekey(gen)
+            assert got is gen
+            want = rng.substream(b).generator()
+            assert np.array_equal(gen.random(9), want.random(9))
+            assert np.array_equal(gen.standard_normal(4), want.standard_normal(4))
+
     def test_substream_deterministic(self):
         s = RngStream(1, 2)
         assert s.substream(3, 4) == s.substream(3, 4)

@@ -459,6 +459,8 @@ def _bench_block(ds):
 
 
 AXIS_LAGS = LagSet([(2.5, 0.0), (0.0, 2.5)])
+# a lag beside its negation: a pair matched at one is the swapped pair of the other
+OPPOSITE_LAGS = LagSet([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 
 # name: (dataset, lag set, estimator, block, domain, forced block origins)
 GBBB_CASES = {
@@ -491,6 +493,8 @@ GBBB_CASES = {
                                                       KernelSpec("truncated_gaussian", 1.5),
                                                       0.75),
                            lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
+    "opposite-lags": (lambda: _field(300, 16.0, 10.0, 11), OPPOSITE_LAGS, _ms_config,
+                      lambda ds: WindowSpec(4, 2), Rect(0, 0, 16, 10), {}),
 }
 
 

@@ -18,8 +18,12 @@ subprocess on its own ``src`` under ``OPENBLAS_NUM_THREADS=1``:
   ratio R = 1 and 2, then ``test FILE --method M --out JSON`` for the
   four methods on each file: the CSV, the JSON, stdout, stderr and the
   exit code;
-* on the 18x12 and n=300 files, one more ``test`` call per method with
-  settings other than the defaults (``SETTINGS``), its outputs as above;
+* more ``test`` calls with settings other than the defaults
+  (``SETTINGS``), its outputs as above: one per method on the 18x12 and
+  n=300 files, and two more ``ms`` searches on the n=300 and n=1,000
+  files, one with ``--lag-scale 2.5`` on 4x2 blocks (the reach passes
+  the block height, so regions that are not adjacent pair up) and one
+  with ``--extra-lags``;
 * ``diagnose directional --data FILE`` on each simulated CSV, and
   ``diagnose contours`` at R = 1 and at R = 2 with angle 0.785
   (``CONTOURS``): stdout, stderr and the exit code.
@@ -43,14 +47,18 @@ PRESETS = ("gvl-a", "gvl-b", "gvm-a", "gvm-b", "lagset", "blocksize", "bandwidth
 DESIGNS = ("grid:18x12", "grid:25x15", "grid:16x16", "grid:7x9",
            "uniform:300:16x10", "uniform:1000:32x20")
 METHODS = ("gsc-g", "gsc-u", "ms", "lz")
-# one call per method with other settings than the defaults, on these designs' files
-SETTINGS = {
-    "gsc-g": ("--window", "4x3", "--pvalue-mode", "asymptotic"),
-    "gsc-u": ("--window", "4x2", "--bandwidth", "0.65"),
-    "ms": ("--window", "4x2", "--n-boot", "30", "--seed", "5"),
-    "lz": ("--alpha", "0.1"),
-}
-SETTINGS_DESIGNS = ("grid:18x12", "uniform:300:16x10")
+# calls with other settings than the defaults: (method, settings, the
+# designs on whose files they run)
+_MIXED = ("grid:18x12", "uniform:300:16x10")
+_POINTS = ("uniform:300:16x10", "uniform:1000:32x20")
+SETTINGS = (
+    ("gsc-g", ("--window", "4x3", "--pvalue-mode", "asymptotic"), _MIXED),
+    ("gsc-u", ("--window", "4x2", "--bandwidth", "0.65"), _MIXED),
+    ("ms", ("--window", "4x2", "--n-boot", "30", "--seed", "5"), _MIXED),
+    ("ms", ("--lag-scale", "2.5", "--window", "4x2"), _POINTS),
+    ("ms", ("--extra-lags",), _POINTS),
+    ("lz", ("--alpha", "0.1"), _MIXED),
+)
 CONTOURS = (("--ratio", "1"), ("--ratio", "2", "--angle", "0.785"))
 
 
@@ -114,11 +122,11 @@ def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
                 out[data] = _read(work / data)
                 record(f"{data} diagnose directional", "diagnose", "directional", "--data", data)
                 calls = [(method, ()) for method in METHODS]
-                if design in SETTINGS_DESIGNS:
-                    calls += SETTINGS.items()
-                for method, settings in calls:
+                calls += [(method, settings) for method, settings, designs in SETTINGS
+                          if design in designs]
+                for n, (method, settings) in enumerate(calls):
                     name = " ".join((data, method, *settings))
-                    json_path = f"{data}-{method}{'-set' if settings else ''}.json"
+                    json_path = f"{data}-{n}.json"
                     record(name, "test", data, "--method", method, *settings, "--out", json_path)
                     out[f"{name} json"] = _read(work / json_path)
     for settings in CONTOURS:
