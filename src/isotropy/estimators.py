@@ -255,34 +255,6 @@ def _geometry(dataset: SpatialDataset, lags: np.ndarray, kernel: KernelSpec | No
     return entries
 
 
-def _table(dataset: SpatialDataset, lags, config: EstimatorConfig, values=None) -> PairTable:
-    """Candidate pairs within reach of every lag (one lag, or rows of
-    lags), kept at each lag they match: exactly (within
-    :func:`lag_match_tol`) for the classical estimator, with kernel weight
-    for the smoothed ones.  The entries depend on the locations alone, so
-    they are found once per location set; ``values`` (the dataset's own by
-    default) are filled in."""
-    values = dataset.values if values is None else values
-    if config.kind == "kernel_covariogram" and np.ndim(values) != 1:
-        raise ValueError(f"the covariogram takes one field's (n,) values, "
-                         f"not shape {np.shape(values)}")
-    lags = np.atleast_2d(np.asarray(lags, dtype=float))
-    if config.kind == "classical_semivariogram":
-        kernel, width = None, lag_match_tol(dataset.grid)
-    else:
-        kernel, width = config.kernel, config.bandwidth
-    key = ("pairs", tuple(map(tuple, lags.tolist())), kernel, width)
-    entries = dataset.memo(key, lambda: _geometry(dataset, lags, kernel, width))
-    if kernel is None:
-        return PairTable(config.kind, lags, *entries, values)
-    if config.kind == "kernel_semivariogram":
-        return PairTable(config.kind, lags, *entries, values, kernel, width)
-    # self-pairs (zero displacement) anchor the variance at lag 0
-    self_weights = kernel.weight(-lags[:, 0] / width) * kernel.weight(-lags[:, 1] / width)
-    return PairTable(config.kind, lags, *entries, values - values.mean(), kernel, width,
-                     self_weights)
-
-
 def empirical_bandwidth(dataset: SpatialDataset, tuning: float = 1.0) -> float:
     """Scale-adaptive bandwidth: ``tuning`` times the median
     nearest-neighbor distance among sampling locations."""
@@ -300,9 +272,31 @@ def check_tuning(tuning: float) -> None:
 
 def pair_table(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig,
                values=None) -> PairTable:
-    """The pair table of the configured estimator at every lag of the set,
-    holding ``values`` (the dataset's own by default; see :class:`PairTable`)."""
-    return _table(dataset, lag_set.lags, config, values)
+    """The pair table of the configured estimator at every lag of the set:
+    candidate pairs within reach of every lag, kept at each lag they match,
+    exactly (within :func:`lag_match_tol`) for the classical estimator, with
+    kernel weight for the smoothed ones.  The entries depend on the locations
+    alone, so they are found once per location set; ``values`` (the dataset's
+    own by default; see :class:`PairTable`) are filled in."""
+    values = dataset.values if values is None else values
+    if config.kind == "kernel_covariogram" and np.ndim(values) != 1:
+        raise ValueError(f"the covariogram takes one field's (n,) values, "
+                         f"not shape {np.shape(values)}")
+    lags = lag_set.lags
+    if config.kind == "classical_semivariogram":
+        kernel, width = None, lag_match_tol(dataset.grid)
+    else:
+        kernel, width = config.kernel, config.bandwidth
+    key = ("pairs", tuple(map(tuple, lags.tolist())), kernel, width)
+    entries = dataset.memo(key, lambda: _geometry(dataset, lags, kernel, width))
+    if kernel is None:
+        return PairTable(config.kind, lags, *entries, values)
+    if config.kind == "kernel_semivariogram":
+        return PairTable(config.kind, lags, *entries, values, kernel, width)
+    # self-pairs (zero displacement) anchor the variance at lag 0
+    self_weights = kernel.weight(-lags[:, 0] / width) * kernel.weight(-lags[:, 1] / width)
+    return PairTable(config.kind, lags, *entries, values - values.mean(), kernel, width,
+                     self_weights)
 
 
 def estimate_G(dataset: SpatialDataset, lag_set: LagSet, config: EstimatorConfig,

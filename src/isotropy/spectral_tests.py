@@ -39,6 +39,15 @@ def _half_count(n: int) -> int:
     return (n - 1) // 2
 
 
+def frequency_pairs(shape) -> tuple[int, int]:
+    """The largest retained indices (m1, m2) of a grid of ``shape`` points;
+    ValueError if stage 1 would compare fewer than ``MIN_RATIO_PAIRS`` pairs."""
+    m1, m2 = map(_half_count, shape)
+    if m1 * m2 < MIN_RATIO_PAIRS:
+        raise ValueError(f"only {m1 * m2} frequency pairs; need {MIN_RATIO_PAIRS}")
+    return m1, m2
+
+
 def periodogram(dataset: SpatialDataset, values=None) -> np.ndarray:
     """Moment-based spectral density estimate of a gridded field, as a
     read-only ``(n1, n2)`` array of ordinates at every DFT bin.
@@ -77,9 +86,7 @@ def _reflection_ratios(power: np.ndarray) -> np.ndarray:
     k1, k2 >= 1, one row per periodogram of ``power`` (..., n1, n2); each
     reflection-tied pair is used once, the remaining quadrants being copies
     by the real-transform symmetry."""
-    m1, m2 = map(_half_count, power.shape[-2:])
-    if m1 * m2 < MIN_RATIO_PAIRS:
-        raise ValueError(f"only {m1 * m2} frequency pairs; need {MIN_RATIO_PAIRS}")
+    m1, m2 = frequency_pairs(power.shape[-2:])
     k1, k2 = np.arange(1, m1 + 1), slice(1, m2 + 1)
     rows = power.shape[:-2]
     return _ordinate_ratios(power[..., k1, k2].reshape(*rows, -1),

@@ -15,7 +15,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import MISSING, asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,14 @@ from .grf import (
     GrfSampler,
     uniform_locations,
 )
-from .resampling import Rect, ResamplingError, WindowSpec, check_n_boot
+from .resampling import (
+    Rect,
+    ResamplingError,
+    WindowSpec,
+    _partition_regions,
+    _window_origins,
+    check_n_boot,
+)
 from .spatial_tests import (
     PVALUE_MODES,
     SingularityError,
@@ -47,6 +54,7 @@ from .spatial_tests import (
 from .spectral_tests import (
     DegeneratePeriodogramError,
     SymmetryTestResult,
+    frequency_pairs,
     lz_complete_test,
     periodogram,
 )
@@ -89,11 +97,13 @@ class GridDesign:
             raise StudyError("grid design needs at least 2x2 points")
         _store_reals(self, "spacing", positive=True)
 
+    def domain(self) -> Rect:
+        return Rect(0.0, 0.0, self.n_cols * self.spacing, self.n_rows * self.spacing)
+
     def sample(self, rng: RngStream) -> tuple[np.ndarray, GridSpec, Rect]:
         """(locations, grid, domain); a grid is fixed, so ``rng`` is unused."""
         grid = GridSpec(self.n_cols, self.n_rows, self.spacing)
-        domain = Rect(0.0, 0.0, self.n_cols * self.spacing, self.n_rows * self.spacing)
-        return grid.locations(), grid, domain
+        return grid.locations(), grid, self.domain()
 
 
 @dataclass(frozen=True)
@@ -109,10 +119,13 @@ class UniformDesign:
             raise StudyError("uniform design needs n >= 2")
         _store_reals(self, "width", "height", positive=True)
 
+    def domain(self) -> Rect:
+        return Rect(0.0, 0.0, self.width, self.height)
+
     def sample(self, rng: RngStream) -> tuple[np.ndarray, None, Rect]:
         """(locations drawn from ``rng``, no grid, domain)."""
         locations = uniform_locations(self.n, self.width, self.height, rng)
-        return locations, None, Rect(0.0, 0.0, self.width, self.height)
+        return locations, None, self.domain()
 
 
 def parse_design(text: str) -> GridDesign | UniformDesign:
@@ -287,6 +300,23 @@ def _run_lz(spec, dataset, values, domain, alpha, rng):
     return lz_complete_test(periodogram(dataset, values), alpha)
 
 
+# The geometry checks of each runner, made on the design before any field
+# is drawn; each raises the ValueError its runner would.
+
+def _fits_windows(spec, design):
+    if spec.window is not None:  # the offset step cannot stop a window fitting
+        _window_origins(design.domain(), spec.window_spec(), 1.0)
+
+
+def _fits_blocks(spec, design):
+    if spec.window is not None:
+        _partition_regions(design.domain(), spec.window_spec())
+
+
+def _fits_periodogram(spec, design):
+    frequency_pairs((design.n_cols, design.n_rows))
+
+
 @dataclass(frozen=True)
 class Method:
     """How the study harness and the CLI run one test: ``min_n`` is the sample size
@@ -296,12 +326,15 @@ class Method:
     function takes ``values``: None gives the dataset's result with the random stream
     ``rng``, or raises its failure; ``values`` (R, n), fields on ``dataset``'s locations
     with a stream each in ``rng``, give one outcome per row, a result or the
-    :data:`NUMERICAL_ERRORS` instance it failed with; a block failure raises."""
+    :data:`NUMERICAL_ERRORS` instance it failed with; a block failure raises.
+    ``fits(spec, design)`` raises the ValueError that ``run`` would raise on every
+    block of a study design whose geometry the settings ``spec`` do not fit."""
 
     needs_grid: bool
     min_n: int
     reads: tuple[str, ...]
     run: Callable[..., TestResult | SymmetryTestResult | list]
+    fits: Callable[[MethodSpec, GridDesign | UniformDesign], None]
 
     def refuse_unread(self, name: str, settings) -> None:
         """Raise StudyError on the first of ``settings`` (names of settings
@@ -320,11 +353,12 @@ _WINDOWED = ("lag_scale", "extra_lag_pair", "window", "domain")
 
 # Every test the package offers; a new test is one more entry.
 METHOD_TABLE = {
-    "gsc-g": Method(True, 150, (*_WINDOWED, "offset_step", "pvalue_mode"), _run_gsc_g),
+    "gsc-g": Method(True, 150, (*_WINDOWED, "offset_step", "pvalue_mode"), _run_gsc_g,
+                    _fits_windows),
     "gsc-u": Method(False, 300, (*_WINDOWED, "offset_step", "kernel", "truncation",
-                                 "bandwidth", "pvalue_mode"), _run_gsc_u),
-    "ms": Method(False, 300, (*_WINDOWED, "n_boot", "tuning", "seed"), _run_ms),
-    "lz": Method(True, 150, (), _run_lz),
+                                 "bandwidth", "pvalue_mode"), _run_gsc_u, _fits_windows),
+    "ms": Method(False, 300, (*_WINDOWED, "n_boot", "tuning", "seed"), _run_ms, _fits_blocks),
+    "lz": Method(True, 150, (), _run_lz, _fits_periodogram),
 }
 
 # Failures of a test on one dataset, as opposed to faults in the code:
@@ -333,6 +367,11 @@ NUMERICAL_ERRORS = (
     FactorizationError, SingularityError, ResamplingError, NoPairsError,
     EmptyNeighborhoodError, DegeneratePeriodogramError, np.linalg.LinAlgError,
 )
+
+
+def _same_key(a: tuple, b: tuple) -> bool:
+    """Whether two cell keys, tuples of numbers, name one cell of a report."""
+    return all(abs(x - y) < 1e-9 for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -373,6 +412,11 @@ class StudyConfig:
                 AnisotropyParams(ratio, angle)
         except ValueError as exc:
             raise StudyError(f"invalid config value: {exc}") from None
+        for key, keys in (("effective_ranges", [(xi,) for xi in self.effective_ranges]),
+                          ("anisotropies", self.anisotropies)):
+            for i, cell_key in enumerate(keys):  # a report could not tell the two cells apart
+                if any(_same_key(cell_key, other) for other in keys[:i]):
+                    raise StudyError(f"{key} repeats {getattr(self, key)[i]!r}")
         if not self.methods:
             raise StudyError("at least one method is required")
         labels = set()
@@ -380,8 +424,13 @@ class StudyConfig:
             if m.label in labels:  # a block keys its counts by label
                 raise StudyError(f"two methods are labelled {m.label!r}")
             labels.add(m.label)
-            if METHOD_TABLE[m.method].needs_grid and not isinstance(self.design, GridDesign):
+            method = METHOD_TABLE[m.method]
+            if method.needs_grid and not isinstance(self.design, GridDesign):
                 raise StudyError(f"method {m.label} requires a grid design")
+            try:
+                method.fits(m, self.design)
+            except ValueError as exc:
+                raise StudyError(f"method {m.label}: {exc}") from None
 
     def cells(self) -> list[tuple[int, tuple[float, float], float]]:
         """(index, anisotropy, effective range) of every cell, range fastest."""
@@ -440,9 +489,8 @@ class StudyReport:
 
     def rate(self, method: str, ratio: float, angle: float, xi: float) -> float:
         for r in self.results:
-            if (r.method == method and abs(r.ratio - ratio) < 1e-9
-                    and abs(r.angle - angle) < 1e-9
-                    and abs(r.effective_range - xi) < 1e-9):
+            if r.method == method and _same_key((r.ratio, r.angle, r.effective_range),
+                                                (ratio, angle, xi)):
                 return r.rate
         raise KeyError(f"no cell ({method}, {ratio}, {angle}, {xi})")
 
@@ -572,124 +620,73 @@ _THETA = 1.1780972450961724  # 3*pi/8
 _SQRT2 = 1.4142135623730951
 
 
-def _gridded_comparison(design: GridDesign, window: tuple[float, float],
-                        replicates: int, master_seed: int) -> StudyConfig:
-    return StudyConfig(
-        design=design,
-        methods=(
-            MethodSpec("gsc-g", window=window, pvalue_mode="finite_sample"),
-            MethodSpec("lz"),
-        ),
-        replicates=replicates,
-        master_seed=master_seed,
-    )
+def _preset(config: StudyConfig) -> Callable[..., StudyConfig]:
+    """``config`` as a preset: a call returns it with only its replicate count and
+    master seed replaced, each defaulting to the value ``config`` holds."""
+    def preset(replicates: int = config.replicates,
+               master_seed: int = config.master_seed) -> StudyConfig:
+        return replace(config, replicates=replicates, master_seed=master_seed)
+    return preset
 
 
-def gvl_a(replicates: int = 500, master_seed: int = 20260810) -> StudyConfig:
-    """Gridded comparison, 18x12 grid: quadratic-form test vs spectral test."""
-    return _gridded_comparison(GridDesign(18, 12), (4.0, 3.0), replicates, master_seed)
+_UNIFORM_COMPARISON = (
+    MethodSpec("gsc-u", window=(4.0, 2.0), bandwidth=0.75, pvalue_mode="finite_sample"),
+    MethodSpec("ms", window=(4.0, 2.0), n_boot=100, tuning=1.0),
+)
 
-
-def gvl_b(replicates: int = 500, master_seed: int = 20260810) -> StudyConfig:
-    """Gridded comparison on the larger 25x15 grid."""
-    return _gridded_comparison(GridDesign(25, 15), (5.0, 3.0), replicates, master_seed)
-
-
-def _uniform_comparison(design: UniformDesign, replicates: int,
-                        master_seed: int) -> StudyConfig:
-    return StudyConfig(
-        design=design,
-        methods=(
-            MethodSpec("gsc-u", window=(4.0, 2.0), bandwidth=0.75,
-                       pvalue_mode="finite_sample"),
-            MethodSpec("ms", window=(4.0, 2.0), n_boot=100, tuning=1.0),
-        ),
-        replicates=replicates,
-        master_seed=master_seed,
-    )
-
-
-def gvm_a(replicates: int = 200, master_seed: int = 20260810) -> StudyConfig:
-    """Uniform-design comparison, n=300 on 16x10: kernel semivariogram test
-    (finite-sample p-values, the recommended default below n=500) vs the
-    covariogram/bootstrap test."""
-    return _uniform_comparison(UniformDesign(300, 16.0, 10.0), replicates, master_seed)
-
-
-def gvm_b(replicates: int = 200, master_seed: int = 20260810) -> StudyConfig:
-    """Uniform-design comparison, n=450 on 20x10."""
-    return _uniform_comparison(UniformDesign(450, 20.0, 10.0), replicates, master_seed)
-
-
-def lagset_study(replicates: int = 100, master_seed: int = 20260810) -> StudyConfig:
-    """Effect of the lag set (unit lags, 2.5x lags, six lags), medium range."""
-    methods = []
-    for label, scale, extra in (("normal", 1.0, False), ("long", 2.5, False),
-                                ("more", 1.0, True)):
-        methods.append(MethodSpec("gsc-u", label=f"gsc-u-{label}", lag_scale=scale,
-                                  extra_lag_pair=extra, window=(4.0, 2.0),
-                                  bandwidth=0.75, pvalue_mode="asymptotic"))
-        methods.append(MethodSpec("ms", label=f"ms-{label}", lag_scale=scale,
-                                  extra_lag_pair=extra, window=(4.0, 2.0), n_boot=75))
-    return StudyConfig(
-        design=UniformDesign(400, 16.0, 10.0),
-        methods=tuple(methods),
+PRESETS = {name: _preset(config) for name, config in {
+    # Gridded comparison, 18x12 grid: quadratic-form test vs spectral test.
+    "gvl-a": StudyConfig(
+        GridDesign(18, 12),
+        (MethodSpec("gsc-g", window=(4.0, 3.0), pvalue_mode="finite_sample"), MethodSpec("lz")),
+        replicates=500),
+    # Gridded comparison on the larger 25x15 grid.
+    "gvl-b": StudyConfig(
+        GridDesign(25, 15),
+        (MethodSpec("gsc-g", window=(5.0, 3.0), pvalue_mode="finite_sample"), MethodSpec("lz")),
+        replicates=500),
+    # Uniform-design comparison, n=300 on 16x10: kernel semivariogram test
+    # (finite-sample p-values, the recommended default below n=500) vs the
+    # covariogram/bootstrap test.
+    "gvm-a": StudyConfig(UniformDesign(300, 16.0, 10.0), _UNIFORM_COMPARISON, replicates=200),
+    # Uniform-design comparison, n=450 on 20x10.
+    "gvm-b": StudyConfig(UniformDesign(450, 20.0, 10.0), _UNIFORM_COMPARISON, replicates=200),
+    # Effect of the lag set (unit lags, 2.5x lags, six lags), medium range.
+    "lagset": StudyConfig(
+        UniformDesign(400, 16.0, 10.0),
+        tuple(spec for label, scale, extra in (("normal", 1.0, False), ("long", 2.5, False),
+                                               ("more", 1.0, True)) for spec in (
+            MethodSpec("gsc-u", label=f"gsc-u-{label}", lag_scale=scale, extra_lag_pair=extra,
+                       window=(4.0, 2.0), bandwidth=0.75, pvalue_mode="asymptotic"),
+            MethodSpec("ms", label=f"ms-{label}", lag_scale=scale, extra_lag_pair=extra,
+                       window=(4.0, 2.0), n_boot=75))),
         effective_ranges=(6.0,),
         anisotropies=((1.0, 0.0), (_SQRT2, _THETA), (2.0, _THETA)),
-        replicates=replicates,
-        master_seed=master_seed,
-    )
-
-
-def blocksize_study(replicates: int = 200, master_seed: int = 20260810) -> StudyConfig:
-    """Effect of the window/block size (3x2, 4x2, 5x3), medium range."""
-    methods = []
-    for label, win in (("small", (3.0, 2.0)), ("normal", (4.0, 2.0)),
-                       ("large", (5.0, 3.0))):
-        methods.append(MethodSpec("gsc-u", label=f"gsc-u-{label}", window=win,
-                                  bandwidth=0.75, pvalue_mode="asymptotic"))
-        methods.append(MethodSpec("ms", label=f"ms-{label}", window=win, n_boot=100))
-    return StudyConfig(
-        design=UniformDesign(300, 16.0, 10.0),
-        methods=tuple(methods),
+        replicates=100),
+    # Effect of the window/block size (3x2, 4x2, 5x3), medium range.
+    "blocksize": StudyConfig(
+        UniformDesign(300, 16.0, 10.0),
+        tuple(spec for label, win in (("small", (3.0, 2.0)), ("normal", (4.0, 2.0)),
+                                      ("large", (5.0, 3.0))) for spec in (
+            MethodSpec("gsc-u", label=f"gsc-u-{label}", window=win, bandwidth=0.75,
+                       pvalue_mode="asymptotic"),
+            MethodSpec("ms", label=f"ms-{label}", window=win, n_boot=100))),
         effective_ranges=(6.0,),
         anisotropies=((1.0, 0.0), (_SQRT2, 0.0), (2.0, 0.0)),
-        replicates=replicates,
-        master_seed=master_seed,
-    )
-
-
-def bandwidth_study(replicates: int = 100, master_seed: int = 20260810) -> StudyConfig:
-    """Bandwidth sensitivity of the kernel semivariogram test (isotropic)."""
-    methods = tuple(
-        MethodSpec("gsc-u", label=f"gsc-u-w{w}", window=(4.0, 2.0), bandwidth=w,
-                   pvalue_mode="asymptotic")
-        for w in (0.65, 0.75, 0.85)
-    )
-    return StudyConfig(
-        design=UniformDesign(400, 16.0, 10.0),
-        methods=methods,
+        replicates=200),
+    # Bandwidth sensitivity of the kernel semivariogram test (isotropic).
+    "bandwidth": StudyConfig(
+        UniformDesign(400, 16.0, 10.0),
+        tuple(MethodSpec("gsc-u", label=f"gsc-u-w{w}", window=(4.0, 2.0), bandwidth=w,
+                         pvalue_mode="asymptotic") for w in (0.65, 0.75, 0.85)),
         anisotropies=((1.0, 0.0),),
-        replicates=replicates,
-        master_seed=master_seed,
-    )
+        replicates=100),
+}.items()}
 
 
-PRESETS = {
-    "gvl-a": gvl_a,
-    "gvl-b": gvl_b,
-    "gvm-a": gvm_a,
-    "gvm-b": gvm_b,
-    "lagset": lagset_study,
-    "blocksize": blocksize_study,
-    "bandwidth": bandwidth_study,
-}
-
-
-def get_preset(name: str, **kwargs) -> StudyConfig:
-    try:
-        return PRESETS[name](**kwargs)
-    except KeyError:
+def get_preset(name: str, **overrides) -> StudyConfig:
+    """Preset ``name``, with ``overrides`` of its ``replicates`` and ``master_seed``."""
+    if name not in PRESETS:
         raise StudyError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
+            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    return PRESETS[name](**overrides)

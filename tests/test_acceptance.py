@@ -37,7 +37,7 @@ from isotropy import (
     quadratic_form,
     uniform_locations,
 )
-from isotropy.study import bandwidth_study, gvl_a, gvm_a, run_power_study
+from isotropy.study import get_preset, run_power_study
 
 from conftest import record_criterion, study_threads
 from reference_estimates import dense_estimate
@@ -53,18 +53,18 @@ pytestmark = pytest.mark.acceptance
 @pytest.fixture(scope="module")
 def gvl_report():
     t0 = time.perf_counter()
-    report = run_power_study(gvl_a(replicates=500), threads=study_threads())
+    report = run_power_study(get_preset("gvl-a", replicates=500), threads=study_threads())
     return report, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def gvm_report():
-    return run_power_study(gvm_a(replicates=200), threads=study_threads())
+    return run_power_study(get_preset("gvm-a", replicates=200), threads=study_threads())
 
 
 @pytest.fixture(scope="module")
 def bw_report():
-    return run_power_study(bandwidth_study(replicates=100), threads=study_threads())
+    return run_power_study(get_preset("bandwidth", replicates=100), threads=study_threads())
 
 
 def test_criterion_1_gscg_size(gvl_report):
@@ -208,7 +208,7 @@ def test_criterion_9_distribution_calibration():
 
 
 def test_criterion_10_study_determinism():
-    cfg = gvm_a(replicates=4)
+    cfg = get_preset("gvm-a", replicates=4)
     a = run_power_study(cfg, threads=1).to_csv()
     b = run_power_study(cfg, threads=2).to_csv()
     c = run_power_study(cfg, threads=1).to_csv()

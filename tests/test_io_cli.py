@@ -38,7 +38,7 @@ from isotropy.io import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from isotropy.study import METHOD_TABLE, MethodSpec
+from isotropy.study import METHOD_TABLE, MethodSpec, get_preset
 
 
 class TestCsvRoundTrip:
@@ -448,10 +448,8 @@ class TestCli:
         assert len(text.strip().splitlines()) == 1 + 30
 
     def test_study_config_file(self, tmp_path):
-        from isotropy.study import gvm_a
-
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(gvm_a(replicates=2).to_json())
+        cfg.write_text(get_preset("gvm-a", replicates=2).to_json())
         assert main(["study", "--config", str(cfg), "--threads", "1"]) == 0
 
     def test_study_preset_refuses_zero_replicates(self, capsys):
@@ -460,10 +458,8 @@ class TestCli:
         assert "replicates must be positive" in capsys.readouterr().err
 
     def test_study_config_refuses_seed(self, tmp_path, capsys):
-        from isotropy.study import gvl_a
-
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(gvl_a(replicates=2).to_json())
+        cfg.write_text(get_preset("gvl-a", replicates=2).to_json())
         assert main(["study", "--config", str(cfg), "--seed", "99"]) == 1
         assert "--seed" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import re
@@ -17,8 +18,6 @@ from isotropy.study import (
     UniformDesign,
     design_from_dict,
     get_preset,
-    gvl_a,
-    gvm_a,
     run_power_study,
 )
 from isotropy.spatial_tests import gsc_gridded_test, gsc_nongridded_test, ms_test
@@ -29,7 +28,7 @@ from conftest import study_threads
 class TestConfigValidation:
     def test_zero_replicates(self):
         with pytest.raises(StudyError, match="replicates"):
-            gvl_a(replicates=0)
+            get_preset("gvl-a", replicates=0)
 
     def test_grid_method_on_uniform_design(self):
         with pytest.raises(StudyError, match="grid"):
@@ -222,7 +221,7 @@ class TestConfigValidation:
             ("uniform", "height", True),
         ]])
     def test_constructors_refuse_what_the_loader_refuses(self, target, key, value):
-        valid = {"config": gvl_a(replicates=2), "grid": GridDesign(18, 12),
+        valid = {"config": get_preset("gvl-a", replicates=2), "grid": GridDesign(18, 12),
                  "uniform": UniformDesign(300, 16.0, 10.0)}[target]
         with pytest.raises(StudyError, match=key):
             dataclasses.replace(valid, **{key: value})
@@ -230,7 +229,7 @@ class TestConfigValidation:
     def test_constructors_convert_what_the_loader_converted(self):
         # ints and lists, as a config file may give them, are stored as floats
         # and tuples, so a config equals the one loaded from its echo
-        config = StudyConfig(GridDesign(6, 5, 2), (MethodSpec("lz", label="x"),),
+        config = StudyConfig(GridDesign(7, 6, 2), (MethodSpec("lz", label="x"),),
                              effective_ranges=[3, 6], anisotropies=[[2, 0]], sigma2=2,
                              tau2=0, replicates=2, alpha=1 / 8)
         assert config.design.spacing == 2.0 and type(config.design.spacing) is float
@@ -249,6 +248,49 @@ class TestConfigValidation:
              "methods": [{"method": "lz", "label": label}]}
         with pytest.raises(StudyError, match=message):
             StudyConfig.from_json(json.dumps(d))
+
+    # each of these once passed, and every block of the study then failed
+    # with a bare ValueError naming no method, after its fields were drawn
+    @pytest.mark.parametrize("design, method, message", [
+        ({"kind": "uniform", "n": 300, "width": 16.0, "height": 10.0},
+         {"method": "ms", "window": [20, 2]}, "block 20x2 exceeds domain 16.0x10.0"),
+        ({"kind": "uniform", "n": 300, "width": 16.0, "height": 10.0},
+         {"method": "gsc-u", "window": [4.0, 10.5]}, "window 4.0x10.5 exceeds domain"),
+        ({"kind": "grid", "n_cols": 18, "n_rows": 12, "spacing": 0.25},
+         {"method": "gsc-g", "window": [5.0, 3.0]}, "window 5.0x3.0 exceeds domain 4.5x3.0"),
+        ({"kind": "grid", "n_cols": 4, "n_rows": 4}, {"method": "lz"}, "only 1 frequency pairs"),
+        ({"kind": "grid", "n_cols": 5, "n_rows": 4}, {"method": "lz"}, "only 2 frequency pairs"),
+    ])
+    def test_geometry_refused_at_construction(self, design, method, message):
+        d = {"design": design, "methods": [{"method": "gsc-u" if "n" in design else "gsc-g"},
+                                           method | {"label": "x"}], "replicates": 2}
+        with pytest.raises(StudyError, match=f"method x: {re.escape(message)}"):
+            StudyConfig.from_json(json.dumps(d))
+        with pytest.raises(StudyError, match=f"method x: {re.escape(message)}"):
+            StudyConfig(design_from_dict(design), tuple(MethodSpec(**m) for m in d["methods"]))
+
+    def test_geometry_that_fits_exactly_accepted(self):
+        StudyConfig(UniformDesign(300, 16.0, 10.0), (MethodSpec("gsc-u", window=(16.0, 10.0)),
+                                                     MethodSpec("ms", window=(16.0, 10.0))))
+        StudyConfig(GridDesign(7, 6), (MethodSpec("lz"), MethodSpec("gsc-g", window=(7, 6))))
+
+    # the CSV once held two rows with one key, and the table printed the
+    # first one's rate for both
+    # within the 1e-9 that StudyReport.rate matches keys on, and just beyond it
+    @pytest.mark.parametrize("key, values, repeat, distinct", [
+        ("effective_ranges", (6.0, 6.0), "6.0", (6.0, 6.0 + 2e-9)),
+        ("effective_ranges", (3.0, 6.0, 6.0 + 1e-10), "6.0000000001", (3.0, 6.0, 6.000000002)),
+        ("anisotropies", ((2.0, 0.5), (1.0, 0.0), (2.0, 0.5 + 1e-10)), "(2.0, 0.5000000001)",
+         ((2.0, 0.5), (1.0, 0.0), (2.0, 0.500000002))),
+    ])
+    def test_repeated_cells_refused(self, key, values, repeat, distinct):
+        message = f"{key} repeats {re.escape(repeat)}"
+        with pytest.raises(StudyError, match=message):
+            StudyConfig(GridDesign(18, 12), (MethodSpec("lz"),), **{key: values})
+        d = json.loads(get_preset("gvl-a", replicates=2).to_json()) | {key: values}
+        with pytest.raises(StudyError, match=message):
+            StudyConfig.from_json(json.dumps(d))
+        StudyConfig(GridDesign(18, 12), (MethodSpec("lz"),), **{key: distinct})
 
     def test_bad_alpha(self):
         with pytest.raises(StudyError, match="alpha"):
@@ -270,7 +312,8 @@ class TestConfigValidation:
         ("config", "alpah"), ("grid design", "spacng"), ("uniform design", "hieght")])
     def test_unknown_keys_refused(self, where, key):
         # a misspelt key used to be ignored, leaving its setting at the default
-        d = json.loads((gvm_a if where == "uniform design" else gvl_a)(replicates=2).to_json())
+        preset = "gvm-a" if where == "uniform design" else "gvl-a"
+        d = json.loads(get_preset(preset, replicates=2).to_json())
         target = d if where == "config" else d["design"]
         target[key] = 0.2
         with pytest.raises(StudyError, match=f"unknown {where} key '{key}'"):
@@ -295,6 +338,38 @@ class TestConfigValidation:
             cfg = get_preset(name, replicates=2)
             assert cfg.replicates == 2
 
+    # sha256 of each preset's echo at its defaults and with replicates=7,
+    # master_seed=5, as the preset functions wrote them before presets became
+    # StudyConfig values
+    ECHOES = {
+        "gvl-a": ("4e42137130df0950294e852a27610c6052cc8da2394ee8404872dc94dc33bd4f",
+                  "177c59236ac238d4c6d3208130e7a7f7089785058d2c4a8ad1975e6a75587a69"),
+        "gvl-b": ("79c587cc53721ef9eda7c819a2c794a89ab9d8a6f9184bfa9461aa2ce8a3c454",
+                  "3423ce078032c62249edb5d59a1738f622a9585b4de4a57a13e130dfb6b779c6"),
+        "gvm-a": ("83b224fa7f9b0f797de08f1af7d6b8b9533cf51d53776f4c06805ce845000c0c",
+                  "95ae6c24b2e4ec94349af15d3571e5fc5ca85671889978ade0d0f2c60adf4cef"),
+        "gvm-b": ("028576620d5246d68662d1be19a45cecb807297cb7c3f97d71aaad6c12f393ac",
+                  "def5b916a79b34bb217118a133ae4762095406ee7061ebbf1b1ca98c719d8ec4"),
+        "lagset": ("f931a36c21b488886a9abe76940a4d13e43589222abe25f1c5058164a664a1cb",
+                   "4860e11ba26fcb5637941b02cf7a48594c684a7a86685e9d4860e510fe9f1edc"),
+        "blocksize": ("ab8a5dfa64efdba3d3b2023e38a9373d56253805ef6899f6c47b2d91093f5804",
+                      "c73d30e89fbaab73676ef194263785877a714e4e73440ab6886e5086a4f95b01"),
+        "bandwidth": ("4ad71e87b087fb5e89c3d52dd558156bbf657b66216d5fa63f490fe9c1c7d88b",
+                      "c29ff05a1ee5c7e990ea1374a396dabc94626396c4033b6ad3cd1b28738ff641"),
+    }
+
+    @pytest.mark.parametrize("name", list(ECHOES))
+    def test_preset_echoes_pinned(self, name):
+        got = [hashlib.sha256(config.to_json().encode()).hexdigest() for config in (
+            get_preset(name), get_preset(name, replicates=7, master_seed=5))]
+        assert tuple(got) == self.ECHOES[name]
+        assert list(PRESETS) == list(self.ECHOES)
+
+    def test_preset_takes_only_replicates_and_seed(self):
+        assert PRESETS["gvm-a"](7, 5) == get_preset("gvm-a", replicates=7, master_seed=5)
+        with pytest.raises(TypeError):
+            get_preset("gvm-a", alpha=0.1)
+
     def test_unknown_preset(self):
         with pytest.raises(StudyError, match="unknown preset"):
             get_preset("nope")
@@ -302,7 +377,7 @@ class TestConfigValidation:
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_power_study(gvl_a(replicates=5), threads=1)
+    return run_power_study(get_preset("gvl-a", replicates=5), threads=1)
 
 
 class TestRunStudy:
@@ -329,14 +404,14 @@ class TestRunStudy:
         assert len({h for s in by_cell.values() for h in s}) == 15
 
     def test_reproducible_and_thread_invariant(self):
-        cfg = gvm_a(replicates=4)
+        cfg = get_preset("gvm-a", replicates=4)
         a = run_power_study(cfg, threads=1)
         b = run_power_study(cfg, threads=study_threads())
         assert a.to_csv() == b.to_csv()
 
     def test_seed_changes_report(self):
-        a = run_power_study(gvl_a(replicates=4, master_seed=1), threads=1)
-        b = run_power_study(gvl_a(replicates=4, master_seed=2), threads=1)
+        a = run_power_study(get_preset("gvl-a", replicates=4, master_seed=1), threads=1)
+        b = run_power_study(get_preset("gvl-a", replicates=4, master_seed=2), threads=1)
         assert a.to_csv() != b.to_csv()
 
     def test_table_renders(self, small_report):
@@ -484,7 +559,7 @@ class TestBlockRows:
     def test_gsc_u(self, pvalue_mode, size):
         from isotropy import uniform_locations
 
-        design = gvm_a().design
+        design = get_preset("gvm-a").design
         dataset, values = _mixed_block(uniform_locations(design.n, design.width, design.height,
                                                          RngStream(5)), None, 7)
         kw = {"window": WindowSpec(4.0, 2.0), "pvalue_mode": pvalue_mode,
@@ -496,7 +571,7 @@ class TestBlockRows:
     def test_ms(self, size):
         from isotropy import uniform_locations
 
-        design = gvm_a().design
+        design = get_preset("gvm-a").design
         dataset, values = _mixed_block(uniform_locations(design.n, design.width, design.height,
                                                          RngStream(5)), None, 8)
         rngs = [RngStream(9, r) for r in range(len(values))]

@@ -13,6 +13,9 @@ subprocess on its own ``src`` under ``OPENBLAS_NUM_THREADS=1``:
 * ``study --config ECHO --out report.csv`` for every preset, with the
   config echo its ``--threads 1`` run wrote: the exit code, the CSV
   report and the config echo, so that the loader is compared too;
+* ``get_preset(P).to_json()`` for every preset at its own replicate
+  count and seed, the configs the acceptance tests run: stdout and the
+  exit code;
 * ``simulate`` on grids 18x12, 25x15, 16x16 and 7x9 and on uniform
   designs n=300 (16x10) and n=1,000 (32x20), seeds 1-2, anisotropy
   ratio R = 1 and 2, then ``test FILE --method M --out JSON`` for the
@@ -60,6 +63,8 @@ SETTINGS = (
     ("lz", ("--alpha", "0.1"), _MIXED),
 )
 CONTOURS = (("--ratio", "1"), ("--ratio", "2", "--angle", "0.785"))
+# prints the echo of the preset named by its one argument, at the preset's defaults
+ECHO = "import sys; from isotropy.study import get_preset; print(get_preset(sys.argv[1]).to_json())"
 
 
 def _without_timing(table: str) -> str:
@@ -113,6 +118,10 @@ def _outputs(tree: Path, work: Path) -> dict[str, bytes]:
         out[f"{name} exit"] = str(code).encode()
         for suffix in (".csv", ".config.json"):
             out[f"{name}{suffix}"] = _read(work / f"{name}{suffix}")
+        run = subprocess.run([sys.executable, "-c", ECHO, preset], cwd=work, env=env,
+                             capture_output=True)
+        out[f"echo-{preset} exit"] = str(run.returncode).encode()
+        out[f"echo-{preset} stdout"] = run.stdout
     for design in DESIGNS:
         for seed in ("1", "2"):
             for ratio in ("1", "2"):
