@@ -275,8 +275,8 @@ class TestConfigValidation:
         StudyConfig(GridDesign(7, 6), (MethodSpec("lz"), MethodSpec("gsc-g", window=(7, 6))))
 
     # the CSV once held two rows with one key, and the table printed the
-    # first one's rate for both
-    # within the 1e-9 that StudyReport.rate matches keys on, and just beyond it
+    # first one's rate for both; a repeat within the 1e-9 that
+    # StudyReport.rate matches keys on is refused, and one just beyond it is not
     @pytest.mark.parametrize("key, values, repeat, distinct", [
         ("effective_ranges", (6.0, 6.0), "6.0", (6.0, 6.0 + 2e-9)),
         ("effective_ranges", (3.0, 6.0, 6.0 + 1e-10), "6.0000000001", (3.0, 6.0, 6.000000002)),
